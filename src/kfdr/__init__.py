@@ -21,12 +21,11 @@ from .numerics import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     equicorrelated_min_survivor,
-    invert_monotone,
+    invert_min_survivor,
     std_normal_cdf,
     std_normal_quantile,
 )
 from .schedules import (
-    BinomialWeights,
     CriticalValueSchedule,
     bh_classic,
     gen_bh,
@@ -53,7 +52,6 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinomialWeights",
     "CriticalValueSchedule",
     "DEFAULT_TOLERANCES",
     "DecisionOutcome",
@@ -79,7 +77,7 @@ __all__ = [
     "gen_holm_stepdown",
     "gen_simes",
     "independent_fk",
-    "invert_monotone",
+    "invert_min_survivor",
     "k_fdp",
     "lehmann_romano_stepdown",
     "load_empirical_csv",

@@ -5,18 +5,24 @@ identical across k-subsets (exchangeability). Three kinds are supported:
 
 - ``independent_uniform``: F_k(x) = x^k exactly.
 - ``equicorrelated_normal_one_sided``: p-values are one-sided tails of
-  equicorrelated standard normals (P = 1 - Phi(X)), so F_k is an orthant
-  survivor probability computed by quadrature.
+  equicorrelated standard normals (P = 1 - Phi(X)), so F_k(x) =
+  S_k(-Phi^-1(x)), the orthant survivor probability of
+  ``numerics.equicorrelated_min_survivor``. Its relative error is below 1e-12
+  for rho in [0, 0.999], k <= 10 and x in [1e-13, 0.999].
 - ``empirical``: a monotone piecewise-linear grid fitted from simulated
   null draws, for dependence structures with no closed form.
 
-Models are immutable; evaluation and inversion are pure functions.
+``fk_eval`` and ``fk_invert`` take a scalar or a whole array, so a schedule
+is evaluated or inverted in one call. The independent and empirical kinds
+use the same per-value arithmetic either way. The equicorrelated inverse is
+``numerics.invert_min_survivor``, a batched Newton iteration that stops at a
+relative residual of ``tol.rel_tol_invert``. Models are immutable; evaluation
+and inversion are pure functions.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -26,8 +32,9 @@ from .numerics import (
     DEFAULT_TOLERANCES,
     ToleranceConfig,
     equicorrelated_min_survivor,
-    invert_monotone,
-    std_normal_quantile,
+    invert_min_survivor,
+    std_normal_quantile_array,
+    std_normal_sf_array,
 )
 
 INDEPENDENT_UNIFORM = "independent_uniform"
@@ -85,40 +92,57 @@ def equicorrelated_fk(k: int, rho: float, tol: ToleranceConfig = DEFAULT_TOLERAN
     return FkModel(kind=EQUICORRELATED, k=k, rho=rho, tol=tol)
 
 
-def fk_eval(model: FkModel, x: float) -> float:
-    """Evaluate F_k(x) for x in [0, 1]."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"argument must lie in [0, 1], got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
+def _as_unit_array(values: float | np.ndarray, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    outside = ~((arr >= 0.0) & (arr <= 1.0))
+    if outside.any():
+        raise ValueError(f"{what} must lie in [0, 1], got {float(arr[outside][0])!r}")
+    return arr
+
+
+def _like_input(values: float | np.ndarray, out: np.ndarray) -> float | np.ndarray:
+    return float(out) if np.ndim(values) == 0 else out
+
+
+def _python_power(arr: np.ndarray, exponent: float) -> np.ndarray:
+    # Python float arithmetic: np.power rounds differently for some values.
+    values = (v**exponent for v in arr.ravel().tolist())
+    return np.fromiter(values, np.float64, arr.size).reshape(arr.shape)
+
+
+def fk_eval(model: FkModel, x: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate F_k at x in [0, 1]: a float for a scalar x, else an array."""
+    arr = _as_unit_array(x, "argument")
     if model.kind == INDEPENDENT_UNIFORM:
-        return x**model.k
-    if model.kind == EQUICORRELATED:
+        out = _python_power(arr, model.k)
+    elif model.kind == EMPIRICAL:
+        xs, fs = _grid_arrays(model)
+        out = np.interp(arr, xs, fs)
+    else:
         # {P <= x} = {X >= Phi^-1(1-x)}; -quantile(x) keeps small-x precision.
-        t = -std_normal_quantile(x)
-        return equicorrelated_min_survivor(t, model.rho, model.k, model.tol)
-    xs, fs = _grid_arrays(model)
-    return float(np.interp(x, xs, fs))
+        out = arr.copy()
+        inner = (arr > 0.0) & (arr < 1.0)
+        t = -std_normal_quantile_array(arr[inner])
+        out[inner] = equicorrelated_min_survivor(t, model.rho, model.k, model.tol)
+    return _like_input(x, out)
 
 
-def fk_invert(model: FkModel, target: float) -> float:
-    """Smallest x with F_k(x) = target, within the inversion tolerance."""
-    if not (0.0 <= target <= 1.0):
-        raise ValueError(f"target must lie in [0, 1], got {target!r}")
-    if target == 0.0:
-        return 0.0
-    if target == 1.0:
-        return 1.0
+def fk_invert(model: FkModel, target: float | np.ndarray) -> float | np.ndarray:
+    """Smallest x with F_k(x) = target, elementwise; a float for a scalar target."""
+    arr = _as_unit_array(target, "target")
     if model.kind == INDEPENDENT_UNIFORM:
-        return target ** (1.0 / model.k)
-    if model.kind == EQUICORRELATED:
-        return invert_monotone(lambda x: fk_eval(model, x), target, model.tol)
-    xs, fs = _grid_arrays(model)
-    # Leftmost preimage: drop repeated F-levels so interp sees a strict axis.
-    fs_unique, idx = np.unique(fs, return_index=True)
-    return float(np.interp(target, fs_unique, xs[idx]))
+        out = _python_power(arr, 1.0 / model.k)
+    elif model.kind == EMPIRICAL:
+        xs, fs = _grid_arrays(model)
+        # Leftmost preimage: drop repeated F-levels so interp sees a strict axis.
+        fs_unique, idx = np.unique(fs, return_index=True)
+        out = np.interp(arr, fs_unique, xs[idx])
+    else:
+        out = arr.copy()
+        inner = (arr > 0.0) & (arr < 1.0)
+        t = invert_min_survivor(arr[inner], model.rho, model.k, model.tol)
+        out[inner] = std_normal_sf_array(t)
+    return _like_input(target, out)
 
 
 def fit_empirical_fk(

@@ -1,9 +1,29 @@
-"""Scalar numerical primitives.
+"""Numerical primitives: the standard normal and the equicorrelated F_k kernel.
 
-Standard normal CDF/quantile, survivor probabilities for the minimum of
-equicorrelated normals (one-factor model, Gauss-Hermite quadrature), and
-generic monotone-function inversion by bisection. Everything here is a pure
-function of its inputs and safe to call concurrently.
+The kernel is the survivor function of the minimum of k equicorrelated
+standard normals, in the one-factor form of Dunnett & Sobel (1955),
+
+    S_k(t) = Pr{min_i X_i >= t} = integral phi(z) Phi(u(z))^k dz,
+    u(z) = (sqrt(rho) z - t) / sqrt(1 - rho),
+
+evaluated for a whole array of thresholds t at once. The integrand is
+log-concave in z. Per threshold, Newton searches find its mode and, on each
+side, a point where it has fallen e^-36 to e^-40 below the peak; by
+concavity the tail beyond such a point holds at most e^-36 = 2.3e-16 of that
+side's mass, and it is dropped. Where u > 8, Phi(u)^k is 1 to within
+k * 6.2e-16, so that part is the closed form Phi(-z) and the interval ends
+there. The rest is split at the mode and at u = 2, the end of the
+integrand's step, and each piece gets ``quadrature_nodes``-point
+Gauss-Legendre. log Phi and the Mills ratio come from a numpy port of Cody's
+(1969) rational erfcx, so S_k keeps its relative accuracy however small it
+is; the same sums give d log S_k/dt for the Newton inverse.
+
+Accuracy: against split adaptive quadrature, the relative error of S_k at
+the default 20 nodes is below 1e-12 for rho in [0, 0.999], k <= 10 and the
+thresholds of one-sided p-values from 1e-13 to 0.999 (about 1e-11 at k = 50).
+rho = 1 is the closed form 1 - Phi(t). Threshold arrays are processed in
+blocks of 256, which bounds the temporaries at 256 x 20 doubles. Everything
+here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -11,29 +31,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_LOG_SQRT2PI = math.log(_SQRT2PI)
+
+_BLOCK = 256  # thresholds per kernel pass
+_DROP = 36.0  # the integration range ends where the integrand is e^-_DROP below its peak
+_U_STEP = 2.0  # split point past the integrand's step, where Phi(u)^k turns flat
+_U_FLAT = 8.0  # beyond this u, Phi(u)^k is 1 to within k * 6.2e-16
+_MAX_NEWTON = 60
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Accuracy knobs shared by the numerical primitives.
+    """Accuracy knobs of the F_k kernel.
 
-    abs_tol_cdf: absolute error bound for CDF evaluation.
-    abs_tol_invert: bisection stopping width for inversion.
-    quadrature_nodes: Gauss-Hermite node count for orthant integrals.
+    rel_tol_invert: bound on |F_k(alpha) / target - 1| at which inversion stops.
+    quadrature_nodes: Gauss-Legendre nodes per piece of the F_k integral.
     """
 
-    abs_tol_cdf: float = 1e-13
-    abs_tol_invert: float = 1e-12
-    quadrature_nodes: int = 64
+    rel_tol_invert: float = 1e-12
+    quadrature_nodes: int = 20
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol_cdf > 0.0 and self.abs_tol_invert > 0.0):
+        if not self.rel_tol_invert > 0.0:
             raise ValueError("tolerances must be strictly positive")
         if self.quadrature_nodes < 16:
             raise ValueError("quadrature_nodes must be at least 16")
@@ -56,18 +80,6 @@ def std_normal_sf(x: float) -> float:
     return 0.5 * math.erfc(x / _SQRT2)
 
 
-def std_normal_cdf_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized Phi over an array (same erfc path as the scalar version)."""
-    arr = np.asarray(x, dtype=np.float64)
-    flat = arr.ravel()
-    out = np.fromiter(
-        (0.5 * math.erfc(-v / _SQRT2) for v in flat.tolist()),
-        dtype=np.float64,
-        count=flat.size,
-    )
-    return out.reshape(arr.shape)
-
-
 def std_normal_sf_array(x: np.ndarray) -> np.ndarray:
     """Vectorized 1 - Phi over an array, cancellation-free."""
     arr = np.asarray(x, dtype=np.float64)
@@ -80,137 +92,290 @@ def std_normal_sf_array(x: np.ndarray) -> np.ndarray:
     return out.reshape(arr.shape)
 
 
-# Acklam's rational approximation to the normal quantile (|error| < 1.2e-9),
-# used as the starting point for Newton polishing against the erfc-based CDF.
-_ACKLAM_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
+# Cody (1969) rational approximations, as in the CALERF routine of SPECFUN:
+# erf on [0, 0.46875], erfc * exp(x^2) on (0.46875, 4] and asymptotically
+# beyond 4. Relative error below 1.1e-15 on [0, inf).
+_CODY_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+           3.20937758913846947e03, 1.85777706184603153e-1)
+_CODY_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+           2.84423683343917062e03)
+_CODY_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+           2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+           2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
+_CODY_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+           1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+           3.43936767414372164e03, 1.23033935480374942e03)
+_CODY_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+           1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+_CODY_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+           6.05183413124413191e-2, 2.33520497626869185e-3)
+_INV_SQRTPI = 1.0 / math.sqrt(math.pi)
+
+
+def _erfcx(y: np.ndarray) -> np.ndarray:
+    """Scaled complementary error function exp(y^2) erfc(y) for y >= 0."""
+    out = np.empty_like(y)
+    small = y <= 0.46875
+    large = y > 4.0
+    mid = ~(small | large)
+
+    v = y[small]
+    v2 = v * v
+    num, den = _CODY_A[4] * v2, v2
+    for a, b in zip(_CODY_A[:3], _CODY_B[:3]):
+        num, den = (num + a) * v2, (den + b) * v2
+    out[small] = np.exp(v2) * (1.0 - v * (num + _CODY_A[3]) / (den + _CODY_B[3]))
+
+    v = y[mid]
+    num, den = _CODY_C[8] * v, v
+    for c, d in zip(_CODY_C[:7], _CODY_D[:7]):
+        num, den = (num + c) * v, (den + d) * v
+    out[mid] = (num + _CODY_C[7]) / (den + _CODY_D[7])
+
+    v = y[large]
+    r = 1.0 / (v * v)
+    num, den = _CODY_P[5] * r, r
+    for p, q in zip(_CODY_P[:4], _CODY_Q[:4]):
+        num, den = (num + p) * r, (den + q) * r
+    out[large] = (_INV_SQRTPI - r * (num + _CODY_P[4]) / (den + _CODY_Q[4])) / v
+    return out
+
+
+def _log_cdf_and_mills(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log Phi(u) and the Mills ratio phi(u)/Phi(u), both to full relative precision."""
+    y = np.abs(u) / _SQRT2
+    y2 = y * y
+    scaled = _erfcx(y)
+    gauss = np.exp(-y2)
+    lower = u < 0.0
+    # Phi(u) is exp(-y^2) * part below zero and part itself above; part >= 0.5
+    # above zero, so log(part) needs no log1p.
+    part = np.where(lower, 0.5 * scaled, 1.0 - 0.5 * gauss * scaled)
+    log_cdf = np.log(part) - np.where(lower, y2, 0.0)
+    mills = np.where(lower, 1.0, gauss) / (_SQRT2PI * part)
+    return log_cdf, mills
+
+
+# Acklam's rational approximation to the normal quantile (|rel error| < 1.2e-9),
+# polished by Newton steps on log Phi.
+_ACKLAM_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
+             1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
+_ACKLAM_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
+             6.680131188771972e01, -1.328068155288572e01)
+_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
+             -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
+_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
+             3.754408661907416e00)
 _ACKLAM_P_LOW = 0.02425
 
 
-def _acklam(p: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if p > 1.0 - _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(
-            ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        ) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (
-        (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
-        * q
-        / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    )
+def _polyval(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(x)
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
 
 
-def std_normal_quantile(p: float) -> float:
-    """Inverse of std_normal_cdf, accurate to the round-trip level (~1e-15).
-
-    Rational approximation seed plus two Newton steps against the CDF.
-    """
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"std_normal_quantile requires 0 < p < 1, got {p!r}")
-    x = _acklam(p)
+def _lower_quantile(p: np.ndarray) -> np.ndarray:
+    """Phi^-1(p) for 0 < p <= 0.5."""
+    tail = p < _ACKLAM_P_LOW
+    q = np.sqrt(-2.0 * np.log(np.minimum(p, _ACKLAM_P_LOW)))
+    x_tail = _polyval(_ACKLAM_C, q) / _polyval(_ACKLAM_D + (1.0,), q)
+    c = p - 0.5
+    r = c * c
+    x_mid = c * _polyval(_ACKLAM_A, r) / _polyval(_ACKLAM_B + (1.0,), r)
+    x = np.where(tail, x_tail, x_mid)
+    log_p = np.log(p)
     for _ in range(2):
-        err = std_normal_cdf(x) - p
-        pdf = math.exp(-0.5 * x * x) / _SQRT2PI
-        if pdf <= 0.0:
-            break
-        x -= err / pdf
+        log_cdf, mills = _log_cdf_and_mills(x)
+        x = x - (log_cdf - log_p) / mills
     return x
 
 
-@lru_cache(maxsize=None)
-def _hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # Rescaled so that sum(w_i * f(z_i)) approximates E[f(Z)], Z ~ N(0,1).
-    x, w = np.polynomial.hermite.hermgauss(n)
-    z = x * _SQRT2
-    w = w / math.sqrt(math.pi)
-    z.flags.writeable = False
-    w.flags.writeable = False
-    return z, w
+def std_normal_quantile_array(p: np.ndarray) -> np.ndarray:
+    """Phi^-1 over an array of probabilities in (0, 1), to about 1e-15 relative.
+
+    The lower half is solved directly; the upper half uses Phi^-1(p) =
+    -Phi^-1(1 - p), where 1 - p is exact for p >= 0.5.
+    """
+    arr = np.asarray(p, dtype=np.float64)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
+        raise ValueError("std_normal_quantile requires 0 < p < 1")
+    upper = arr > 0.5
+    x = _lower_quantile(np.where(upper, 1.0 - arr, arr))
+    return np.where(upper, -x, x)
+
+
+def std_normal_quantile(p: float) -> float:
+    """Inverse of std_normal_cdf, accurate to the round-trip level (~1e-15)."""
+    if not (0.0 < p < 1.0):
+        raise ValueError(f"std_normal_quantile requires 0 < p < 1, got {p!r}")
+    return float(std_normal_quantile_array(np.array([p]))[0])
+
+
+@lru_cache(maxsize=8)
+def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Gauss-Legendre on [0, 1]: nodes (xi + 1)/2 and weights w/2.
+    xi, w = np.polynomial.legendre.leggauss(n)
+    nodes, weights = 0.5 * (xi + 1.0), 0.5 * w
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _log_survivor_block(
+    t: np.ndarray, rho: float, k: int, nodes: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """log S_k(t) and d log S_k/dt for one block of thresholds, 0 <= rho < 1."""
+    a, s = math.sqrt(rho), math.sqrt(1.0 - rho)
+    c = a / s
+    t_s = t / s
+
+    def log_integrand(z):
+        # log of phi(z) Phi(u)^k, its z-derivative and minus its second derivative
+        u = c * z - t_s
+        log_cdf, mills = _log_cdf_and_mills(u)
+        g = -0.5 * z * z - _LOG_SQRT2PI + k * log_cdf
+        curvature = 1.0 + k * c * c * np.clip(mills * (u + mills), 0.0, 1.0)
+        return g, k * c * mills - z, curvature
+
+    # Mode: Newton on g', which is decreasing and convex, started at the mode
+    # of the Gaussian-tail approximation log Phi(u) ~ -u^2/2. The mode only
+    # places a split point, so a thousandth of the peak's width is enough.
+    z = k * a * t / (s * s + k * rho)
+    for _ in range(_MAX_NEWTON):
+        _, slope, curvature = log_integrand(z)
+        step = slope / curvature
+        z = z + step
+        if np.all(np.abs(step) * np.sqrt(curvature) <= 1e-3):
+            break
+    peak, _, curvature = log_integrand(z)
+
+    # Ends: Newton on g - peak + _DROP, for both sides at once, from points
+    # past the e^-_DROP level: the curvature is at least 1 everywhere and
+    # grows to the left of the mode. Concavity keeps the iterates outside, so
+    # the interval never loses mass; stop once the drop is at most _DROP + 4.
+    ends = np.stack([z - np.sqrt(2.0 * _DROP / curvature), z + math.sqrt(2.0 * _DROP)])
+    for _ in range(_MAX_NEWTON):
+        g, slope, _ = log_integrand(ends)
+        excess = g - peak + _DROP
+        if np.all(excess >= -4.0):
+            break
+        ends = ends - excess / slope
+    lo, hi = ends
+    inner = [z]
+    if a > 0.0:
+        z_flat = (t + _U_FLAT * s) / a
+        hi = np.maximum(lo, np.minimum(hi, z_flat))
+        inner.append((t + _U_STEP * s) / a)
+    edges = [lo, *np.sort(np.clip(inner, lo, hi), axis=0), hi]
+
+    xi, w = nodes
+    mass = np.zeros_like(t)
+    mass_mills = np.zeros_like(t)
+    for left, right in zip(edges, edges[1:]):
+        width = (right - left)[:, None]
+        if not np.any(width > 0.0):
+            continue
+        zs = left[:, None] + width * xi
+        log_cdf, mills = _log_cdf_and_mills(c * zs - t_s[:, None])
+        terms = width * w * np.exp(k * log_cdf - 0.5 * zs * zs - _LOG_SQRT2PI - peak[:, None])
+        mass += terms.sum(axis=1)
+        mass_mills += (terms * mills).sum(axis=1)
+    with np.errstate(divide="ignore"):
+        log_s = peak + np.log(mass)
+    if a > 0.0:
+        log_flat, _ = _log_cdf_and_mills(-z_flat)
+        log_s = np.logaddexp(log_s, log_flat)
+    # dS/dt = -(k/s) * integral phi Phi^k mills; the flat part adds ~0.
+    return log_s, -(k / s) * mass_mills * np.exp(peak - log_s)
+
+
+def _log_survivor(
+    t: np.ndarray, rho: float, k: int, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    nodes = _legendre_nodes(tol.quadrature_nodes)
+    log_s, slope = np.empty_like(t), np.empty_like(t)
+    for start in range(0, t.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        log_s[block], slope[block] = _log_survivor_block(t[block], rho, k, nodes)
+    return log_s, slope
+
+
+def _check_order_and_correlation(rho: float, k: int) -> None:
+    if k < 1:
+        raise ValueError(f"order k must be >= 1, got {k!r}")
+    if not (0.0 <= rho <= 1.0):
+        raise ValueError(f"correlation must satisfy 0 <= rho <= 1, got {rho!r}")
 
 
 def equicorrelated_min_survivor(
-    t: float,
+    t: float | np.ndarray,
     rho: float,
     k: int,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> float:
-    """Pr{min of k equicorrelated standard normals >= t}.
+) -> float | np.ndarray:
+    """Pr{min of k equicorrelated standard normals >= t}, elementwise over t.
 
-    Uses the one-factor representation X_i = sqrt(rho) Z + sqrt(1-rho) eps_i
-    and integrates Phi((sqrt(rho) z - t)/sqrt(1-rho))^k against the standard
-    normal density with Gauss-Hermite quadrature. rho = 1 is the closed-form
-    limit 1 - Phi(t); negative rho is not representable by this model.
+    Returns a float for a scalar t and an array of t's shape otherwise.
+    rho = 1 is the closed-form limit 1 - Phi(t); negative rho is not
+    representable by the one-factor model.
     """
-    if not math.isfinite(t):
+    arr = np.asarray(t, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
         raise ValueError(f"threshold must be finite, got {t!r}")
-    if k < 1:
-        raise ValueError(f"order k must be >= 1, got {k!r}")
+    _check_order_and_correlation(rho, k)
     if rho == 1.0:
-        return std_normal_sf(t)
-    if not (0.0 <= rho < 1.0):
-        raise ValueError(f"correlation must satisfy 0 <= rho < 1 (or exactly 1), got {rho!r}")
-    z, w = _hermite_nodes(tol.quadrature_nodes)
-    u = (math.sqrt(rho) * z - t) / math.sqrt(1.0 - rho)
-    vals = std_normal_cdf_array(u) ** k
-    result = float(np.dot(w, vals))
-    return min(1.0, max(0.0, result))
+        out = std_normal_sf_array(arr)
+    else:
+        log_s, _ = _log_survivor(arr.ravel(), rho, k, tol)
+        out = np.minimum(np.exp(log_s), 1.0).reshape(arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
-def invert_monotone(
-    f: Callable[[float], float],
-    target: float,
+def invert_min_survivor(
+    targets: np.ndarray,
+    rho: float,
+    k: int,
     tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> float:
-    """Invert a nondecreasing function on [0, 1] by bisection.
+) -> np.ndarray:
+    """Thresholds t with S_k(t) = target, for an array of targets in (0, 1).
 
-    Returns x with a bracket of width <= tol.abs_tol_invert around the
-    preimage of target. Bisection is used for unconditional robustness.
+    Newton's method in t on log S_k, which is concave, started from the
+    bracket end x = target (x = 1 - Phi(t) is the p-value scale, and
+    x^k <= F_k(x) <= x for rho >= 0, so the root lies in x in
+    [target, target^(1/k)]). Steps that leave the current bracket are
+    replaced by bisection. Each t stops once |S_k(t) / target - 1| is at
+    most ``tol.rel_tol_invert`` or its bracket has shrunk to rounding level.
+    Equal targets are solved once, so they get equal thresholds, and the
+    result is nonincreasing in the target.
     """
-    f0, f1 = f(0.0), f(1.0)
-    if not (f0 <= target <= f1):
-        raise ValueError(
-            f"target {target!r} outside the function range [{f0!r}, {f1!r}]"
-        )
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol.abs_tol_invert:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    arr = np.asarray(targets, dtype=np.float64)
+    if not np.all((arr > 0.0) & (arr < 1.0)):
+        raise ValueError("targets must lie strictly between 0 and 1")
+    _check_order_and_correlation(rho, k)
+    level, where = np.unique(arr, return_inverse=True)
+    t_hi = -std_normal_quantile_array(level)
+    if rho == 1.0:
+        return t_hi[where].reshape(arr.shape)
+    t_lo = -std_normal_quantile_array(np.minimum(level ** (1.0 / k), np.nextafter(1.0, 0.0)))
+    log_level = np.log(level)
+    t = t_hi.copy()
+    todo = np.arange(level.size)
+    for _ in range(_MAX_NEWTON):
+        log_s, slope = _log_survivor(t[todo], rho, k, tol)
+        excess = log_s - log_level[todo]
+        now = t[todo]
+        lo = np.where(excess > 0.0, now, t_lo[todo])
+        hi = np.where(excess > 0.0, t_hi[todo], now)
+        t_lo[todo], t_hi[todo] = lo, hi
+        residual = np.abs(np.expm1(excess))
+        done = (residual <= tol.rel_tol_invert) | (hi - lo <= 1e-15 * (1.0 + np.abs(now)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = now - excess / slope
+        step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+        t[todo] = np.where(done, now, step)
+        todo = todo[~done]
+        if todo.size == 0:
+            break
+    return np.minimum.accumulate(t)[where].reshape(arr.shape)

@@ -3,39 +3,27 @@
 Every generalized procedure is defined through the k-th order joint null
 distribution F_k: the construction fixes a target value for F_k(alpha_i) at
 each index and the schedule materializes alpha_i by inverting the model.
-Targets are formed from exact integer binomial coefficients, with the ratio
-taken in floating point only at the last step. Schedules carry their
-F-targets alongside the inverted alphas so downstream checks can compare
-targets without re-inversion noise.
+Closed-form targets are alpha * (num / den) with exact integer num and den:
+Python's int/int division is correctly rounded, so equal rationals give equal
+targets and integer inequalities between ratios carry over to the floats.
+Each schedule is inverted with one batched ``fk_invert`` call. Schedules
+carry their F-targets alongside the inverted alphas so downstream checks can
+compare targets without re-inversion noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
+
+import numpy as np
 
 from .fk_models import FkModel, fk_eval, fk_invert
 
 STEPUP = "stepup"
 STEPDOWN = "stepdown"
-
-
-@dataclass(frozen=True)
-class BinomialWeights:
-    """Exact subset-counting weights a_i = C(i, k) for i = k..n."""
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.n:
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-
-    def a(self, i: int) -> int:
-        if not self.k <= i <= self.n:
-            raise ValueError(f"index {i} outside [{self.k}, {self.n}]")
-        return math.comb(i, self.k)
 
 
 @dataclass(frozen=True)
@@ -86,6 +74,14 @@ def _validate_inputs(n: int, k: int, alpha: float, model: FkModel | None) -> Non
         raise ValueError(f"model order {model.k} does not match schedule order {k}")
 
 
+def _f_target(alpha: float, num: int, den: int) -> float:
+    """alpha * num/den with the ratio rounded once, from exact integers."""
+    ratio = num / den
+    if ratio == 0.0:
+        raise ValueError("an F-target underflows double precision: C(n, k) is too large")
+    return alpha * ratio
+
+
 def _invert_targets(
     targets: Sequence[float],
     model: FkModel,
@@ -95,7 +91,7 @@ def _invert_targets(
     direction: str,
     warning: str | None = None,
 ) -> CriticalValueSchedule:
-    alphas = tuple(fk_invert(model, t) for t in targets)
+    alphas = tuple(fk_invert(model, targets).tolist())
     return CriticalValueSchedule(
         alphas=alphas,
         k=k,
@@ -112,33 +108,44 @@ def gen_bh(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedul
 
     F-targets are alpha/C(n,k) for i <= k and i(n+k-i)alpha/(k n C(n+k-i,k))
     for i >= k; the branches agree at i = k and the target at i = n is alpha.
+    Since k C(m,k) = m C(m-1,k-1), both are alpha * j/(n C(n+k-1-j, k-1))
+    with j = max(i,k), whose smaller integers divide faster.
     """
     _validate_inputs(n, k, alpha, model)
-    a_n = math.comb(n, k)
-    targets = []
-    for i in range(1, n + 1):
-        if i <= k:
-            targets.append(alpha / a_n)
-        else:
-            targets.append(i * (n + k - i) * alpha / (k * n * math.comb(n + k - i, k)))
+    targets = [
+        _f_target(alpha, j, n * math.comb(n + k - 1 - j, k - 1))
+        for j in chain(repeat(k, k - 1), range(k, n + 1))
+    ]
     return _invert_targets(targets, model, k, "gen_bh", alpha, STEPUP)
 
 
 def gen_by(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
     """Generalized Benjamini-Yekutieli stepup schedule.
 
-    Controls the k-FDR under arbitrary dependence: F-targets are
-    max(i,k)*alpha / (k C(n,k) sum_{r=k}^n 1/r).
+    Controls the k-FDR under arbitrary dependence with F-targets
+    max(i,k) * alpha / (k C(n,k) H), H = 1 + sum_{j=k+1}^n 1/j. At k = 1 this
+    is BY; at k = n the last target is alpha.
+
+    Proof sketch. Each of the C(V,k) k-subsets S of the V rejected nulls
+    contributes 1/C(V,k), so with V/C(V,k) = k/C(V-1,k-1) <= k,
+    k-FDR = E[V/R 1{V>=k}] <= sum_S E[k/R 1{S rejected}]. A stepup with R
+    rejections rejects S only if M_S = max_{i in S} P_i <= alpha_R, R >= k.
+    Bin M_S into (0, alpha_k] (j = k) or (alpha_{j-1}, alpha_j] (j > k); a
+    rejected S has j <= R, so k/R <= k/j. Taking expectations and summing
+    over at most C(n,k) subsets, k-FDR <= k C(n,k) [F_k(alpha_k)/k +
+    sum_{j>k} (F_k(alpha_j) - F_k(alpha_{j-1}))/j]. With F_k(alpha_j) = c j
+    the bracket is c H, so c = alpha/(k C(n,k) H) gives k-FDR <= alpha. The
+    i = n target n c <= alpha because k C(n,k) = n C(n-1,k-1) >= n and H >= 1.
     """
     _validate_inputs(n, k, alpha, model)
-    harmonic = math.fsum(1.0 / r for r in range(k, n + 1))
-    denom = k * math.comb(n, k) * harmonic
-    targets = [max(i, k) * alpha / denom for i in range(1, n + 1)]
+    harmonic = 1.0 + math.fsum(1.0 / j for j in range(k + 1, n + 1))
+    den = k * math.comb(n, k)
+    targets = [_f_target(alpha / harmonic, max(i, k), den) for i in range(1, n + 1)]
     return _invert_targets(targets, model, k, "gen_by", alpha, STEPUP)
 
 
 def _holm_targets(n: int, k: int, alpha: float) -> list[float]:
-    return [alpha / math.comb(n + k - max(i, k), k) for i in range(1, n + 1)]
+    return [_f_target(alpha, 1, math.comb(n + k - max(i, k), k)) for i in range(1, n + 1)]
 
 
 def gen_holm_stepdown(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
@@ -185,7 +192,7 @@ def gen_simes(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSche
     """
     _validate_inputs(n, k, alpha, model)
     a_n = math.comb(n, k)
-    targets = [math.comb(max(i, k), k) * alpha / a_n for i in range(1, n + 1)]
+    targets = [_f_target(alpha, math.comb(max(i, k), k), a_n) for i in range(1, n + 1)]
     return _invert_targets(targets, model, k, "gen_simes", alpha, STEPUP, warning=SIMES_WARNING)
 
 
@@ -216,15 +223,17 @@ def _check_base(n: int, k: int, base: Sequence[float]) -> list[float]:
     return base
 
 
-def _s_prime_from_values(n: int, k: int, n0: int, f_base: Sequence[float]) -> float:
-    # C(n0,k) * [F(b_{n-n0+k}) + sum_{i=k+1}^{n0} (F(b_{n-n0+i}) - F(b_{n-n0+i-1})) / a_i]
-    weights = BinomialWeights(n=n0, k=k)
-    head = f_base[n - n0 + k - 1]
-    terms = [
-        (f_base[n - n0 + i - 1] - f_base[n - n0 + i - 2]) / weights.a(i)
-        for i in range(k + 1, n0 + 1)
+def _s_primes(n: int, k: int, n0s: Sequence[int], f_base: np.ndarray) -> list[float]:
+    """S'(n0) for each n0, from F_k at the base sequence:
+    C(n0,k) * [F(b_{n-n0+k}) + sum_{i=k+1}^{n0} (F(b_{n-n0+i}) - F(b_{n-n0+i-1})) / C(i,k)].
+    """
+    diffs = np.diff(f_base)
+    combs = np.array([float(math.comb(i, k)) for i in range(k + 1, n + 1)])
+    return [
+        math.comb(n0, k)
+        * (float(f_base[n - n0 + k - 1]) + math.fsum(diffs[n - n0 + k - 1 :] / combs[: n0 - k]))
+        for n0 in n0s
     ]
-    return math.comb(n0, k) * (head + math.fsum(terms))
 
 
 def s_prime(
@@ -237,7 +246,7 @@ def s_prime(
     """Rescaling sum S'(n0) for a candidate base sequence.
 
     Evaluates C(n0,k)[F_k(b_{n-n0+k}) + sum a_i^{-1} telescoped F_k
-    differences] with exact binomial weights.
+    differences] with binomial weights C(i,k).
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -246,8 +255,7 @@ def s_prime(
     if not k <= n0 <= n:
         raise ValueError(f"need k <= n0 <= n, got n0={n0}")
     base = _check_base(n, k, base)
-    f_base = [fk_eval(model, b) for b in base]
-    return _s_prime_from_values(n, k, n0, f_base)
+    return _s_primes(n, k, [n0], fk_eval(model, base))[0]
 
 
 def rescaled_stepup(
@@ -265,11 +273,12 @@ def rescaled_stepup(
     """
     _validate_inputs(n, k, alpha, model)
     base = _check_base(n, k, base)
-    f_base = [fk_eval(model, b) for b in base]
-    d_prime = max(_s_prime_from_values(n, k, n0, f_base) for n0 in range(k, n + 1))
+    f_base = fk_eval(model, base)
+    d_prime = max(_s_primes(n, k, range(k, n + 1), f_base))
     if d_prime <= 0.0:
         raise ValueError("base sequence gives a degenerate rescaling constant")
-    targets = [alpha * f_base[max(i, k) - 1] / d_prime for i in range(1, n + 1)]
+    f_list = f_base.tolist()
+    targets = [alpha * f_list[max(i, k) - 1] / d_prime for i in range(1, n + 1)]
     return _invert_targets(targets, model, k, "rescaled_stepup", alpha, STEPUP)
 
 

@@ -1,0 +1,187 @@
+"""The equicorrelated F_k kernel against an independent scipy reference, and
+the schedules built on it.
+
+scipy is a test-only dependency; the package itself imports only numpy.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import integrate, special
+
+from kfdr.fk_models import (
+    equicorrelated_fk,
+    fit_empirical_fk,
+    fk_eval,
+    fk_invert,
+    independent_fk,
+)
+from kfdr.schedules import (
+    gen_bh,
+    gen_by,
+    gen_hochberg_stepup,
+    gen_holm_stepdown,
+    gen_simes,
+    make_schedule,
+    rescaled_stepup,
+    s_prime,
+)
+
+RHOS = (0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0)
+ORDERS = (1, 2, 5, 10)
+XS = np.concatenate([np.geomspace(1e-13, 0.5, 27), [0.7, 0.9, 0.99, 0.999]])
+
+
+def fk_quad(x: float, k: int, rho: float) -> float:
+    """F_k(x) by adaptive quadrature of phi(z) Phi((sqrt(rho) z - t)/sqrt(1-rho))^k.
+
+    The integral is split at the step z = t/sqrt(rho), at the ends of the
+    step, t/sqrt(rho) +- 3 sqrt(1-rho)/sqrt(rho), and at z = 0: at small rho
+    the step lies far from the bulk of phi, and a single split at the step
+    leaves quad blind to the mass near z = 0.
+    """
+    t = -float(special.ndtri(x))
+    if rho == 0.0:
+        return float(special.ndtr(-t)) ** k
+    if rho == 1.0:
+        return x
+    a, b = math.sqrt(rho), math.sqrt(1.0 - rho)
+
+    def integrand(z: float) -> float:
+        density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        return density * special.ndtr((a * z - t) / b) ** k
+
+    edges = [-np.inf, *sorted({t / a, (t - 3 * b) / a, (t + 3 * b) / a, 0.0}), np.inf]
+    return math.fsum(
+        integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+        for lo, hi in zip(edges, edges[1:])
+    )
+
+
+@pytest.mark.parametrize("rho", RHOS)
+@pytest.mark.parametrize("k", ORDERS)
+def test_eval_matches_quad(rho, k):
+    model = equicorrelated_fk(k, rho)
+    got = fk_eval(model, XS)
+    ref = np.array([fk_quad(float(x), k, rho) for x in XS])
+    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("rho", RHOS)
+@pytest.mark.parametrize("k", ORDERS)
+def test_invert_residual(rho, k):
+    model = equicorrelated_fk(k, rho)
+    targets = np.geomspace(1e-13, 0.9, 12)
+    alphas = fk_invert(model, targets)
+    assert np.all(np.diff(alphas) > 0.0)
+    residual = np.array([fk_quad(float(a), k, rho) for a in alphas]) / targets - 1.0
+    assert np.max(np.abs(residual)) <= 1e-10
+
+
+CONSTRUCTIONS = (gen_bh, gen_by, gen_holm_stepdown, gen_hochberg_stepup, gen_simes)
+
+
+@pytest.mark.parametrize("rho, k", [(0.5, 2), (0.9, 5), (0.99, 3)])
+def test_schedules_invert_to_their_targets(rho, k):
+    n, alpha = 40, 0.05
+    model = equicorrelated_fk(k, rho)
+    schedules = [construct(n, k, alpha, model) for construct in CONSTRUCTIONS]
+    schedules.append(make_schedule("rescaled_hochberg", n, k, alpha, model))
+    for s in schedules:
+        alphas, targets = np.array(s.alphas), np.array(s.f_targets)
+        assert np.all(np.diff(alphas) >= 0.0), s.procedure
+        assert len(set(s.alphas[:k])) == 1, s.procedure
+        rows = np.unique(np.linspace(0, n - 1, 10).round().astype(int))
+        ref = np.array([fk_quad(float(alphas[i]), k, rho) for i in rows])
+        assert np.max(np.abs(ref / targets[rows] - 1.0)) <= 1e-10, s.procedure
+        own = fk_eval(model, alphas) / targets - 1.0
+        assert np.max(np.abs(own)) <= 1e-12, s.procedure
+
+
+def test_one_inversion_per_schedule(monkeypatch):
+    import kfdr.schedules as schedules_module
+
+    calls = []
+    real = schedules_module.fk_invert
+
+    def counting(model, targets):
+        calls.append(np.size(targets))
+        return real(model, targets)
+
+    monkeypatch.setattr(schedules_module, "fk_invert", counting)
+    gen_holm_stepdown(300, 2, 0.05, equicorrelated_fk(2, 0.5))
+    assert calls == [300]
+
+
+class TestIndependentPinned:
+    """Independent-model schedules are exact Python-float arithmetic:
+    alpha * (num / den) targets and target ** (1 / k) roots."""
+
+    def test_roots_are_python_powers(self):
+        for construct in CONSTRUCTIONS:
+            for n, k in ((1, 1), (7, 3), (50, 2), (120, 5)):
+                s = construct(n, k, 0.05, independent_fk(k))
+                assert s.alphas == tuple(t ** (1.0 / k) for t in s.f_targets)
+
+    def test_targets_from_integer_ratios(self):
+        n, k, alpha = 30, 3, 0.05
+        model = independent_fk(k)
+        assert gen_holm_stepdown(n, k, alpha, model).f_targets == tuple(
+            alpha * (1 / math.comb(n + k - max(i, k), k)) for i in range(1, n + 1)
+        )
+        assert gen_simes(n, k, alpha, model).f_targets == tuple(
+            alpha * (math.comb(max(i, k), k) / math.comb(n, k)) for i in range(1, n + 1)
+        )
+        assert gen_bh(n, k, alpha, model).f_targets[k:] == tuple(
+            alpha * (i * (n + k - i) / (k * n * math.comb(n + k - i, k)))
+            for i in range(k + 1, n + 1)
+        )
+
+    def test_literal_values(self):
+        s = gen_bh(6, 2, 0.05, independent_fk(2))
+        assert s.f_targets == (
+            0.0033333333333333335, 0.0033333333333333335, 0.00625, 0.011111111111111112,
+            0.020833333333333336, 0.05,
+        )
+        assert s.alphas == (
+            0.05773502691896258, 0.05773502691896258, 0.07905694150420949,
+            0.10540925533894598, 0.14433756729740646, 0.22360679774997896,
+        )
+        s = gen_by(5, 2, 0.05, independent_fk(2))
+        assert s.f_targets == (
+            0.00280373831775701, 0.00280373831775701, 0.004205607476635514,
+            0.00560747663551402, 0.007009345794392524,
+        )
+
+    def test_empirical_batched_equals_scalar(self):
+        rng = np.random.default_rng(9)
+        model = fit_empirical_fk(lambda m: rng.uniform(size=(m, 2)), draws=5000, grid_size=64)
+        xs = np.linspace(0.0, 1.0, 101)
+        assert fk_eval(model, xs).tolist() == [fk_eval(model, float(x)) for x in xs]
+        assert fk_invert(model, xs).tolist() == [fk_invert(model, float(x)) for x in xs]
+
+
+def _s_prime_loop(n, k, n0, f_base):
+    # the per-term Python loop the numpy rows replaced
+    head = f_base[n - n0 + k - 1]
+    terms = [
+        (f_base[n - n0 + i - 1] - f_base[n - n0 + i - 2]) / math.comb(i, k)
+        for i in range(k + 1, n0 + 1)
+    ]
+    return math.comb(n0, k) * (head + math.fsum(terms))
+
+
+def test_rescaling_sum_matches_loop():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n = int(rng.integers(1, 60))
+        k = int(rng.integers(1, min(n, 6) + 1))
+        base = np.sort(rng.uniform(0.0, 1.0, size=n)).tolist()
+        model = independent_fk(k)
+        f_base = [b**k for b in base]
+        loop = [_s_prime_loop(n, k, n0, f_base) for n0 in range(k, n + 1)]
+        assert [s_prime(n, k, n0, base, model) for n0 in range(k, n + 1)] == loop
+        alpha = 0.05
+        expected = [alpha * f_base[max(i, k) - 1] / max(loop) for i in range(1, n + 1)]
+        assert rescaled_stepup(n, k, alpha, base, model).f_targets == tuple(expected)

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfdr.numerics import (
-    DEFAULT_TOLERANCES,
     ToleranceConfig,
     equicorrelated_min_survivor,
-    invert_monotone,
+    invert_min_survivor,
     std_normal_cdf,
-    std_normal_cdf_array,
     std_normal_quantile,
+    std_normal_quantile_array,
     std_normal_sf,
+    std_normal_sf_array,
 )
 
 # High-precision reference values (mpmath, 30 digits).
@@ -45,8 +45,10 @@ class TestStdNormalCdf:
 
     def test_array_matches_scalar(self):
         xs = np.linspace(-5, 5, 37)
+        np.testing.assert_array_equal(std_normal_sf_array(xs), [std_normal_sf(x) for x in xs])
+        lower = xs[xs <= 0.0]  # where p = Phi(x) carries full precision
         np.testing.assert_allclose(
-            std_normal_cdf_array(xs), [std_normal_cdf(x) for x in xs], atol=0
+            std_normal_quantile_array([std_normal_cdf(x) for x in lower]), lower, rtol=0, atol=1e-14
         )
 
     @given(st.floats(-8, 8), st.floats(-8, 8))
@@ -125,19 +127,35 @@ class TestEquicorrelatedMinSurvivor:
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_node_doubling_agreement(self):
-        # Documented accuracy of the 64-node default: worst case ~7e-9 at
-        # rho = 0.7, k = 5; 128 nodes is converged (128 vs 256 below 1e-12).
-        coarse = ToleranceConfig(quadrature_nodes=64)
-        fine = ToleranceConfig(quadrature_nodes=128)
-        finest = ToleranceConfig(quadrature_nodes=256)
-        for t in (-1.5, 0.0, 1.0, 2.5):
-            for rho in (0.05, 0.3, 0.7):
-                for k in (1, 3, 5):
-                    a = equicorrelated_min_survivor(t, rho, k, coarse)
-                    b = equicorrelated_min_survivor(t, rho, k, fine)
-                    c = equicorrelated_min_survivor(t, rho, k, finest)
-                    assert a == pytest.approx(b, abs=2e-8)
-                    assert b == pytest.approx(c, abs=1e-12)
+        # The 20-node default agrees with 40 nodes to 1e-12 relative, and 40
+        # with 80 to rounding level, out to survivor probabilities of 1e-60.
+        coarse = ToleranceConfig(quadrature_nodes=20)
+        fine = ToleranceConfig(quadrature_nodes=40)
+        finest = ToleranceConfig(quadrature_nodes=80)
+        ts = np.array([-1.5, 0.0, 1.0, 2.5, 5.0, 7.3])
+        for rho in (0.05, 0.3, 0.7, 0.9, 0.99):
+            for k in (1, 3, 5, 10):
+                a = equicorrelated_min_survivor(ts, rho, k, coarse)
+                b = equicorrelated_min_survivor(ts, rho, k, fine)
+                c = equicorrelated_min_survivor(ts, rho, k, finest)
+                np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(b, c, rtol=1e-13, atol=0)
+
+    def test_batched_matches_scalar(self):
+        ts = np.linspace(-3.0, 6.0, 600)
+        batched = equicorrelated_min_survivor(ts, 0.4, 3)
+        assert batched.shape == ts.shape
+        for i in (0, 255, 256, 599):
+            assert batched[i] == pytest.approx(
+                equicorrelated_min_survivor(float(ts[i]), 0.4, 3), rel=1e-14
+            )
+
+    def test_relative_accuracy_deep_tail(self):
+        # k = 1 is the normal tail itself, down to 1e-300
+        ts = np.array([5.0, 10.0, 20.0, 37.0])
+        for rho in (0.0, 0.5, 0.9):
+            got = equicorrelated_min_survivor(ts, rho, 1)
+            np.testing.assert_allclose(got, [std_normal_sf(t) for t in ts], rtol=1e-12)
 
     def test_quadrature_matches_monte_carlo(self):
         rng = np.random.default_rng(77)
@@ -167,33 +185,47 @@ class TestEquicorrelatedMinSurvivor:
 
 
 class TestInvertMonotone:
+    # S_k(t) is decreasing in t; the inverse returns t with S_k(t) = target.
     def test_identity(self):
-        assert invert_monotone(lambda x: x, 0.3) == pytest.approx(0.3, abs=1e-11)
+        # F_1(x) = x for every rho: the threshold is the normal quantile
+        for rho in (0.0, 0.3, 0.9, 1.0):
+            (t,) = invert_min_survivor([0.3], rho, 1)
+            assert std_normal_sf(t) == pytest.approx(0.3, rel=1e-14)
 
     def test_square(self):
-        assert invert_monotone(lambda x: x * x, 1e-4) == pytest.approx(1e-2, abs=1e-11)
+        (t,) = invert_min_survivor([1e-4], 0.0, 2)
+        assert std_normal_sf(t) == pytest.approx(1e-2, rel=1e-12)
 
     def test_cube(self):
-        assert invert_monotone(lambda x: x**3, 0.027) == pytest.approx(
-            0.3, abs=DEFAULT_TOLERANCES.abs_tol_invert * 10
-        )
+        (t,) = invert_min_survivor([0.027], 0.0, 3)
+        assert std_normal_sf(t) == pytest.approx(0.3, rel=1e-12)
 
     def test_out_of_range_target(self):
-        with pytest.raises(ValueError):
-            invert_monotone(lambda x: 0.5 * x, 0.9)
+        for bad in (0.0, 1.0, -0.1, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                invert_min_survivor([0.2, bad], 0.5, 2)
 
     def test_respects_custom_tolerance(self):
-        loose = ToleranceConfig(abs_tol_invert=1e-4)
-        got = invert_monotone(lambda x: x, 0.123456789, loose)
-        assert abs(got - 0.123456789) <= 1e-4
+        targets = np.geomspace(1e-12, 0.5, 40)
+        for rel_tol in (1e-4, 1e-12):
+            tol = ToleranceConfig(rel_tol_invert=rel_tol)
+            t = invert_min_survivor(targets, 0.5, 3, tol)
+            residual = equicorrelated_min_survivor(t, 0.5, 3) / targets - 1.0
+            assert np.max(np.abs(residual)) <= rel_tol
+
+    def test_equal_targets_equal_thresholds(self):
+        targets = np.array([1e-6, 1e-6, 1e-6, 2e-6, 1e-3, 1e-3])
+        t = invert_min_survivor(targets, 0.7, 4)
+        assert t[0] == t[1] == t[2] and t[4] == t[5]
+        assert np.all(np.diff(t) <= 0.0)
 
 
 class TestToleranceConfig:
     def test_rejects_nonpositive_tolerances(self):
         with pytest.raises(ValueError):
-            ToleranceConfig(abs_tol_cdf=0.0)
+            ToleranceConfig(rel_tol_invert=0.0)
         with pytest.raises(ValueError):
-            ToleranceConfig(abs_tol_invert=-1e-9)
+            ToleranceConfig(rel_tol_invert=-1e-9)
 
     def test_rejects_small_node_counts(self):
         with pytest.raises(ValueError):

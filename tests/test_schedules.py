@@ -9,7 +9,6 @@ from kfdr.fk_models import equicorrelated_fk, fk_eval, independent_fk
 from kfdr.schedules import (
     STEPDOWN,
     STEPUP,
-    BinomialWeights,
     CriticalValueSchedule,
     bh_classic,
     gen_bh,
@@ -25,20 +24,6 @@ from kfdr.schedules import (
 
 IND1 = independent_fk(1)
 IND2 = independent_fk(2)
-
-
-def test_binomial_weights():
-    w = BinomialWeights(n=10, k=3)
-    assert w.a(3) == 1
-    values = [w.a(i) for i in range(3, 11)]
-    assert all(b > a for a, b in zip(values, values[1:]))
-    assert w.a(7) == math.comb(7, 3)
-    with pytest.raises(ValueError):
-        w.a(2)
-    with pytest.raises(ValueError):
-        w.a(11)
-    with pytest.raises(ValueError):
-        BinomialWeights(n=3, k=4)
 
 
 class TestGenBh:
@@ -95,13 +80,13 @@ class TestGenBy:
         )
 
     def test_k2_n3(self):
-        # direct evaluation of max(i,k)*alpha/(k C(n,k) sum 1/r):
-        # denominator 2*3*(1/2+1/3) = 5, so targets (0.02, 0.02, 0.03)
+        # direct evaluation of max(i,k)*alpha/(k C(n,k) (1 + sum_{j=k+1}^n 1/j)):
+        # denominator 2*3*(1 + 1/3) = 8, so targets (0.0125, 0.0125, 0.01875)
         s = gen_by(3, 2, 0.05, IND2)
-        np.testing.assert_allclose(s.f_targets, (0.02, 0.02, 0.03), atol=1e-15)
+        np.testing.assert_allclose(s.f_targets, (0.0125, 0.0125, 0.01875), atol=1e-15)
         np.testing.assert_allclose(
             s.alphas,
-            (0.1414213562373095, 0.1414213562373095, 0.17320508075688773),
+            (0.11180339887498948, 0.11180339887498948, 0.13693063937629152),
             atol=1e-12,
         )
 
@@ -109,11 +94,21 @@ class TestGenBy:
         # k*C(n,k) = n(n-1) at k = 2
         n, alpha = 5, 0.05
         s = gen_by(n, 2, alpha, IND2)
-        h = sum(1 / r for r in range(2, n + 1))
+        h = 1 + sum(1 / j for j in range(3, n + 1))
         for i in range(1, n + 1):
             assert s.f_targets[i - 1] == pytest.approx(
                 max(i, 2) * alpha / (n * (n - 1) * h), rel=1e-13
             )
+
+    def test_last_target_at_most_alpha(self):
+        # the k-FDR bound needs F_k(alpha_n) <= alpha; at k = n it is equality
+        for n in range(1, 51):
+            for k in range(1, n + 1):
+                for alpha in (0.05, 0.5, 0.999):
+                    s = gen_by(n, k, alpha, independent_fk(k))
+                    assert s.f_targets[-1] <= alpha
+                    if k == n:
+                        assert s.f_targets[-1] == alpha
 
 
 class TestHolmFamily:
@@ -267,8 +262,10 @@ class TestRescaledStepup:
         # single n0 = k, so D' = F_k(base_n) and the last target is alpha
         assert s.f_targets[-1] == pytest.approx(0.05, abs=1e-14)
         assert s.alphas[-1] == pytest.approx(0.05 ** (1 / 3), abs=1e-10)
-        ratio = fk_eval(model, base[0]) / fk_eval(model, base[-1])
+        # indices below k use b_k, so alpha_1 = ... = alpha_k: every target is alpha
+        ratio = fk_eval(model, base[model.k - 1]) / fk_eval(model, base[-1])
         assert s.f_targets[0] == pytest.approx(0.05 * ratio, abs=1e-14)
+        assert s.alphas[0] == s.alphas[-1]
 
     def test_targets_never_exceed_alpha(self):
         rng = np.random.default_rng(99)
@@ -404,6 +401,12 @@ class TestScheduleValidation:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             gen_bh(3, 4, 0.05, independent_fk(4))
+
+    def test_rejects_underflowing_targets(self):
+        # 1/C(2000, 1000) is below the smallest double
+        for construct in (gen_bh, gen_by, gen_holm_stepdown, gen_simes):
+            with pytest.raises(ValueError, match="underflows"):
+                construct(2000, 1000, 0.05, independent_fk(1000))
 
 
 class TestMakeSchedule:
