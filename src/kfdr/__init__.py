@@ -2,11 +2,10 @@
 
 Critical-value schedules defined through the k-th order joint null
 distribution of the p-values, a stepup/stepdown decision engine, joint null
-models with numerical inversion, brute-force verification oracles and a
-reproducible Monte Carlo harness.
+models with numerical inversion and a reproducible Monte Carlo harness.
 """
 
-from .engine import DecisionOutcome, PValueSample, decide, k_fdp, sample_from, stepdown, stepup
+from .engine import DecisionOutcome, PValueSample, decide, k_fdp, sample_from
 from .fk_models import (
     FkModel,
     equicorrelated_fk,
@@ -89,7 +88,5 @@ __all__ = [
     "save_empirical_csv",
     "std_normal_cdf",
     "std_normal_quantile",
-    "stepdown",
-    "stepup",
     "write_sweep_csv",
 ]

@@ -10,12 +10,16 @@ Exit codes: 0 success, 1 validation error, 2 runtime/numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import IO, Sequence
+from itertools import chain, count, islice, repeat
+from typing import IO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import engine
 from .fk_models import FkModel, equicorrelated_fk, independent_fk, load_empirical_csv
-from .schedules import CriticalValueSchedule, make_schedule
+from .schedules import PROCEDURES, CriticalValueSchedule, make_schedule, needs_model
 from .simulation import (
     SimulationConfig,
     counterexample_bound,
@@ -23,7 +27,10 @@ from .simulation import (
     write_sweep_csv,
 )
 
-_MODEL_FREE = ("bh", "lehmann_romano")
+# Output rows joined per write call: large tables are written in bounded
+# blocks instead of one print per row or one string for the whole table.
+_LINES_PER_WRITE = 65536
+_PROCEDURES_HELP = f"{', '.join(PROCEDURES)} or rescaled_const:C"
 
 
 class CliError(Exception):
@@ -38,7 +45,7 @@ def _parse_model(spec: str, k: int) -> FkModel:
             rho = float(spec.split(":", 1)[1])
         except ValueError as exc:
             raise CliError(f"bad correlation in --model {spec!r}") from exc
-        if not (0.0 <= rho < 1.0 or rho == 1.0):
+        if not 0.0 <= rho <= 1.0:
             raise CliError(f"correlation must lie in [0, 1], got {rho}")
         return equicorrelated_fk(k, rho)
     if spec.startswith("empirical:"):
@@ -47,34 +54,25 @@ def _parse_model(spec: str, k: int) -> FkModel:
             return load_empirical_csv(path, k)
         except OSError as exc:
             raise CliError(f"cannot read empirical model {path!r}: {exc}") from exc
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
     raise CliError(
         f"--model must be independent, equicorrelated:RHO or empirical:PATH, got {spec!r}"
     )
 
 
 def _build_schedule(args: argparse.Namespace, n: int) -> CriticalValueSchedule:
-    model = None
-    if args.procedure not in _MODEL_FREE:
-        model = _parse_model(args.model, args.k)
-    try:
-        return make_schedule(
-            args.procedure, n=n, k=args.k, alpha=args.alpha, model=model
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    model = _parse_model(args.model, args.k) if needs_model(args.procedure) else None
+    return make_schedule(args.procedure, n=n, k=args.k, alpha=args.alpha, model=model)
 
 
-def _schedule_comments(schedule: CriticalValueSchedule, model_spec: str | None) -> list[str]:
+def _schedule_comments(schedule: CriticalValueSchedule, args: argparse.Namespace) -> list[str]:
     lines = [
         f"# procedure={schedule.procedure}",
         f"# k={schedule.k}",
         f"# alpha={schedule.alpha_level}",
         f"# direction={schedule.direction}",
     ]
-    if model_spec is not None:
-        lines.append(f"# model={model_spec}")
+    if needs_model(args.procedure):
+        lines.append(f"# model={args.model}")
     if schedule.warning is not None:
         lines.append(f"# warning={schedule.warning}")
     return lines
@@ -103,55 +101,51 @@ def _read_pvalues(path: str) -> list[float]:
     return values
 
 
-def _open_output(path: str | None) -> IO[str]:
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[IO[str]]:
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", newline="")
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
+
+
+def _write_lines(out: IO[str], lines: Iterable[str]) -> None:
+    """Write each line newline-terminated, _LINES_PER_WRITE lines per write."""
+    lines = iter(lines)
+    while block := list(islice(lines, _LINES_PER_WRITE)):
+        out.write("\n".join(block) + "\n")
 
 
 def _cmd_adjust(args: argparse.Namespace) -> int:
     values = _read_pvalues(args.input)
-    out = _open_output(args.output)
-    try:
+    with _output(args.output) as out:
         if not values:
-            print("index,p,critical,rejected", file=out)
+            out.write("index,p,critical,rejected\n")
             return 0
         schedule = _build_schedule(args, n=len(values))
-        sample = engine.sample_from(values)
-        outcome = engine.decide(sample, schedule)
-        rejected = set(outcome.rejected)
-        ranked = sorted(range(len(values)), key=lambda i: (values[i], i))
-        critical_of = {idx: schedule.alphas[rank] for rank, idx in enumerate(ranked)}
-        model_spec = args.model if args.procedure not in _MODEL_FREE else None
-        for line in _schedule_comments(schedule, model_spec):
-            print(line, file=out)
-        print("index,p,critical,rejected", file=out)
-        for i, p in enumerate(values):
-            print(
-                f"{i + 1},{p!r},{critical_of[i]!r},{str(i in rejected).lower()}",
-                file=out,
-            )
-        return 0
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        outcome = engine.decide(engine.sample_from(values), schedule)
+        critical = np.empty(len(values))
+        critical[outcome.order] = schedule.alphas
+        rejected = np.zeros(len(values), dtype=bool)
+        rejected[outcome.order[: outcome.r]] = True
+        rows = (
+            f"{i},{p!r},{c!r},{'true' if flag else 'false'}"
+            for i, p, c, flag in zip(count(1), values, critical.tolist(), rejected.tolist())
+        )
+        header = ["index,p,critical,rejected"]
+        _write_lines(out, chain(_schedule_comments(schedule, args), header, rows))
+    return 0
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     schedule = _build_schedule(args, n=args.n)
-    out = _open_output(args.output)
-    try:
-        model_spec = args.model if args.procedure not in _MODEL_FREE else None
-        for line in _schedule_comments(schedule, model_spec):
-            print(line, file=out)
-        print("index,f_target,alpha", file=out)
-        for i, alpha_i in enumerate(schedule.alphas, start=1):
-            target = "" if schedule.f_targets is None else repr(schedule.f_targets[i - 1])
-            print(f"{i},{target},{alpha_i!r}", file=out)
-        return 0
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    targets = repeat("") if schedule.f_targets is None else map(repr, schedule.f_targets)
+    rows = (f"{i},{t},{a!r}" for i, t, a in zip(count(1), targets, schedule.alphas))
+    with _output(args.output) as out:
+        header = ["index,f_target,alpha"]
+        _write_lines(out, chain(_schedule_comments(schedule, args), header, rows))
+    return 0
 
 
 def _parse_grid(spec: str, k: int, n: int) -> list[int]:
@@ -181,38 +175,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not procedures:
         raise CliError("--procedures must list at least one procedure")
     grid = _parse_grid(args.n0_grid, args.k, args.n)
-    try:
-        base = SimulationConfig(
-            n=args.n,
-            n0=grid[0],
-            k=args.k,
-            alpha=args.alpha,
-            rho=args.rho,
-            iterations=args.iterations,
-            seed=args.seed,
-            procedures=procedures,
-            mu_alt=args.mu_alt,
-            force_nonnull_zero=args.force_nonnull_zero,
-        )
-        summaries = figure_sweep(base, grid)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    out = _open_output(args.output)
-    try:
+    base = SimulationConfig(
+        n=args.n,
+        n0=grid[0],
+        k=args.k,
+        alpha=args.alpha,
+        rho=args.rho,
+        iterations=args.iterations,
+        seed=args.seed,
+        procedures=procedures,
+        mu_alt=args.mu_alt,
+        force_nonnull_zero=args.force_nonnull_zero,
+    )
+    summaries = figure_sweep(base, grid)
+    with _output(args.output) as out:
         write_sweep_csv(summaries, out)
-        return 0
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    return 0
 
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
-    try:
-        alpha_crit, bound = counterexample_bound(args.n0, args.n1, args.alpha)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    print(f"alpha_crit = {alpha_crit:.4g}")
-    print(f"bound = {bound:.4g}")
+    alpha_crit, bound = counterexample_bound(args.n0, args.n1, args.alpha)
+    print("alpha_crit,bound")
+    print(f"{alpha_crit!r},{bound!r}")
     return 0
 
 
@@ -236,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_adjust = sub.add_parser("adjust", help="apply a procedure to a CSV of p-values")
     p_adjust.add_argument("input", help="CSV with one p-value per row (optional header 'p')")
-    p_adjust.add_argument("--procedure", default="bh", help="procedure name")
+    p_adjust.add_argument("--procedure", default="bh", help=f"procedure name: {_PROCEDURES_HELP}")
     _add_common_flags(p_adjust)
     p_adjust.set_defaults(func=_cmd_adjust)
 
     p_sched = sub.add_parser("schedule", help="print a critical-value schedule as CSV")
     p_sched.add_argument("--n", type=int, required=True, help="number of hypotheses")
-    p_sched.add_argument("--procedure", default="bh", help="procedure name")
+    p_sched.add_argument("--procedure", default="bh", help=f"procedure name: {_PROCEDURES_HELP}")
     _add_common_flags(p_sched)
     p_sched.set_defaults(func=_cmd_schedule)
 
@@ -255,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--procedures",
         default="gen_bh,gen_hochberg,bh",
-        help="comma-separated procedure names",
+        help=f"comma-separated procedure names: {_PROCEDURES_HELP}",
     )
     p_sim.add_argument(
         "--n0-grid",

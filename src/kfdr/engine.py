@@ -1,10 +1,14 @@
 """Stepwise decision engine.
 
 Applies a critical-value schedule to a p-value sample as a stepup or
-stepdown procedure and derives the rejection count R, false-rejection count
-V (when ground truth is available) and the k-FDP. Ties among equal p-values
-are broken by original index (stable sort), so results are deterministic.
-A p-value exactly equal to its critical value counts as rejected.
+stepdown procedure, as the schedule's direction says. The outcome holds the
+stable ascending sort ``order`` of the p-values and the rejection count
+``r``: the rejected hypotheses are ``order[:r]``, and the hypothesis at rank
+i (``order[i]``) is compared with the critical value ``alphas[i]``. With
+ground truth it also holds the false-rejection count V and the k-FDP. Ties
+among equal p-values are broken by original index, so results are
+deterministic. A p-value exactly equal to its critical value counts as
+rejected.
 """
 
 from __future__ import annotations
@@ -14,43 +18,51 @@ from typing import Sequence
 
 import numpy as np
 
-from .schedules import STEPDOWN, STEPUP, CriticalValueSchedule
+from .schedules import STEPUP, CriticalValueSchedule
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PValueSample:
-    """n p-values, optionally labeled with ground truth.
+    """n p-values (float64 array), optionally labeled with ground truth.
 
     ``truth[i]`` is True when hypothesis i is a true null (so a rejection of
     it is a false rejection).
     """
 
-    values: tuple[float, ...]
-    truth: tuple[bool, ...] | None = None
+    values: np.ndarray
+    truth: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if any(not 0.0 <= v <= 1.0 for v in self.values):
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 1:
+            raise ValueError("p-values must form a one-dimensional sequence")
+        # NaN fails both comparisons, so it is rejected here too.
+        if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ValueError("p-values must lie in [0, 1]")
-        if self.truth is not None and len(self.truth) != len(self.values):
-            raise ValueError("truth labels must match the number of p-values")
+        object.__setattr__(self, "values", values)
+        if self.truth is not None:
+            truth = np.asarray(self.truth, dtype=bool)
+            if truth.shape != values.shape:
+                raise ValueError("truth labels must match the number of p-values")
+            object.__setattr__(self, "truth", truth)
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self.values.size
 
     @property
     def n_true_null(self) -> int | None:
-        return None if self.truth is None else sum(self.truth)
+        return None if self.truth is None else int(np.count_nonzero(self.truth))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionOutcome:
-    """Rejection set plus derived counts.
+    """Stable sort order and rejection count; ``order[:r]`` is rejected.
 
     ``v`` and ``k_fdp`` are None when the sample carries no truth labels.
     """
 
-    rejected: tuple[int, ...]
+    order: np.ndarray
     r: int
     v: int | None = None
     k_fdp: float | None = None
@@ -83,52 +95,28 @@ def stepdown_count(sorted_p: np.ndarray, alphas: np.ndarray) -> int:
     return int(misses[0]) if misses.size else len(sorted_p)
 
 
-def _decide(sample: PValueSample, schedule: CriticalValueSchedule, direction: str) -> DecisionOutcome:
+def rejection_count(sorted_p: np.ndarray, alphas: np.ndarray, direction: str) -> int:
+    """Rejections of the stepup or stepdown rule named by ``direction``."""
+    if direction == STEPUP:
+        return stepup_count(sorted_p, alphas)
+    return stepdown_count(sorted_p, alphas)
+
+
+def decide(sample: PValueSample, schedule: CriticalValueSchedule) -> DecisionOutcome:
+    """Apply ``schedule`` to ``sample`` in the schedule's own direction."""
     if schedule.n != sample.n:
         raise ValueError(
             f"schedule length {schedule.n} does not match sample length {sample.n}"
         )
-    if schedule.direction != direction:
-        raise ValueError(
-            f"schedule direction {schedule.direction!r} used as {direction!r}"
-        )
-    values = np.asarray(sample.values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    sorted_p = values[order]
+    order = np.argsort(sample.values, kind="stable")
     alphas = np.asarray(schedule.alphas, dtype=np.float64)
-    if direction == STEPUP:
-        count = stepup_count(sorted_p, alphas)
-    else:
-        count = stepdown_count(sorted_p, alphas)
-    rejected = tuple(sorted(int(i) for i in order[:count]))
-    v = None
-    kfdp = None
-    if sample.truth is not None:
-        v = sum(1 for i in rejected if sample.truth[i])
-        kfdp = k_fdp(count, v, schedule.k)
-    return DecisionOutcome(rejected=rejected, r=count, v=v, k_fdp=kfdp)
-
-
-def stepup(sample: PValueSample, schedule: CriticalValueSchedule) -> DecisionOutcome:
-    """Apply a stepup schedule: reject the j largest-index prefix of ordered
-    p-values where j = max{i : p_(i) <= alpha_i} (nothing if no such i)."""
-    return _decide(sample, schedule, STEPUP)
-
-
-def stepdown(sample: PValueSample, schedule: CriticalValueSchedule) -> DecisionOutcome:
-    """Apply a stepdown schedule: reject the j-1 smallest p-values where
-    j = min{i : p_(i) >= alpha_i} (everything if no such i)."""
-    return _decide(sample, schedule, STEPDOWN)
-
-
-def decide(sample: PValueSample, schedule: CriticalValueSchedule) -> DecisionOutcome:
-    """Dispatch on the schedule's own direction."""
-    return _decide(sample, schedule, schedule.direction)
+    r = rejection_count(sample.values[order], alphas, schedule.direction)
+    if sample.truth is None:
+        return DecisionOutcome(order=order, r=r)
+    v = int(np.count_nonzero(sample.truth[order[:r]]))
+    return DecisionOutcome(order=order, r=r, v=v, k_fdp=k_fdp(r, v, schedule.k))
 
 
 def sample_from(values: Sequence[float], truth: Sequence[bool] | None = None) -> PValueSample:
     """Convenience constructor from any sequences."""
-    return PValueSample(
-        values=tuple(float(v) for v in values),
-        truth=None if truth is None else tuple(bool(t) for t in truth),
-    )
+    return PValueSample(values=values, truth=truth)

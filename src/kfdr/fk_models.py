@@ -62,7 +62,7 @@ class FkModel:
         if self.kind == EQUICORRELATED:
             if self.rho is None:
                 raise ValueError("equicorrelated model requires rho")
-            if self.rho != 1.0 and not (0.0 <= self.rho < 1.0):
+            if not 0.0 <= self.rho <= 1.0:
                 raise ValueError(f"rho must be in [0, 1], got {self.rho!r}")
         if self.kind == EMPIRICAL:
             if not self.grid:

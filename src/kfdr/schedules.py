@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -282,6 +282,39 @@ def rescaled_stepup(
     return _invert_targets(targets, model, k, "rescaled_stepup", alpha, STEPUP)
 
 
+class Procedure(NamedTuple):
+    """A registry entry: ``build(n, k, alpha, model)`` and whether it needs
+    an FkModel (model-free builders ignore ``model``)."""
+
+    build: Callable[[int, int, float, FkModel | None], CriticalValueSchedule]
+    needs_model: bool
+
+
+def _rescaled_hochberg(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
+    hochberg = gen_hochberg_stepup(n, k, alpha, model)
+    return rescaled_stepup(n, k, alpha, hochberg.alphas, model)
+
+
+PROCEDURES: dict[str, Procedure] = {
+    "bh": Procedure(lambda n, k, alpha, model: bh_classic(n, alpha), False),
+    "gen_bh": Procedure(gen_bh, True),
+    "gen_by": Procedure(gen_by, True),
+    "gen_holm": Procedure(gen_holm_stepdown, True),
+    "gen_hochberg": Procedure(gen_hochberg_stepup, True),
+    "gen_simes": Procedure(gen_simes, True),
+    "lehmann_romano": Procedure(
+        lambda n, k, alpha, model: lehmann_romano_stepdown(n, k, alpha), False
+    ),
+    "rescaled_hochberg": Procedure(_rescaled_hochberg, True),
+}
+
+
+def needs_model(name: str) -> bool:
+    """Whether procedure ``name`` needs an FkModel. Names outside the
+    registry (rescaled_const:C, rescaled, unknown ones) are taken to need one."""
+    return name not in PROCEDURES or PROCEDURES[name].needs_model
+
+
 def make_schedule(
     name: str,
     n: int,
@@ -290,31 +323,14 @@ def make_schedule(
     model: FkModel | None = None,
     base: Sequence[float] | None = None,
 ) -> CriticalValueSchedule:
-    """Build a schedule from a registry name.
-
-    Names: bh, gen_bh, gen_by, gen_holm, gen_hochberg, gen_simes,
-    lehmann_romano, rescaled_hochberg, rescaled_const:C (constant base C),
-    and rescaled (requires an explicit ``base`` sequence).
+    """Build a schedule from a ``PROCEDURES`` name, or from one of the two
+    special forms rescaled_const:C (constant base C) and rescaled (requires an
+    explicit ``base`` sequence).
     """
-    if name == "bh":
-        return bh_classic(n, alpha)
-    if name == "lehmann_romano":
-        return lehmann_romano_stepdown(n, k, alpha)
-    if model is None:
+    if model is None and needs_model(name):
         raise ValueError(f"procedure {name!r} requires an FkModel")
-    if name == "gen_bh":
-        return gen_bh(n, k, alpha, model)
-    if name == "gen_by":
-        return gen_by(n, k, alpha, model)
-    if name == "gen_holm":
-        return gen_holm_stepdown(n, k, alpha, model)
-    if name == "gen_hochberg":
-        return gen_hochberg_stepup(n, k, alpha, model)
-    if name == "gen_simes":
-        return gen_simes(n, k, alpha, model)
-    if name == "rescaled_hochberg":
-        hochberg = gen_hochberg_stepup(n, k, alpha, model)
-        return rescaled_stepup(n, k, alpha, hochberg.alphas, model)
+    if name in PROCEDURES:
+        return PROCEDURES[name].build(n, k, alpha, model)
     if name.startswith("rescaled_const:"):
         c = float(name.split(":", 1)[1])
         return rescaled_stepup(n, k, alpha, [c] * n, model)
@@ -323,15 +339,3 @@ def make_schedule(
             raise ValueError("rescaled requires an explicit base sequence")
         return rescaled_stepup(n, k, alpha, base, model)
     raise ValueError(f"unknown procedure {name!r}")
-
-
-PROCEDURE_NAMES = (
-    "bh",
-    "gen_bh",
-    "gen_by",
-    "gen_holm",
-    "gen_hochberg",
-    "gen_simes",
-    "lehmann_romano",
-    "rescaled_hochberg",
-)

@@ -22,9 +22,7 @@ import numpy as np
 from . import engine
 from .fk_models import FkModel, equicorrelated_fk, independent_fk
 from .numerics import std_normal_sf_array
-from .schedules import STEPUP, CriticalValueSchedule, make_schedule
-
-_MODEL_FREE = ("bh", "lehmann_romano")
+from .schedules import CriticalValueSchedule, make_schedule, needs_model
 
 
 @dataclass(frozen=True)
@@ -56,8 +54,8 @@ class SimulationConfig:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError(f"rho must lie in [0, 1), got {self.rho!r}")
+        if not 0.0 <= self.rho <= 1.0:
+            raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
         if not 0 <= self.seed < 2**64:
@@ -108,8 +106,7 @@ def draw_sample(config: SimulationConfig, iteration_index: int) -> engine.PValue
     drawn first, then the n idiosyncratic terms.
     """
     p = _draw_pvalues(config, iteration_index)
-    truth = (True,) * config.n0 + (False,) * config.n1
-    return engine.PValueSample(values=tuple(float(v) for v in p), truth=truth)
+    return engine.PValueSample(values=p, truth=np.arange(config.n) < config.n0)
 
 
 def _draw_pvalues(config: SimulationConfig, iteration_index: int) -> np.ndarray:
@@ -126,20 +123,13 @@ def _draw_pvalues(config: SimulationConfig, iteration_index: int) -> np.ndarray:
 
 
 def _build_schedules(config: SimulationConfig) -> list[CriticalValueSchedule]:
-    model: FkModel | None = None
-    schedules = []
-    for name in config.procedures:
-        if name in _MODEL_FREE:
-            schedules.append(
-                make_schedule(name, n=config.n, k=config.k, alpha=config.alpha)
-            )
-        else:
-            if model is None:
-                model = null_model_for(config)
-            schedules.append(
-                make_schedule(name, n=config.n, k=config.k, alpha=config.alpha, model=model)
-            )
-    return schedules
+    model = None
+    if any(needs_model(name) for name in config.procedures):
+        model = null_model_for(config)
+    return [
+        make_schedule(name, n=config.n, k=config.k, alpha=config.alpha, model=model)
+        for name in config.procedures
+    ]
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -173,10 +163,7 @@ def run_experiment(config: SimulationConfig) -> SimulationSummary:
         order = np.argsort(p, kind="stable")
         sorted_p = p[order]
         for j, schedule in enumerate(schedules):
-            if schedule.direction == STEPUP:
-                r = engine.stepup_count(sorted_p, crit_arrays[j])
-            else:
-                r = engine.stepdown_count(sorted_p, crit_arrays[j])
+            r = engine.rejection_count(sorted_p, crit_arrays[j], schedule.direction)
             v = int(np.count_nonzero(order[:r] < n0))
             kfdp_arr[j, it] = engine.k_fdp(r, v, k)
             kfwer_arr[j, it] = 1.0 if v >= k else 0.0

@@ -1,9 +1,9 @@
-"""Independent brute-force references.
+"""Independent brute-force references for the tests.
 
 Naive stepwise procedures computed by literal definition scans, plus exact
 enumeration checks of the order-statistic probability inequalities that
 justify the schedule constructions. Everything enumerates small discrete
-instances; nothing here shares code with the engine or schedules.
+instances on plain Python sequences; nothing here imports kfdr.
 """
 
 from __future__ import annotations
@@ -12,9 +12,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-from .engine import DecisionOutcome, PValueSample, k_fdp
-from .schedules import CriticalValueSchedule
 
 _MAX_ENUM_N = 6
 
@@ -44,42 +41,32 @@ class DiscreteJointDistribution:
         return len(self.support[0])
 
 
-def brute_force_stepup(
-    sample: PValueSample, schedule: CriticalValueSchedule
-) -> DecisionOutcome:
-    """Literal scan over all i of the stepup definition."""
-    ranked = sorted(range(sample.n), key=lambda i: (sample.values[i], i))
+def _ranked(values: Sequence[float]) -> list[int]:
+    return sorted(range(len(values)), key=lambda i: (values[i], i))
+
+
+def brute_force_stepup(values: Sequence[float], alphas: Sequence[float]) -> set[int]:
+    """Rejected indices by a literal scan over all i of the stepup
+    definition: the i smallest p-values for the last i with p_(i) <= alpha_i."""
+    ranked = _ranked(values)
     j_su = 0
-    for i in range(1, sample.n + 1):
-        if sample.values[ranked[i - 1]] <= schedule.alphas[i - 1]:
+    for i in range(1, len(values) + 1):
+        if values[ranked[i - 1]] <= alphas[i - 1]:
             j_su = i
-    return _outcome(sample, schedule, ranked[:j_su])
+    return set(ranked[:j_su])
 
 
-def brute_force_stepdown(
-    sample: PValueSample, schedule: CriticalValueSchedule
-) -> DecisionOutcome:
-    """Literal scan over all i of the stepdown definition."""
-    ranked = sorted(range(sample.n), key=lambda i: (sample.values[i], i))
+def brute_force_stepdown(values: Sequence[float], alphas: Sequence[float]) -> set[int]:
+    """Rejected indices by a literal scan of the stepdown definition: the
+    i-1 smallest p-values for the first i with p_(i) >= alpha_i (all if none)."""
+    ranked = _ranked(values)
     j_sd = None
-    for i in range(1, sample.n + 1):
-        if sample.values[ranked[i - 1]] >= schedule.alphas[i - 1]:
+    for i in range(1, len(values) + 1):
+        if values[ranked[i - 1]] >= alphas[i - 1]:
             j_sd = i
             break
-    count = sample.n if j_sd is None else j_sd - 1
-    return _outcome(sample, schedule, ranked[:count])
-
-
-def _outcome(
-    sample: PValueSample, schedule: CriticalValueSchedule, rejected: Sequence[int]
-) -> DecisionOutcome:
-    rejected = tuple(sorted(rejected))
-    v = None
-    kfdp = None
-    if sample.truth is not None:
-        v = sum(1 for i in rejected if sample.truth[i])
-        kfdp = k_fdp(len(rejected), v, schedule.k)
-    return DecisionOutcome(rejected=rejected, r=len(rejected), v=v, k_fdp=kfdp)
+    count = len(values) if j_sd is None else j_sd - 1
+    return set(ranked[:count])
 
 
 def _check_criticals(criticals: Sequence[float], n: int, k: int) -> list[float]:

@@ -1,0 +1,89 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kfdr.engine import PValueSample, decide, rejection_count, sample_from
+from kfdr.schedules import STEPDOWN, STEPUP, CriticalValueSchedule
+from oracle import brute_force_stepdown, brute_force_stepup
+
+# p-values and critical values share this grid, so ties among p-values and
+# p-values exactly equal to a critical value occur often.
+GRID = tuple(i / 8 for i in range(9))
+
+
+@st.composite
+def decision_cases(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    alphas = sorted(draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n)))
+    alphas[:k] = [alphas[0]] * k
+    schedule = CriticalValueSchedule(
+        alphas=tuple(alphas),
+        k=k,
+        procedure="grid",
+        alpha_level=alphas[-1],
+        direction=draw(st.sampled_from((STEPUP, STEPDOWN))),
+    )
+    values = draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n))
+    truth = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return values, truth, schedule
+
+
+class TestAgainstOracle:
+    @given(decision_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_decide_matches_brute_force(self, case):
+        values, truth, schedule = case
+        outcome = decide(sample_from(values, truth), schedule)
+        brute = brute_force_stepup if schedule.direction == STEPUP else brute_force_stepdown
+        expected = brute(values, schedule.alphas)
+        v = sum(truth[i] for i in expected)
+        assert outcome.r == len(expected)
+        assert set(outcome.order[: outcome.r].tolist()) == expected
+        assert outcome.v == v
+        assert outcome.k_fdp == (v / len(expected) if v >= schedule.k else 0.0)
+
+    def test_tie_at_critical_value(self):
+        # p_(3) == alpha_3 is rejected by stepup; p_(1) == alpha_1 stops stepdown.
+        values = (0.3, 0.1, 0.3, 0.9, 0.1)
+        alphas = (0.1, 0.2, 0.3, 0.4, 0.5)
+        up = CriticalValueSchedule(alphas, 1, "grid", 0.5, STEPUP)
+        down = CriticalValueSchedule(alphas, 1, "grid", 0.5, STEPDOWN)
+        outcome = decide(sample_from(values), up)
+        assert outcome.order.tolist() == [1, 4, 0, 2, 3]
+        assert outcome.r == 4 and outcome.v is None and outcome.k_fdp is None
+        assert decide(sample_from(values), down).r == 0
+
+
+class TestRejectionCount:
+    def test_directions(self):
+        sorted_p = np.array([0.01, 0.5, 0.03])
+        alphas = np.array([0.02, 0.04, 0.06])
+        assert rejection_count(sorted_p, alphas, STEPUP) == 3
+        assert rejection_count(sorted_p, alphas, STEPDOWN) == 1
+
+
+class TestPValueSample:
+    def test_arrays(self):
+        sample = sample_from([0.5, 0.25], [True, False])
+        assert sample.values.dtype == np.float64 and sample.truth.dtype == bool
+        assert sample.n == 2 and sample.n_true_null == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, math.inf])
+    def test_rejects_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            PValueSample(values=(0.5, bad))
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            PValueSample(values=[[0.5, 0.5]])
+        with pytest.raises(ValueError):
+            PValueSample(values=(0.5, 0.5), truth=(True,))
+
+    def test_length_mismatch(self):
+        schedule = CriticalValueSchedule((0.1, 0.2), 1, "grid", 0.2, STEPUP)
+        with pytest.raises(ValueError, match="does not match"):
+            decide(sample_from([0.5]), schedule)

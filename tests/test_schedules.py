@@ -17,7 +17,9 @@ from kfdr.schedules import (
     gen_holm_stepdown,
     gen_simes,
     lehmann_romano_stepdown,
+    PROCEDURES,
     make_schedule,
+    needs_model,
     rescaled_stepup,
     s_prime,
 )
@@ -429,6 +431,16 @@ class TestMakeSchedule:
             "rescaled", n=6, k=2, alpha=0.05, model=model, base=(0.5,) * 6
         )
         assert explicit.alphas == expected.alphas
+
+    def test_registry_needs_model(self):
+        for name, entry in PROCEDURES.items():
+            assert make_schedule(name, n=6, k=2, alpha=0.05, model=IND2).n == 6
+            if entry.needs_model:
+                with pytest.raises(ValueError, match="requires an FkModel"):
+                    make_schedule(name, n=6, k=2, alpha=0.05)
+            else:
+                assert make_schedule(name, n=6, k=2, alpha=0.05).n == 6
+        assert needs_model("rescaled_const:0.5") and needs_model("rescaled")
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
