@@ -118,11 +118,11 @@ def _write_lines(out: IO[str], lines: Iterable[str]) -> None:
 
 
 def _cmd_adjust(args: argparse.Namespace) -> int:
+    # Everything that can fail runs before --output is opened, so a failing
+    # call leaves an existing output file as it was.
     values = _read_pvalues(args.input)
-    with _output(args.output) as out:
-        if not values:
-            out.write("index,p,critical,rejected\n")
-            return 0
+    lines: Iterable[str] = ["index,p,critical,rejected"]
+    if values:
         schedule = _build_schedule(args, n=len(values))
         outcome = engine.decide(engine.sample_from(values), schedule)
         critical = np.empty(len(values))
@@ -133,8 +133,9 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
             f"{i},{p!r},{c!r},{'true' if flag else 'false'}"
             for i, p, c, flag in zip(count(1), values, critical.tolist(), rejected.tolist())
         )
-        header = ["index,p,critical,rejected"]
-        _write_lines(out, chain(_schedule_comments(schedule, args), header, rows))
+        lines = chain(_schedule_comments(schedule, args), lines, rows)
+    with _output(args.output) as out:
+        _write_lines(out, lines)
     return 0
 
 

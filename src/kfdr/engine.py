@@ -9,6 +9,10 @@ ground truth it also holds the false-rejection count V and the k-FDP. Ties
 among equal p-values are broken by original index, so results are
 deterministic. A p-value exactly equal to its critical value counts as
 rejected.
+
+The counting kernel, ``rejection_count``, takes one sorted sample or an
+[m, n] block of sorted samples (one per row) and returns one count per row,
+so the Monte Carlo harness counts a whole block of iterations in one call.
 """
 
 from __future__ import annotations
@@ -80,23 +84,33 @@ def k_fdp(r: int, v: int, k: int) -> float:
     return 0.0
 
 
-def stepup_count(sorted_p: np.ndarray, alphas: np.ndarray) -> int:
+def _per_row(counts: np.ndarray, sorted_p: np.ndarray) -> int | np.ndarray:
+    return counts if np.ndim(sorted_p) == 2 else int(counts[0])
+
+
+def stepup_count(sorted_p: np.ndarray, alphas: np.ndarray) -> int | np.ndarray:
     """Number of rejections of a stepup rule: the largest i with
-    p_(i) <= alpha_i, or 0 when no index qualifies."""
-    hits = np.nonzero(sorted_p <= alphas)[0]
-    return int(hits[-1]) + 1 if hits.size else 0
+    p_(i) <= alpha_i, or 0 when no index qualifies. Counts every row of an
+    [m, n] block."""
+    hits = np.atleast_2d(sorted_p <= alphas)
+    last = hits.shape[1] - np.argmax(hits[:, ::-1], axis=1)
+    return _per_row(np.where(hits.any(axis=1), last, 0), sorted_p)
 
 
-def stepdown_count(sorted_p: np.ndarray, alphas: np.ndarray) -> int:
+def stepdown_count(sorted_p: np.ndarray, alphas: np.ndarray) -> int | np.ndarray:
     """Number of rejections of a stepdown rule: one less than the smallest i
     with p_(i) >= alpha_i, or n when every ordered p-value is strictly
-    below its critical value."""
-    misses = np.nonzero(sorted_p >= alphas)[0]
-    return int(misses[0]) if misses.size else len(sorted_p)
+    below its critical value. Counts every row of an [m, n] block."""
+    misses = np.atleast_2d(sorted_p >= alphas)
+    first = np.argmax(misses, axis=1)
+    return _per_row(np.where(misses.any(axis=1), first, misses.shape[1]), sorted_p)
 
 
-def rejection_count(sorted_p: np.ndarray, alphas: np.ndarray, direction: str) -> int:
-    """Rejections of the stepup or stepdown rule named by ``direction``."""
+def rejection_count(
+    sorted_p: np.ndarray, alphas: np.ndarray, direction: str
+) -> int | np.ndarray:
+    """Rejections of the stepup or stepdown rule named by ``direction``: an
+    int for one sorted sample, one count per row for a sorted [m, n] block."""
     if direction == STEPUP:
         return stepup_count(sorted_p, alphas)
     return stepdown_count(sorted_p, alphas)

@@ -290,13 +290,20 @@ class Procedure(NamedTuple):
     needs_model: bool
 
 
+def _bh(n: int, k: int, alpha: float, model: FkModel | None) -> CriticalValueSchedule:
+    # Classic BH has k = 1 whatever k a caller runs it next to, but the k it
+    # is given must still be a valid order for n hypotheses.
+    _validate_inputs(n, k, alpha, None)
+    return bh_classic(n, alpha)
+
+
 def _rescaled_hochberg(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
     hochberg = gen_hochberg_stepup(n, k, alpha, model)
     return rescaled_stepup(n, k, alpha, hochberg.alphas, model)
 
 
 PROCEDURES: dict[str, Procedure] = {
-    "bh": Procedure(lambda n, k, alpha, model: bh_classic(n, alpha), False),
+    "bh": Procedure(_bh, False),
     "gen_bh": Procedure(gen_bh, True),
     "gen_by": Procedure(gen_by, True),
     "gen_holm": Procedure(gen_holm_stepdown, True),

@@ -3,10 +3,14 @@
 Draws equicorrelated normal test statistics via the one-factor model,
 converts them to one-sided p-values, runs a panel of stepwise procedures and
 estimates k-FDR, k-FWER, FDR and average power with standard errors. Each
-iteration gets its own counter-based RNG stream keyed by (seed, iteration),
-so serial and parallel execution produce bit-identical results. Also
-provides the exact closed-form lower bound showing that generalized Simes
-critical values can fail to control the k-FDR.
+iteration gets its own counter-based Philox stream keyed by (seed,
+iteration), so serial, parallel and blocked execution produce bit-identical
+results. Iterations run in blocks of about ``_BLOCK_VALUES`` p-values: one
+Philox generator is re-keyed per iteration to fill an [m, n] block, which is
+then converted, sorted and counted (``engine.rejection_count``) as whole
+arrays. A sweep over n0 builds its schedules once, since they do not depend
+on n0. Also provides the exact closed-form lower bound showing that
+generalized Simes critical values can fail to control the k-FDR.
 """
 
 from __future__ import annotations
@@ -23,6 +27,11 @@ from . import engine
 from .fk_models import FkModel, equicorrelated_fk, independent_fk
 from .numerics import std_normal_sf_array
 from .schedules import CriticalValueSchedule, make_schedule, needs_model
+
+# Monte Carlo iterations run in blocks of about this many p-values
+# (max(1, _BLOCK_VALUES // n) iterations), which bounds the block's
+# temporaries at a few hundred kilobytes whatever n is.
+_BLOCK_VALUES = 16384
 
 
 @dataclass(frozen=True)
@@ -94,32 +103,45 @@ def null_model_for(config: SimulationConfig) -> FkModel:
     return equicorrelated_fk(config.k, config.rho)
 
 
-def _iteration_rng(seed: int, iteration_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed << 64) + iteration_index))
+def _streams(seed: int) -> tuple[np.random.Generator, dict]:
+    """A Philox generator and a state that re-keys it: with
+    ``state["state"]["key"][0]`` set to an iteration, assigning ``state`` to
+    the bit generator starts the stream of
+    ``Philox(key=(seed << 64) + iteration)`` at counter 0."""
+    bit_generator = np.random.Philox(key=seed << 64)
+    return np.random.Generator(bit_generator), bit_generator.state
+
+
+def _draw_block(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
+    """The p-values of iterations start..stop-1 as an [m, n] block, row i
+    from iteration start + i.
+
+    X_i = mu_i + sqrt(rho) Z + sqrt(1-rho) eps_i with the first n0 means at
+    zero and the rest at mu_alt; p_i = 1 - Phi(X_i). Per iteration the
+    generator is re-keyed to the start of the stream of
+    ``Philox(key=(seed << 64) + iteration)``, and the common factor Z is drawn
+    first, then the n idiosyncratic terms.
+    """
+    rng, state = _streams(config.seed)
+    draws = np.empty((stop - start, config.n + 1))
+    for row, iteration in zip(draws, range(start, stop)):
+        state["state"]["key"][0] = iteration
+        rng.bit_generator.state = state
+        rng.standard_normal(out=row)
+    mu = np.zeros(config.n)
+    mu[config.n0 :] = config.mu_alt
+    x = mu + math.sqrt(config.rho) * draws[:, :1] + math.sqrt(1.0 - config.rho) * draws[:, 1:]
+    p = std_normal_sf_array(x)
+    if config.force_nonnull_zero:
+        p[:, config.n0 :] = 0.0
+    return p
 
 
 def draw_sample(config: SimulationConfig, iteration_index: int) -> engine.PValueSample:
-    """One draw of n one-sided p-values with truth labels attached.
-
-    X_i = mu_i + sqrt(rho) Z + sqrt(1-rho) eps_i with the first n0 means at
-    zero and the rest at mu_alt; p_i = 1 - Phi(X_i). The common factor Z is
-    drawn first, then the n idiosyncratic terms.
-    """
-    p = _draw_pvalues(config, iteration_index)
+    """One draw of n one-sided p-values with truth labels attached, the same
+    draw ``run_experiment`` makes at that iteration."""
+    p = _draw_block(config, iteration_index, iteration_index + 1)[0]
     return engine.PValueSample(values=p, truth=np.arange(config.n) < config.n0)
-
-
-def _draw_pvalues(config: SimulationConfig, iteration_index: int) -> np.ndarray:
-    rng = _iteration_rng(config.seed, iteration_index)
-    draws = rng.standard_normal(config.n + 1)
-    z, eps = draws[0], draws[1:]
-    mu = np.zeros(config.n)
-    mu[config.n0 :] = config.mu_alt
-    x = mu + math.sqrt(config.rho) * z + math.sqrt(1.0 - config.rho) * eps
-    p = std_normal_sf_array(x)
-    if config.force_nonnull_zero:
-        p[config.n0 :] = 0.0
-    return p
 
 
 def _build_schedules(config: SimulationConfig) -> list[CriticalValueSchedule]:
@@ -140,71 +162,67 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
-def run_experiment(config: SimulationConfig) -> SimulationSummary:
+def run_experiment(
+    config: SimulationConfig, schedules: Sequence[CriticalValueSchedule] | None = None
+) -> SimulationSummary:
     """Estimate error rates and power for every configured procedure.
 
     Per iteration and procedure the k-FDP (at the config's k), the indicator
     of at least k false rejections, the FDP and the rejected fraction of
     false nulls are recorded; means and standard errors are taken over the
-    fixed per-iteration arrays, so reruns are bit-identical.
+    fixed per-iteration arrays, so reruns are bit-identical. Iterations run
+    in blocks of about ``_BLOCK_VALUES`` p-values. ``schedules``, one per
+    configured procedure, are built from the config when not given; they do
+    not depend on n0.
     """
-    schedules = _build_schedules(config)
-    n_proc = len(schedules)
-    iters = config.iterations
-    kfdp_arr = np.empty((n_proc, iters))
-    kfwer_arr = np.empty((n_proc, iters))
-    fdp_arr = np.empty((n_proc, iters))
-    power_arr = np.empty((n_proc, iters))
-
+    if schedules is None:
+        schedules = _build_schedules(config)
+    n, n0, n1, k, iters = config.n, config.n0, config.n1, config.k, config.iterations
     crit_arrays = [np.asarray(s.alphas) for s in schedules]
-    n0, n1, k = config.n0, config.n1, config.k
-    for it in range(iters):
-        p = _draw_pvalues(config, it)
-        order = np.argsort(p, kind="stable")
-        sorted_p = p[order]
+    # [measure, procedure, iteration]: k-FDP, k-FWER indicator, FDP, power.
+    stats = np.empty((4, len(schedules), iters))
+    block = max(1, _BLOCK_VALUES // n)
+    for start in range(0, iters, block):
+        stop = min(start + block, iters)
+        p = _draw_block(config, start, stop)
+        order = np.argsort(p, axis=1, kind="stable")
+        sorted_p = np.take_along_axis(p, order, axis=1)
+        # nulls_below[i, r]: true nulls among the r smallest p-values of row i.
+        nulls_below = np.zeros((stop - start, n + 1), dtype=np.intp)
+        np.cumsum(order < n0, axis=1, out=nulls_below[:, 1:])
+        rows = np.arange(stop - start)
         for j, schedule in enumerate(schedules):
             r = engine.rejection_count(sorted_p, crit_arrays[j], schedule.direction)
-            v = int(np.count_nonzero(order[:r] < n0))
-            kfdp_arr[j, it] = engine.k_fdp(r, v, k)
-            kfwer_arr[j, it] = 1.0 if v >= k else 0.0
-            fdp_arr[j, it] = v / r if r > 0 else 0.0
-            power_arr[j, it] = (r - v) / n1 if n1 > 0 else 0.0
+            v = nulls_below[rows, r]
+            r_safe = np.maximum(r, 1)
+            stats[0, j, start:stop] = np.where(v >= k, v / r_safe, 0.0)
+            stats[1, j, start:stop] = v >= k
+            stats[2, j, start:stop] = v / r_safe
+            stats[3, j, start:stop] = (r - v) / n1 if n1 > 0 else 0.0
 
     results = []
-    for j, schedule in enumerate(schedules):
-        kfdr_hat, kfdr_se = _mean_se(kfdp_arr[j])
-        kfwer_hat, kfwer_se = _mean_se(kfwer_arr[j])
-        fdr_hat, fdr_se = _mean_se(fdp_arr[j])
-        power_hat, power_se = _mean_se(power_arr[j])
-        results.append(
-            ProcedureEstimates(
-                procedure=config.procedures[j],
-                kfdr_hat=kfdr_hat,
-                kfdr_se=kfdr_se,
-                kfwer_hat=kfwer_hat,
-                kfwer_se=kfwer_se,
-                fdr_hat=fdr_hat,
-                fdr_se=fdr_se,
-                power_hat=power_hat,
-                power_se=power_se,
-            )
-        )
+    for j, name in enumerate(config.procedures):
+        estimates = [value for measure in stats[:, j] for value in _mean_se(measure)]
+        results.append(ProcedureEstimates(name, *estimates))
     return SimulationSummary(config=config, results=tuple(results))
 
 
 def figure_sweep(
     base_config: SimulationConfig, n0_grid: Sequence[int]
 ) -> list[SimulationSummary]:
-    """Run the experiment across a grid of true-null counts."""
-    summaries = []
+    """Run the experiment across a grid of true-null counts, building the
+    schedules once for the whole grid."""
     for n0 in n0_grid:
         if not base_config.k <= n0 <= base_config.n:
             raise ValueError(
                 f"n0 grid values must lie in [k, n], got n0={n0} with "
                 f"k={base_config.k}, n={base_config.n}"
             )
-        summaries.append(run_experiment(dataclasses.replace(base_config, n0=int(n0))))
-    return summaries
+    schedules = _build_schedules(base_config)
+    return [
+        run_experiment(dataclasses.replace(base_config, n0=int(n0)), schedules)
+        for n0 in n0_grid
+    ]
 
 
 SWEEP_COLUMNS = (

@@ -64,6 +64,35 @@ def test_adjust_writes_output_file(ties_csv, tmp_path, capsys):
     assert dest.read_text().splitlines()[-1] == "5,0.1,0.2,true"
 
 
+@pytest.mark.parametrize(
+    "flags", [["--procedure", "nope"], ["--procedure", "gen_bh", "--model", "t:3"]]
+)
+def test_failing_adjust_keeps_existing_output(flags, ties_csv, tmp_path, capsys):
+    dest = tmp_path / "out.csv"
+    dest.write_bytes(b"index,p,critical,rejected\n1,0.5,0.05,false\n")
+    before = dest.read_bytes()
+    code, _, err = run(["adjust", ties_csv, *flags, "--output", dest], capsys)
+    assert code == 1 and err.startswith("error: ")
+    assert dest.read_bytes() == before
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_bh_rejects_invalid_k(k, capsys):
+    code, out, err = run(["schedule", "--procedure", "bh", "--n", 3, "--k", k], capsys)
+    assert code == 1 and out == ""
+    assert f"need 1 <= k <= n, got k={k}, n=3" in err
+
+
+def test_bh_runs_beside_higher_order_procedures(capsys):
+    argv = ["simulate", "--n", 10, "--k", 2, "--n0-grid", "5,10", "--iterations", 20,
+            "--procedures", "gen_bh,bh"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+        ["5", "gen_bh"], ["5", "bh"], ["10", "gen_bh"], ["10", "bh"]
+    ]
+
+
 def test_counterexample_csv(capsys):
     code, out, _ = run(["counterexample", "--n0", 50, "--n1", 10, "--alpha", 0.05], capsys)
     alpha_crit, bound = counterexample_bound(50, 10, 0.05)

@@ -66,6 +66,28 @@ class TestRejectionCount:
         assert rejection_count(sorted_p, alphas, STEPDOWN) == 1
 
 
+    @given(decision_cases(), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_block_rows_match_single_rows(self, case, m):
+        _, _, schedule = case
+        n, alphas = schedule.n, np.asarray(schedule.alphas)
+        rng = np.random.default_rng(m)
+        block = np.sort(rng.choice(GRID, size=(m, n)), axis=1)
+        # Rows of zeros and of ones: every value hits, or (below 1) none does.
+        block = np.vstack([block, np.zeros(n), np.ones(n)])
+        counts = rejection_count(block, alphas, schedule.direction)
+        assert counts.shape == (m + 2,)
+        expected = [rejection_count(row, alphas, schedule.direction) for row in block]
+        assert counts.tolist() == expected
+        assert all(type(c) is int for c in expected)
+
+    def test_block_with_no_hit_and_all_hits(self):
+        alphas = np.array([0.02, 0.04, 0.06])
+        block = np.array([[0.5, 0.6, 0.7], [0.0, 0.01, 0.02], [0.01, 0.5, 0.6]])
+        assert rejection_count(block, alphas, STEPUP).tolist() == [0, 3, 1]
+        assert rejection_count(block, alphas, STEPDOWN).tolist() == [0, 3, 1]
+
+
 class TestPValueSample:
     def test_arrays(self):
         sample = sample_from([0.5, 0.25], [True, False])

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from kfdr.simulation import SimulationConfig, draw_sample, run_experiment
+from kfdr import simulation
+from kfdr.engine import decide, k_fdp
+from kfdr.numerics import std_normal_sf
+from kfdr.simulation import SimulationConfig, counterexample_bound, draw_sample, run_experiment
 
 
 def config(**overrides):
@@ -32,3 +36,98 @@ def test_draw_sample_is_array_native():
     sample = draw_sample(config(n0=15), 3)
     assert sample.values.dtype == np.float64 and sample.values.shape == (20,)
     assert sample.truth.tolist() == [True] * 15 + [False] * 5
+
+
+def reference_experiment(cfg):
+    """run_experiment's estimates from one draw_sample and one engine.decide
+    per iteration."""
+    schedules = simulation._build_schedules(cfg)
+    measures = np.empty((len(schedules), 4, cfg.iterations))
+    for it in range(cfg.iterations):
+        sample = draw_sample(cfg, it)
+        for j, schedule in enumerate(schedules):
+            outcome = decide(sample, schedule)
+            r, v = outcome.r, outcome.v
+            measures[j, :, it] = (
+                k_fdp(r, v, cfg.k),  # at the config's k, which bh's schedule does not carry
+                1.0 if v >= cfg.k else 0.0,
+                v / r if r > 0 else 0.0,
+                (r - v) / cfg.n1 if cfg.n1 > 0 else 0.0,
+            )
+    return [
+        [value for row in per_procedure for value in simulation._mean_se(row)]
+        for per_procedure in measures
+    ]
+
+
+def estimates(summary):
+    return [list(dataclasses.astuple(est))[1:] for est in summary.results]
+
+
+PANEL = ("gen_bh", "gen_holm", "bh", "gen_simes", "lehmann_romano")
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("force_nonnull_zero", [False, True])
+@pytest.mark.parametrize("n0", [3, 12])
+def test_batched_matches_per_iteration_reference(rho, force_nonnull_zero, n0):
+    cfg = config(
+        n=12, n0=n0, k=3, rho=rho, iterations=40, procedures=PANEL,
+        mu_alt=2.5, force_nonnull_zero=force_nonnull_zero,
+    )
+    assert estimates(run_experiment(cfg)) == reference_experiment(cfg)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_block_size_does_not_change_results(rows, monkeypatch):
+    cfg = config(n=12, n0=8, rho=0.5, iterations=11, procedures=("gen_bh", "gen_holm"))
+    whole = run_experiment(cfg)
+    monkeypatch.setattr(simulation, "_BLOCK_VALUES", rows * cfg.n)
+    assert run_experiment(cfg) == whole
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_rekeyed_stream_equals_fresh_philox(seed):
+    rng, state = simulation._streams(seed)
+    for it in (5, 0, 12345, 2**64 - 1):
+        state["state"]["key"][0] = it
+        rng.bit_generator.state = state
+        fresh = np.random.Generator(np.random.Philox(key=(seed << 64) + it))
+        assert np.array_equal(rng.standard_normal(9), fresh.standard_normal(9))
+
+
+def test_draw_sample_follows_one_factor_model():
+    cfg = config(n=6, n0=4, rho=0.3, mu_alt=1.5, seed=2**64 - 1)
+    draws = np.random.Generator(np.random.Philox(key=(cfg.seed << 64) + 9)).standard_normal(7)
+    x = [mu + math.sqrt(0.3) * draws[0] + math.sqrt(1.0 - 0.3) * e
+         for mu, e in zip([0.0] * 4 + [1.5] * 2, draws[1:])]
+    assert draw_sample(cfg, 9).values.tolist() == [std_normal_sf(v) for v in x]
+
+
+def test_rerun_is_bit_identical():
+    cfg = config(n=30, n0=20, rho=0.5, iterations=300, procedures=("gen_bh", "gen_holm"))
+    assert run_experiment(cfg) == run_experiment(cfg)
+
+
+def test_independent_gen_bh_controls_kfdr():
+    summary = run_experiment(config(n=20, n0=16, iterations=3000, seed=11))
+    (est,) = summary.results
+    assert est.kfdr_se > 0.0
+    assert est.kfdr_hat <= 0.05 + 4 * est.kfdr_se
+
+
+def test_counterexample_bound_exceeds_alpha():
+    _, bound = counterexample_bound(50, 10, 0.05)
+    assert bound == pytest.approx(0.1069, abs=1e-4)
+    assert bound > 0.05
+
+
+def test_simulation_reproduces_simes_violation():
+    # With the 10 nonnulls rejected first, gen_simes's 2-FDR is at least the
+    # closed-form bound, which is above alpha.
+    _, bound = counterexample_bound(50, 10, 0.05)
+    cfg = config(n=60, n0=50, iterations=4000, seed=1, procedures=("gen_simes",),
+                 force_nonnull_zero=True)
+    (est,) = run_experiment(cfg).results
+    assert est.kfdr_se > 0.0
+    assert est.kfdr_hat >= bound - 4 * est.kfdr_se
