@@ -17,8 +17,6 @@ from .fk_models import (
     save_empirical_csv,
 )
 from .numerics import (
-    DEFAULT_TOLERANCES,
-    ToleranceConfig,
     equicorrelated_min_survivor,
     invert_min_survivor,
     std_normal_cdf,
@@ -52,14 +50,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CriticalValueSchedule",
-    "DEFAULT_TOLERANCES",
     "DecisionOutcome",
     "FkModel",
     "PValueSample",
     "ProcedureEstimates",
     "SimulationConfig",
     "SimulationSummary",
-    "ToleranceConfig",
     "bh_classic",
     "counterexample_bound",
     "decide",

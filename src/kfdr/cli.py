@@ -33,10 +33,6 @@ _LINES_PER_WRITE = 65536
 _PROCEDURES_HELP = f"{', '.join(PROCEDURES)} or rescaled_const:C"
 
 
-class CliError(Exception):
-    """Validation failure; maps to exit code 1."""
-
-
 def _parse_model(spec: str, k: int) -> FkModel:
     if spec == "independent":
         return independent_fk(k)
@@ -44,17 +40,15 @@ def _parse_model(spec: str, k: int) -> FkModel:
         try:
             rho = float(spec.split(":", 1)[1])
         except ValueError as exc:
-            raise CliError(f"bad correlation in --model {spec!r}") from exc
-        if not 0.0 <= rho <= 1.0:
-            raise CliError(f"correlation must lie in [0, 1], got {rho}")
+            raise ValueError(f"bad correlation in --model {spec!r}") from exc
         return equicorrelated_fk(k, rho)
     if spec.startswith("empirical:"):
         path = spec.split(":", 1)[1]
         try:
             return load_empirical_csv(path, k)
         except OSError as exc:
-            raise CliError(f"cannot read empirical model {path!r}: {exc}") from exc
-    raise CliError(
+            raise ValueError(f"cannot read empirical model {path!r}: {exc}") from exc
+    raise ValueError(
         f"--model must be independent, equicorrelated:RHO or empirical:PATH, got {spec!r}"
     )
 
@@ -83,7 +77,7 @@ def _read_pvalues(path: str) -> list[float]:
         with open(path, newline="") as fh:
             raw = fh.read().splitlines()
     except OSError as exc:
-        raise CliError(f"cannot read {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read {path!r}: {exc}") from exc
     values: list[float] = []
     for lineno, line in enumerate(raw, start=1):
         text = line.strip()
@@ -94,9 +88,9 @@ def _read_pvalues(path: str) -> list[float]:
         try:
             p = float(text)
         except ValueError as exc:
-            raise CliError(f"{path}: malformed p-value on row {lineno}: {text!r}") from exc
+            raise ValueError(f"{path}: malformed p-value on row {lineno}: {text!r}") from exc
         if not 0.0 <= p <= 1.0:
-            raise CliError(f"{path}: p-value outside [0, 1] on row {lineno}: {p}")
+            raise ValueError(f"{path}: p-value outside [0, 1] on row {lineno}: {p}")
         values.append(p)
     return values
 
@@ -141,15 +135,15 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     schedule = _build_schedule(args, n=args.n)
-    targets = repeat("") if schedule.f_targets is None else map(repr, schedule.f_targets)
-    rows = (f"{i},{t},{a!r}" for i, t, a in zip(count(1), targets, schedule.alphas))
+    targets = repeat("") if schedule.f_targets is None else map(repr, schedule.f_targets.tolist())
+    rows = (f"{i},{t},{a!r}" for i, t, a in zip(count(1), targets, schedule.alphas.tolist()))
     with _output(args.output) as out:
         header = ["index,f_target,alpha"]
         _write_lines(out, chain(_schedule_comments(schedule, args), header, rows))
     return 0
 
 
-def _parse_grid(spec: str, k: int, n: int) -> list[int]:
+def _parse_grid(spec: str) -> list[int]:
     try:
         if ":" in spec:
             parts = [int(v) for v in spec.split(":")]
@@ -162,20 +156,17 @@ def _parse_grid(spec: str, k: int, n: int) -> list[int]:
         else:
             grid = [int(v) for v in spec.split(",")]
     except ValueError as exc:
-        raise CliError(f"bad --n0-grid {spec!r}: {exc}") from exc
+        raise ValueError(f"bad --n0-grid {spec!r}: {exc}") from exc
     if not grid:
-        raise CliError(f"--n0-grid {spec!r} is empty")
-    for n0 in grid:
-        if not k <= n0 <= n:
-            raise CliError(f"--n0-grid value {n0} outside [k={k}, n={n}]")
+        raise ValueError(f"--n0-grid {spec!r} is empty")
     return grid
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     procedures = tuple(name.strip() for name in args.procedures.split(",") if name.strip())
     if not procedures:
-        raise CliError("--procedures must list at least one procedure")
-    grid = _parse_grid(args.n0_grid, args.k, args.n)
+        raise ValueError("--procedures must list at least one procedure")
+    grid = _parse_grid(args.n0_grid)
     base = SimulationConfig(
         n=args.n,
         n0=grid[0],
@@ -279,9 +270,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -123,8 +123,7 @@ def decide(sample: PValueSample, schedule: CriticalValueSchedule) -> DecisionOut
             f"schedule length {schedule.n} does not match sample length {sample.n}"
         )
     order = np.argsort(sample.values, kind="stable")
-    alphas = np.asarray(schedule.alphas, dtype=np.float64)
-    r = rejection_count(sample.values[order], alphas, schedule.direction)
+    r = rejection_count(sample.values[order], schedule.alphas, schedule.direction)
     if sample.truth is None:
         return DecisionOutcome(order=order, r=r)
     v = int(np.count_nonzero(sample.truth[order[:r]]))

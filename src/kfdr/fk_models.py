@@ -16,21 +16,19 @@ identical across k-subsets (exchangeability). Three kinds are supported:
 is evaluated or inverted in one call. The independent and empirical kinds
 use the same per-value arithmetic either way. The equicorrelated inverse is
 ``numerics.invert_min_survivor``, a batched Newton iteration that stops at a
-relative residual of ``tol.rel_tol_invert``. Models are immutable; evaluation
-and inversion are pure functions.
+relative residual of ``numerics._REL_TOL_INVERT``. Models are immutable;
+evaluation and inversion are pure functions.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .numerics import (
-    DEFAULT_TOLERANCES,
-    ToleranceConfig,
     equicorrelated_min_survivor,
     invert_min_survivor,
     std_normal_quantile_array,
@@ -52,7 +50,6 @@ class FkModel:
     k: int
     rho: float | None = None
     grid: tuple[tuple[float, float], ...] | None = None
-    tol: ToleranceConfig = field(default=DEFAULT_TOLERANCES, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -67,29 +64,21 @@ class FkModel:
         if self.kind == EMPIRICAL:
             if not self.grid:
                 raise ValueError("empirical model requires a grid")
-            xs = [p[0] for p in self.grid]
-            fs = [p[1] for p in self.grid]
+            xs, fs = _grid_arrays(self)
+            if not (np.isfinite(xs).all() and np.isfinite(fs).all()):
+                raise ValueError("empirical grid values must be finite")
             if (xs[0], fs[0]) != (0.0, 0.0) or (xs[-1], fs[-1]) != (1.0, 1.0):
                 raise ValueError("empirical grid must be pinned at (0,0) and (1,1)")
-            if any(b < a for a, b in zip(xs, xs[1:])) or any(
-                b < a for a, b in zip(fs, fs[1:])
-            ):
+            if (np.diff(xs) < 0.0).any() or (np.diff(fs) < 0.0).any():
                 raise ValueError("empirical grid must be nondecreasing in both coordinates")
-
-    def describe(self) -> str:
-        if self.kind == EQUICORRELATED:
-            return f"{self.kind}(k={self.k}, rho={self.rho})"
-        if self.kind == EMPIRICAL:
-            return f"{self.kind}(k={self.k}, grid={len(self.grid or ())} points)"
-        return f"{self.kind}(k={self.k})"
 
 
 def independent_fk(k: int) -> FkModel:
     return FkModel(kind=INDEPENDENT_UNIFORM, k=k)
 
 
-def equicorrelated_fk(k: int, rho: float, tol: ToleranceConfig = DEFAULT_TOLERANCES) -> FkModel:
-    return FkModel(kind=EQUICORRELATED, k=k, rho=rho, tol=tol)
+def equicorrelated_fk(k: int, rho: float) -> FkModel:
+    return FkModel(kind=EQUICORRELATED, k=k, rho=rho)
 
 
 def _as_unit_array(values: float | np.ndarray, what: str) -> np.ndarray:
@@ -123,7 +112,7 @@ def fk_eval(model: FkModel, x: float | np.ndarray) -> float | np.ndarray:
         out = arr.copy()
         inner = (arr > 0.0) & (arr < 1.0)
         t = -std_normal_quantile_array(arr[inner])
-        out[inner] = equicorrelated_min_survivor(t, model.rho, model.k, model.tol)
+        out[inner] = equicorrelated_min_survivor(t, model.rho, model.k)
     return _like_input(x, out)
 
 
@@ -140,7 +129,7 @@ def fk_invert(model: FkModel, target: float | np.ndarray) -> float | np.ndarray:
     else:
         out = arr.copy()
         inner = (arr > 0.0) & (arr < 1.0)
-        t = invert_min_survivor(arr[inner], model.rho, model.k, model.tol)
+        t = invert_min_survivor(arr[inner], model.rho, model.k)
         out[inner] = std_normal_sf_array(t)
     return _like_input(target, out)
 
@@ -202,9 +191,11 @@ def load_empirical_csv(path: str, k: int) -> FkModel:
         for row in reader:
             if not row:
                 continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: malformed row {row!r}")
-            grid.append((float(row[0]), float(row[1])))
+            try:
+                x, f = (float(cell) for cell in row)
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed row {reader.line_num}: {row!r}") from exc
+            grid.append((x, f))
     return FkModel(kind=EMPIRICAL, k=k, grid=tuple(grid))
 
 

@@ -13,13 +13,14 @@ concavity the tail beyond such a point holds at most e^-36 = 2.3e-16 of that
 side's mass, and it is dropped. Where u > 8, Phi(u)^k is 1 to within
 k * 6.2e-16, so that part is the closed form Phi(-z) and the interval ends
 there. The rest is split at the mode and at u = 2, the end of the
-integrand's step, and each piece gets ``quadrature_nodes``-point
-Gauss-Legendre. log Phi and the Mills ratio come from a numpy port of Cody's
-(1969) rational erfcx, so S_k keeps its relative accuracy however small it
-is; the same sums give d log S_k/dt for the Newton inverse.
+integrand's step, and each piece gets ``_NODES``-point Gauss-Legendre.
+log Phi and the Mills ratio come from a numpy port of Cody's (1969)
+rational erfcx, so S_k keeps its relative accuracy however small it is; the
+same sums give d log S_k/dt for the Newton inverse, which stops at a
+relative residual of ``_REL_TOL_INVERT``.
 
 Accuracy: against split adaptive quadrature, the relative error of S_k at
-the default 20 nodes is below 1e-12 for rho in [0, 0.999], k <= 10 and the
+``_NODES`` = 20 is below 1e-12 for rho in [0, 0.999], k <= 10 and the
 thresholds of one-sided p-values from 1e-13 to 0.999 (about 1e-11 at k = 50).
 rho = 1 is the closed form 1 - Phi(t). Threshold arrays are processed in
 blocks of 256, which bounds the temporaries at 256 x 20 doubles. Everything
@@ -29,7 +30,6 @@ here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,27 +43,8 @@ _DROP = 36.0  # the integration range ends where the integrand is e^-_DROP below
 _U_STEP = 2.0  # split point past the integrand's step, where Phi(u)^k turns flat
 _U_FLAT = 8.0  # beyond this u, Phi(u)^k is 1 to within k * 6.2e-16
 _MAX_NEWTON = 60
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Accuracy knobs of the F_k kernel.
-
-    rel_tol_invert: bound on |F_k(alpha) / target - 1| at which inversion stops.
-    quadrature_nodes: Gauss-Legendre nodes per piece of the F_k integral.
-    """
-
-    rel_tol_invert: float = 1e-12
-    quadrature_nodes: int = 20
-
-    def __post_init__(self) -> None:
-        if not self.rel_tol_invert > 0.0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.quadrature_nodes < 16:
-            raise ValueError("quadrature_nodes must be at least 16")
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
+_NODES = 20  # Gauss-Legendre nodes per piece of the integral
+_REL_TOL_INVERT = 1e-12  # inversion stops once |S_k(t) / target - 1| is at most this
 
 
 def std_normal_cdf(x: float) -> float:
@@ -289,10 +270,8 @@ def _log_survivor_block(
     return log_s, -(k / s) * mass_mills * np.exp(peak - log_s)
 
 
-def _log_survivor(
-    t: np.ndarray, rho: float, k: int, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    nodes = _legendre_nodes(tol.quadrature_nodes)
+def _log_survivor(t: np.ndarray, rho: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes = _legendre_nodes(_NODES)
     log_s, slope = np.empty_like(t), np.empty_like(t)
     for start in range(0, t.size, _BLOCK):
         block = slice(start, start + _BLOCK)
@@ -307,12 +286,7 @@ def _check_order_and_correlation(rho: float, k: int) -> None:
         raise ValueError(f"correlation must satisfy 0 <= rho <= 1, got {rho!r}")
 
 
-def equicorrelated_min_survivor(
-    t: float | np.ndarray,
-    rho: float,
-    k: int,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> float | np.ndarray:
+def equicorrelated_min_survivor(t: float | np.ndarray, rho: float, k: int) -> float | np.ndarray:
     """Pr{min of k equicorrelated standard normals >= t}, elementwise over t.
 
     Returns a float for a scalar t and an array of t's shape otherwise.
@@ -326,17 +300,12 @@ def equicorrelated_min_survivor(
     if rho == 1.0:
         out = std_normal_sf_array(arr)
     else:
-        log_s, _ = _log_survivor(arr.ravel(), rho, k, tol)
+        log_s, _ = _log_survivor(arr.ravel(), rho, k)
         out = np.minimum(np.exp(log_s), 1.0).reshape(arr.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def invert_min_survivor(
-    targets: np.ndarray,
-    rho: float,
-    k: int,
-    tol: ToleranceConfig = DEFAULT_TOLERANCES,
-) -> np.ndarray:
+def invert_min_survivor(targets: np.ndarray, rho: float, k: int) -> np.ndarray:
     """Thresholds t with S_k(t) = target, for an array of targets in (0, 1).
 
     Newton's method in t on log S_k, which is concave, started from the
@@ -344,7 +313,7 @@ def invert_min_survivor(
     x^k <= F_k(x) <= x for rho >= 0, so the root lies in x in
     [target, target^(1/k)]). Steps that leave the current bracket are
     replaced by bisection. Each t stops once |S_k(t) / target - 1| is at
-    most ``tol.rel_tol_invert`` or its bracket has shrunk to rounding level.
+    most ``_REL_TOL_INVERT`` or its bracket has shrunk to rounding level.
     Equal targets are solved once, so they get equal thresholds, and the
     result is nonincreasing in the target.
     """
@@ -361,14 +330,14 @@ def invert_min_survivor(
     t = t_hi.copy()
     todo = np.arange(level.size)
     for _ in range(_MAX_NEWTON):
-        log_s, slope = _log_survivor(t[todo], rho, k, tol)
+        log_s, slope = _log_survivor(t[todo], rho, k)
         excess = log_s - log_level[todo]
         now = t[todo]
         lo = np.where(excess > 0.0, now, t_lo[todo])
         hi = np.where(excess > 0.0, t_hi[todo], now)
         t_lo[todo], t_hi[todo] = lo, hi
         residual = np.abs(np.expm1(excess))
-        done = (residual <= tol.rel_tol_invert) | (hi - lo <= 1e-15 * (1.0 + np.abs(now)))
+        done = (residual <= _REL_TOL_INVERT) | (hi - lo <= 1e-15 * (1.0 + np.abs(now)))
         with np.errstate(divide="ignore", invalid="ignore"):
             step = now - excess / slope
         step = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))

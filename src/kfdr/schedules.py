@@ -7,8 +7,8 @@ Closed-form targets are alpha * (num / den) with exact integer num and den:
 Python's int/int division is correctly rounded, so equal rationals give equal
 targets and integer inequalities between ratios carry over to the floats.
 Each schedule is inverted with one batched ``fk_invert`` call. Schedules
-carry their F-targets alongside the inverted alphas so downstream checks can
-compare targets without re-inversion noise.
+hold the inverted alphas and their F-targets as read-only float64 arrays, so
+downstream checks can compare targets without re-inversion noise.
 """
 
 from __future__ import annotations
@@ -26,43 +26,59 @@ STEPUP = "stepup"
 STEPDOWN = "stepdown"
 
 
-@dataclass(frozen=True)
+def _frozen_array(values: Sequence[float]) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError("a schedule is a one-dimensional sequence")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class CriticalValueSchedule:
     """A nondecreasing sequence alpha_1 <= ... <= alpha_n plus identity.
 
-    ``f_targets`` holds the F_k(alpha_i) values the construction prescribed
-    (None for marginal constructions that bypass F_k). ``warning`` is set on
-    schedules that are known not to control the error rate they resemble.
+    ``alphas`` and ``f_targets`` are read-only float64 arrays; any sequence
+    passed in is copied into one. ``f_targets`` holds the F_k(alpha_i) values
+    the construction prescribed (None for marginal constructions that bypass
+    F_k). ``warning`` is set on schedules that are known not to control the
+    error rate they resemble.
     """
 
-    alphas: tuple[float, ...]
+    alphas: np.ndarray
     k: int
     procedure: str
     alpha_level: float
     direction: str
-    f_targets: tuple[float, ...] | None = None
+    f_targets: np.ndarray | None = None
     warning: str | None = None
 
     def __post_init__(self) -> None:
-        n = len(self.alphas)
+        alphas = _frozen_array(self.alphas)
+        object.__setattr__(self, "alphas", alphas)
+        n = alphas.size
         if n == 0:
             raise ValueError("schedule must have at least one critical value")
         if not 1 <= self.k <= n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={n}")
         if self.direction not in (STEPUP, STEPDOWN):
             raise ValueError(f"direction must be stepup or stepdown, got {self.direction!r}")
-        if any(not 0.0 <= a <= 1.0 for a in self.alphas):
+        # NaN fails both comparisons, so it is rejected here too.
+        if not ((alphas >= 0.0) & (alphas <= 1.0)).all():
             raise ValueError("critical values must lie in [0, 1]")
-        if any(b < a for a, b in zip(self.alphas, self.alphas[1:])):
+        if (np.diff(alphas) < 0.0).any():
             raise ValueError("critical values must be nondecreasing")
-        if len(set(self.alphas[: self.k])) > 1:
+        if (alphas[: self.k] != alphas[0]).any():
             raise ValueError("the first k critical values must coincide")
-        if self.f_targets is not None and len(self.f_targets) != n:
-            raise ValueError("f_targets must match the schedule length")
+        if self.f_targets is not None:
+            f_targets = _frozen_array(self.f_targets)
+            object.__setattr__(self, "f_targets", f_targets)
+            if f_targets.size != n:
+                raise ValueError("f_targets must match the schedule length")
 
     @property
     def n(self) -> int:
-        return len(self.alphas)
+        return self.alphas.size
 
 
 def _validate_inputs(n: int, k: int, alpha: float, model: FkModel | None) -> None:
@@ -91,14 +107,13 @@ def _invert_targets(
     direction: str,
     warning: str | None = None,
 ) -> CriticalValueSchedule:
-    alphas = tuple(fk_invert(model, targets).tolist())
     return CriticalValueSchedule(
-        alphas=alphas,
+        alphas=fk_invert(model, targets),
         k=k,
         procedure=procedure,
         alpha_level=alpha,
         direction=direction,
-        f_targets=tuple(float(t) for t in targets),
+        f_targets=targets,
         warning=warning,
     )
 
@@ -168,9 +183,8 @@ def gen_hochberg_stepup(n: int, k: int, alpha: float, model: FkModel) -> Critica
 def lehmann_romano_stepdown(n: int, k: int, alpha: float) -> CriticalValueSchedule:
     """Marginal k-FWER stepdown schedule alpha_i = k*alpha/(n+k-max(i,k))."""
     _validate_inputs(n, k, alpha, None)
-    alphas = tuple(k * alpha / (n + k - max(i, k)) for i in range(1, n + 1))
     return CriticalValueSchedule(
-        alphas=alphas,
+        alphas=[k * alpha / (n + k - max(i, k)) for i in range(1, n + 1)],
         k=k,
         procedure="lehmann_romano",
         alpha_level=alpha,
@@ -202,9 +216,8 @@ def bh_classic(n: int, alpha: float) -> CriticalValueSchedule:
         raise ValueError(f"n must be positive, got {n!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    alphas = tuple(i * alpha / n for i in range(1, n + 1))
     return CriticalValueSchedule(
-        alphas=alphas,
+        alphas=[i * alpha / n for i in range(1, n + 1)],
         k=1,
         procedure="bh",
         alpha_level=alpha,
@@ -318,21 +331,16 @@ PROCEDURES: dict[str, Procedure] = {
 
 def needs_model(name: str) -> bool:
     """Whether procedure ``name`` needs an FkModel. Names outside the
-    registry (rescaled_const:C, rescaled, unknown ones) are taken to need one."""
+    registry (rescaled_const:C, unknown ones) are taken to need one."""
     return name not in PROCEDURES or PROCEDURES[name].needs_model
 
 
 def make_schedule(
-    name: str,
-    n: int,
-    k: int,
-    alpha: float,
-    model: FkModel | None = None,
-    base: Sequence[float] | None = None,
+    name: str, n: int, k: int, alpha: float, model: FkModel | None = None
 ) -> CriticalValueSchedule:
-    """Build a schedule from a ``PROCEDURES`` name, or from one of the two
-    special forms rescaled_const:C (constant base C) and rescaled (requires an
-    explicit ``base`` sequence).
+    """Build a schedule from a ``PROCEDURES`` name, or from the special form
+    rescaled_const:C (``rescaled_stepup`` with the constant base C). Other
+    bases go to ``rescaled_stepup`` directly.
     """
     if model is None and needs_model(name):
         raise ValueError(f"procedure {name!r} requires an FkModel")
@@ -341,8 +349,4 @@ def make_schedule(
     if name.startswith("rescaled_const:"):
         c = float(name.split(":", 1)[1])
         return rescaled_stepup(n, k, alpha, [c] * n, model)
-    if name == "rescaled":
-        if base is None:
-            raise ValueError("rescaled requires an explicit base sequence")
-        return rescaled_stepup(n, k, alpha, base, model)
     raise ValueError(f"unknown procedure {name!r}")

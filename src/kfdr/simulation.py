@@ -65,6 +65,8 @@ class SimulationConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must lie in [0, 1], got {self.rho!r}")
+        if math.isnan(self.mu_alt):
+            raise ValueError(f"mu_alt must be a number, got {self.mu_alt!r}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
         if not 0 <= self.seed < 2**64:
@@ -178,7 +180,6 @@ def run_experiment(
     if schedules is None:
         schedules = _build_schedules(config)
     n, n0, n1, k, iters = config.n, config.n0, config.n1, config.k, config.iterations
-    crit_arrays = [np.asarray(s.alphas) for s in schedules]
     # [measure, procedure, iteration]: k-FDP, k-FWER indicator, FDP, power.
     stats = np.empty((4, len(schedules), iters))
     block = max(1, _BLOCK_VALUES // n)
@@ -192,7 +193,7 @@ def run_experiment(
         np.cumsum(order < n0, axis=1, out=nulls_below[:, 1:])
         rows = np.arange(stop - start)
         for j, schedule in enumerate(schedules):
-            r = engine.rejection_count(sorted_p, crit_arrays[j], schedule.direction)
+            r = engine.rejection_count(sorted_p, schedule.alphas, schedule.direction)
             v = nulls_below[rows, r]
             r_safe = np.maximum(r, 1)
             stats[0, j, start:stop] = np.where(v >= k, v / r_safe, 0.0)

@@ -29,6 +29,8 @@ def ties_csv(tmp_path):
         ["schedule", "--procedure", "gen_holm", "--n", 5, "--k", 2, "--model", "equicorrelated:1"],
         ["simulate", "--n", 10, "--n0-grid", "2,10", "--iterations", 20],
         ["counterexample", "--n0", 50, "--n1", 10],
+        ["simulate", "--n", 10, "--k", 2, "--n0-grid", 5, "--iterations", 20, "--mu-alt", "inf"],
+        ["simulate", "--n", 10, "--k", 2, "--n0-grid", 5, "--iterations", 20, "--mu-alt=-inf"],
     ],
 )
 def test_subcommands_exit_zero(argv, capsys):
@@ -112,6 +114,12 @@ def test_counterexample_csv(capsys):
          r"\[0, 1\]"),
         (["simulate", "--n", 10, "--n0-grid", "10", "--rho", 1.5], r"\[0, 1\]"),
         (["counterexample", "--n0", 1, "--n1", 0], "n0 >= 2"),
+        (["schedule", "--procedure", "gen_bh", "--n", 5, "--model", "equicorrelated:nan"],
+         r"\[0, 1\], got nan"),
+        (["simulate", "--n", 10, "--k", 2, "--n0-grid", 1], r"got n0=1\b"),
+        (["simulate", "--n", 10, "--n0-grid", 11], r"got n0=11\b"),
+        (["simulate", "--n", 10, "--k", 2, "--n0-grid", 5, "--iterations", 20, "--mu-alt", "nan"],
+         "mu_alt must be a number, got nan"),
     ],
 )
 def test_validation_errors_exit_one(argv, message, capsys):
@@ -130,6 +138,19 @@ def test_bad_pvalue_rows_exit_one(body, message, tmp_path, capsys):
     code, out, err = run(["adjust", path], capsys)
     assert code == 1 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("x,fk\n0,0\n0.5,nan\n1,1\n", "finite"), ("x,fk\n0,0\n0.5,abc\n1,1\n", "malformed row 3")],
+)
+def test_bad_empirical_model_exits_one(body, message, tmp_path, capsys):
+    path = tmp_path / "fk.csv"
+    path.write_text(body)
+    argv = ["schedule", "--procedure", "gen_bh", "--n", 4, "--k", 2, "--model", f"empirical:{path}"]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_runtime_failure_exits_two(monkeypatch, capsys):

@@ -122,37 +122,37 @@ class TestIndependentPinned:
         for construct in CONSTRUCTIONS:
             for n, k in ((1, 1), (7, 3), (50, 2), (120, 5)):
                 s = construct(n, k, 0.05, independent_fk(k))
-                assert s.alphas == tuple(t ** (1.0 / k) for t in s.f_targets)
+                assert s.alphas.tolist() == [t ** (1.0 / k) for t in s.f_targets.tolist()]
 
     def test_targets_from_integer_ratios(self):
         n, k, alpha = 30, 3, 0.05
         model = independent_fk(k)
-        assert gen_holm_stepdown(n, k, alpha, model).f_targets == tuple(
+        assert gen_holm_stepdown(n, k, alpha, model).f_targets.tolist() == [
             alpha * (1 / math.comb(n + k - max(i, k), k)) for i in range(1, n + 1)
-        )
-        assert gen_simes(n, k, alpha, model).f_targets == tuple(
+        ]
+        assert gen_simes(n, k, alpha, model).f_targets.tolist() == [
             alpha * (math.comb(max(i, k), k) / math.comb(n, k)) for i in range(1, n + 1)
-        )
-        assert gen_bh(n, k, alpha, model).f_targets[k:] == tuple(
+        ]
+        assert gen_bh(n, k, alpha, model).f_targets[k:].tolist() == [
             alpha * (i * (n + k - i) / (k * n * math.comb(n + k - i, k)))
             for i in range(k + 1, n + 1)
-        )
+        ]
 
     def test_literal_values(self):
         s = gen_bh(6, 2, 0.05, independent_fk(2))
-        assert s.f_targets == (
+        assert s.f_targets.tolist() == [
             0.0033333333333333335, 0.0033333333333333335, 0.00625, 0.011111111111111112,
             0.020833333333333336, 0.05,
-        )
-        assert s.alphas == (
+        ]
+        assert s.alphas.tolist() == [
             0.05773502691896258, 0.05773502691896258, 0.07905694150420949,
             0.10540925533894598, 0.14433756729740646, 0.22360679774997896,
-        )
+        ]
         s = gen_by(5, 2, 0.05, independent_fk(2))
-        assert s.f_targets == (
+        assert s.f_targets.tolist() == [
             0.00280373831775701, 0.00280373831775701, 0.004205607476635514,
             0.00560747663551402, 0.007009345794392524,
-        )
+        ]
 
     def test_empirical_batched_equals_scalar(self):
         rng = np.random.default_rng(9)
@@ -184,4 +184,4 @@ def test_rescaling_sum_matches_loop():
         assert [s_prime(n, k, n0, base, model) for n0 in range(k, n + 1)] == loop
         alpha = 0.05
         expected = [alpha * f_base[max(i, k) - 1] / max(loop) for i in range(1, n + 1)]
-        assert rescaled_stepup(n, k, alpha, base, model).f_targets == tuple(expected)
+        assert rescaled_stepup(n, k, alpha, base, model).f_targets.tolist() == expected

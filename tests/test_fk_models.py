@@ -156,6 +156,13 @@ class TestEmpirical:
         with pytest.raises(ValueError, match="header"):
             load_empirical_csv(str(path), k=2)
 
+    @pytest.mark.parametrize("cell", ["abc", ""])
+    def test_load_names_path_and_row_of_a_bad_cell(self, cell, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,fk\n0,0\n0.5,{cell}\n1,1\n")
+        with pytest.raises(ValueError, match=f"{path}: malformed row 3: "):
+            load_empirical_csv(str(path), k=2)
+
     def test_save_rejects_non_empirical(self, tmp_path):
         with pytest.raises(ValueError):
             save_empirical_csv(independent_fk(2), str(tmp_path / "x.csv"))
@@ -179,6 +186,12 @@ class TestModelValidation:
     def test_empirical_grid_must_be_pinned(self):
         with pytest.raises(ValueError):
             FkModel(kind=EMPIRICAL, k=1, grid=((0.1, 0.0), (1.0, 1.0)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_empirical_grid_must_be_finite(self, bad):
+        for point in ((0.5, bad), (bad, 0.5)):
+            with pytest.raises(ValueError, match="finite"):
+                FkModel(kind=EMPIRICAL, k=1, grid=((0.0, 0.0), point, (1.0, 1.0)))
 
     def test_empirical_grid_must_be_monotone(self):
         with pytest.raises(ValueError):

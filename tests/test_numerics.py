@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfdr import numerics
 from kfdr.numerics import (
-    ToleranceConfig,
     equicorrelated_min_survivor,
     invert_min_survivor,
     std_normal_cdf,
@@ -126,20 +126,24 @@ class TestEquicorrelatedMinSurvivor:
             vals = [equicorrelated_min_survivor(t, r, 3) for r in np.linspace(0, 0.9, 10)]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_node_doubling_agreement(self):
+    def test_node_doubling_agreement(self, monkeypatch):
         # The 20-node default agrees with 40 nodes to 1e-12 relative, and 40
         # with 80 to rounding level, out to survivor probabilities of 1e-60.
-        coarse = ToleranceConfig(quadrature_nodes=20)
-        fine = ToleranceConfig(quadrature_nodes=40)
-        finest = ToleranceConfig(quadrature_nodes=80)
+        assert numerics._NODES == 20
         ts = np.array([-1.5, 0.0, 1.0, 2.5, 5.0, 7.3])
+
+        def survivor(nodes, rho, k):
+            monkeypatch.setattr(numerics, "_NODES", nodes)
+            return equicorrelated_min_survivor(ts, rho, k)
+
+        node_count_used = False
         for rho in (0.05, 0.3, 0.7, 0.9, 0.99):
             for k in (1, 3, 5, 10):
-                a = equicorrelated_min_survivor(ts, rho, k, coarse)
-                b = equicorrelated_min_survivor(ts, rho, k, fine)
-                c = equicorrelated_min_survivor(ts, rho, k, finest)
+                a, b, c = (survivor(nodes, rho, k) for nodes in (20, 40, 80))
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
                 np.testing.assert_allclose(b, c, rtol=1e-13, atol=0)
+                node_count_used |= not np.array_equal(a, c)
+        assert node_count_used
 
     def test_batched_matches_scalar(self):
         ts = np.linspace(-3.0, 6.0, 600)
@@ -205,11 +209,12 @@ class TestInvertMonotone:
             with pytest.raises(ValueError):
                 invert_min_survivor([0.2, bad], 0.5, 2)
 
-    def test_respects_custom_tolerance(self):
+    def test_respects_custom_tolerance(self, monkeypatch):
+        assert numerics._REL_TOL_INVERT == 1e-12
         targets = np.geomspace(1e-12, 0.5, 40)
         for rel_tol in (1e-4, 1e-12):
-            tol = ToleranceConfig(rel_tol_invert=rel_tol)
-            t = invert_min_survivor(targets, 0.5, 3, tol)
+            monkeypatch.setattr(numerics, "_REL_TOL_INVERT", rel_tol)
+            t = invert_min_survivor(targets, 0.5, 3)
             residual = equicorrelated_min_survivor(t, 0.5, 3) / targets - 1.0
             assert np.max(np.abs(residual)) <= rel_tol
 
@@ -219,14 +224,3 @@ class TestInvertMonotone:
         assert t[0] == t[1] == t[2] and t[4] == t[5]
         assert np.all(np.diff(t) <= 0.0)
 
-
-class TestToleranceConfig:
-    def test_rejects_nonpositive_tolerances(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(rel_tol_invert=0.0)
-        with pytest.raises(ValueError):
-            ToleranceConfig(rel_tol_invert=-1e-9)
-
-    def test_rejects_small_node_counts(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(quadrature_nodes=8)

@@ -146,8 +146,8 @@ class TestHolmFamily:
     def test_hochberg_shares_constants_with_holm(self):
         holm = gen_holm_stepdown(6, 2, 0.05, IND2)
         hoch = gen_hochberg_stepup(6, 2, 0.05, IND2)
-        assert hoch.alphas == holm.alphas
-        assert hoch.f_targets == holm.f_targets
+        assert hoch.alphas.tolist() == holm.alphas.tolist()
+        assert hoch.f_targets.tolist() == holm.f_targets.tolist()
         assert hoch.direction == STEPUP
 
     def test_hochberg_equals_gen_bh_at_n3_k2(self):
@@ -212,7 +212,7 @@ class TestBhClassic:
         assert s.k == 1 and s.direction == STEPUP
 
     def test_single_hypothesis(self):
-        assert bh_classic(1, 0.05).alphas == (0.05,)
+        assert bh_classic(1, 0.05).alphas.tolist() == [0.05]
 
     def test_equals_gen_bh_k1(self):
         for n in (1, 2, 7, 20):
@@ -394,6 +394,47 @@ class TestScheduleValidation:
                 alphas=(0.1,), k=1, procedure="x", alpha_level=0.05, direction="sideways"
             )
 
+    @pytest.mark.parametrize(
+        "alphas, k, f_targets, message",
+        [
+            ((), 1, None, "at least one critical value"),
+            ((0.1, 0.2), 3, None, "need 1 <= k <= n"),
+            ((0.1, math.nan), 1, None, r"lie in \[0, 1\]"),
+            ((-0.1, 0.2), 1, None, r"lie in \[0, 1\]"),
+            ((0.1, 1.5), 1, None, r"lie in \[0, 1\]"),
+            ((0.2, 0.1), 1, None, "nondecreasing"),
+            ((0.1, 0.1, 0.2, 0.3), 3, None, "must coincide"),
+            ((0.1, 0.2), 1, (0.01,), "match the schedule length"),
+        ],
+    )
+    def test_messages(self, alphas, k, f_targets, message):
+        with pytest.raises(ValueError, match=message):
+            CriticalValueSchedule(
+                alphas=alphas, k=k, procedure="x", alpha_level=0.05, direction=STEPUP,
+                f_targets=f_targets,
+            )
+
+    def test_holds_read_only_float64_arrays(self):
+        s = CriticalValueSchedule(
+            alphas=(0.1, 0.1, 0.2), k=2, procedure="x", alpha_level=0.05, direction=STEPUP,
+            f_targets=(0.01, 0.01, 0.04),
+        )
+        for arr in (s.alphas, s.f_targets):
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.ndim == 1
+        assert s.alphas.tolist() == [0.1, 0.1, 0.2] and s.n == 3
+        with pytest.raises(ValueError):
+            s.alphas[0] = 0.0
+        with pytest.raises(ValueError):
+            s.f_targets[0] = 0.0
+        for built in (gen_bh(5, 2, 0.05, IND2), bh_classic(5, 0.05)):
+            assert built.alphas.dtype == np.float64 and not built.alphas.flags.writeable
+
+    def test_copies_a_caller_array(self):
+        alphas = np.array([0.1, 0.2])
+        s = CriticalValueSchedule(alphas, 1, "x", 0.05, STEPUP)
+        alphas[0] = 0.3
+        assert s.alphas.tolist() == [0.1, 0.2] and alphas.flags.writeable
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             gen_bh(5, 2, 1.5, IND2)
@@ -426,11 +467,8 @@ class TestMakeSchedule:
         assert hoch.procedure == "rescaled_stepup"
         const = make_schedule("rescaled_const:0.5", n=6, k=2, alpha=0.05, model=model)
         expected = rescaled_stepup(6, 2, 0.05, (0.5,) * 6, model)
-        assert const.alphas == expected.alphas
-        explicit = make_schedule(
-            "rescaled", n=6, k=2, alpha=0.05, model=model, base=(0.5,) * 6
-        )
-        assert explicit.alphas == expected.alphas
+        assert const.alphas.tolist() == expected.alphas.tolist()
+        assert const.f_targets.tolist() == expected.f_targets.tolist()
 
     def test_registry_needs_model(self):
         for name, entry in PROCEDURES.items():

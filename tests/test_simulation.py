@@ -23,6 +23,19 @@ def test_rejects_rho_outside_unit_interval(rho):
         config(rho=rho)
 
 
+def test_rejects_nan_mu_alt():
+    with pytest.raises(ValueError, match="mu_alt must be a number, got nan"):
+        config(mu_alt=math.nan)
+
+
+@pytest.mark.parametrize("mu_alt, p, power", [(math.inf, 0.0, 1.0), (-math.inf, 1.0, 0.0)])
+def test_infinite_mu_alt_gives_exact_p_values(mu_alt, p, power):
+    cfg = config(n0=15, mu_alt=mu_alt)
+    assert draw_sample(cfg, 0).values[15:].tolist() == [p] * 5
+    (est,) = run_experiment(cfg).results
+    assert est.power_hat == power
+
+
 def test_perfect_correlation_controls_gen_bh():
     # With rho = 1 every null p-value is the same draw, so gen_bh rejects all
     # n0 nulls exactly when it is <= alpha_n = alpha: the k-FDR is alpha.
