@@ -13,6 +13,8 @@ rejected.
 The counting kernel, ``rejection_count``, takes one sorted sample or an
 [m, n] block of sorted samples (one per row) and returns one count per row,
 so the Monte Carlo harness counts a whole block of iterations in one call.
+It only compares ascending values with bounds, so the harness passes sorted
+negated test statistics and critical values moved to that scale.
 """
 
 from __future__ import annotations

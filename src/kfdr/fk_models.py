@@ -23,6 +23,7 @@ evaluation and inversion are pure functions.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -195,6 +196,8 @@ def load_empirical_csv(path: str, k: int) -> FkModel:
                 x, f = (float(cell) for cell in row)
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed row {reader.line_num}: {row!r}") from exc
+            if not (math.isfinite(x) and math.isfinite(f)):
+                raise ValueError(f"{path}: non-finite value in row {reader.line_num}: {row!r}")
             grid.append((x, f))
     return FkModel(kind=EMPIRICAL, k=k, grid=tuple(grid))
 

@@ -71,6 +71,48 @@ def std_normal_sf_array(x: np.ndarray) -> np.ndarray:
     return out.reshape(arr.shape)
 
 
+# Doubles map to int64 keys in the same order (-0.0 just below +0.0) by
+# flipping the non-sign bits of negative ones; the map is its own inverse.
+_NON_SIGN_BITS = np.int64(0x7FFFFFFFFFFFFFFF)
+
+
+def _ordered_key_flip(bits: np.ndarray) -> np.ndarray:
+    return bits ^ ((bits >> 63) & _NON_SIGN_BITS)
+
+
+def std_normal_sf_thresholds(alphas: np.ndarray, strict: bool = False) -> np.ndarray:
+    """For each alpha, the smallest double t with ``std_normal_sf_array(t)
+    <= alpha`` (``< alpha`` when ``strict``), so that sf(x) meets the
+    predicate exactly when x >= t. Where no double does, which among alphas
+    in [0, 1] is only a strict alpha of 0, the result is -inf.
+
+    Bisects the ordered int64 keys of the doubles in [-inf, +inf], about 64
+    vectorised passes of the exact float predicate. This relies on the
+    computed sf being nonincreasing in x, which the tests check at every
+    threshold of every registry schedule.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    ends = _ordered_key_flip(np.array([-np.inf, np.inf]).view(np.int64))
+    # lo never meets the predicate and hi always does; both start one key
+    # outside the doubles, so hi left at its start means no double qualifies.
+    lo = np.full(alphas.shape, ends[0] - 1)
+    hi = np.full(alphas.shape, ends[1] + 1)
+    # hi - lo overflows int64 across the whole range, hence this loop test
+    # and a midpoint built from halves.
+    active = lo + 1 < hi
+    while active.any():
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        # Settled entries may sit at an outside key, a NaN; clip them to a double.
+        x = _ordered_key_flip(np.clip(mid, ends[0], ends[1])).view(np.float64)
+        sf = std_normal_sf_array(x)
+        met = sf < alphas if strict else sf <= alphas
+        hi = np.where(active & met, mid, hi)
+        lo = np.where(active & ~met, mid, lo)
+        active = lo + 1 < hi
+    tau = _ordered_key_flip(hi).view(np.float64)
+    return np.where(hi > ends[1], -np.inf, tau)
+
+
 # Cody (1969) rational approximations, as in the CALERF routine of SPECFUN:
 # erf on [0, 0.46875], erfc * exp(x^2) on (0.46875, 4] and asymptotically
 # beyond 4. Relative error below 1.1e-15 on [0, inf).

@@ -347,6 +347,16 @@ def make_schedule(
     if name in PROCEDURES:
         return PROCEDURES[name].build(n, k, alpha, model)
     if name.startswith("rescaled_const:"):
-        c = float(name.split(":", 1)[1])
+        text = name.split(":", 1)[1]
+        try:
+            c = float(text)
+        except ValueError:
+            c = math.nan
+        # NaN fails this test too.
+        if not 0.0 <= c <= 1.0:
+            raise ValueError(
+                f"procedure {name!r}: the constant C of rescaled_const:C must be a number "
+                f"in [0, 1], got {text!r}"
+            )
         return rescaled_stepup(n, k, alpha, [c] * n, model)
     raise ValueError(f"unknown procedure {name!r}")

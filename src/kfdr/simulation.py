@@ -1,15 +1,23 @@
 """Monte Carlo harness for error-rate estimation.
 
-Draws equicorrelated normal test statistics via the one-factor model,
-converts them to one-sided p-values, runs a panel of stepwise procedures and
-estimates k-FDR, k-FWER, FDR and average power with standard errors. Each
-iteration gets its own counter-based Philox stream keyed by (seed,
-iteration), so serial, parallel and blocked execution produce bit-identical
-results. Iterations run in blocks of about ``_BLOCK_VALUES`` p-values: one
-Philox generator is re-keyed per iteration to fill an [m, n] block, which is
-then converted, sorted and counted (``engine.rejection_count``) as whole
-arrays. A sweep over n0 builds its schedules once, since they do not depend
-on n0. Also provides the exact closed-form lower bound showing that
+Draws equicorrelated normal test statistics via the one-factor model, runs a
+panel of stepwise procedures on them and estimates k-FDR, k-FWER, FDR and
+average power with standard errors. Each iteration gets its own
+counter-based Philox stream keyed by (seed, iteration), so serial and
+blocked execution produce bit-identical results. Iterations run in blocks of
+about ``_BLOCK_VALUES`` statistics: one Philox generator is re-keyed per
+iteration to fill an [m, n] block of statistics x, which is sorted and
+counted (``engine.rejection_count``) as whole arrays.
+
+The sweep never computes p-values. p = 1 - Phi(x) is nonincreasing in x, so
+a stepwise decision depends only on the order of the x and on where each
+critical value falls on the x axis: once per schedule, each alpha_i becomes
+the smallest double tau_i whose p-value meets it
+(``std_normal_sf_thresholds``), and a block is compared with these
+thresholds after one plain sort of -x. A sweep over n0 builds its schedules
+and thresholds once, since they do not depend on n0. ``draw_sample`` still
+returns the p-values of one iteration, as the reference the tests compare
+with. Also provides the exact closed-form lower bound showing that
 generalized Simes critical values can fail to control the k-FDR.
 """
 
@@ -25,10 +33,10 @@ import numpy as np
 
 from . import engine
 from .fk_models import FkModel, equicorrelated_fk, independent_fk
-from .numerics import std_normal_sf_array
-from .schedules import CriticalValueSchedule, make_schedule, needs_model
+from .numerics import std_normal_sf_array, std_normal_sf_thresholds
+from .schedules import STEPUP, CriticalValueSchedule, make_schedule, needs_model
 
-# Monte Carlo iterations run in blocks of about this many p-values
+# Monte Carlo iterations run in blocks of about this many statistics
 # (max(1, _BLOCK_VALUES // n) iterations), which bounds the block's
 # temporaries at a few hundred kilobytes whatever n is.
 _BLOCK_VALUES = 16384
@@ -38,9 +46,10 @@ _BLOCK_VALUES = 16384
 class SimulationConfig:
     """One experiment: n tests, n0 true nulls, procedures run at level alpha.
 
-    ``force_nonnull_zero`` replaces the n1 = n - n0 nonnull p-values with
-    exact zeros, emulating a procedure that always rejects the nonnulls
-    first; this realizes the k-FDR violation construction.
+    ``force_nonnull_zero`` sets the n1 = n - n0 nonnull statistics to +inf,
+    whose p-values are exact zeros, emulating a procedure that always
+    rejects the nonnulls first; this realizes the k-FDR violation
+    construction.
     """
 
     n: int
@@ -115,11 +124,12 @@ def _streams(seed: int) -> tuple[np.random.Generator, dict]:
 
 
 def _draw_block(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
-    """The p-values of iterations start..stop-1 as an [m, n] block, row i
+    """The statistics of iterations start..stop-1 as an [m, n] block, row i
     from iteration start + i.
 
     X_i = mu_i + sqrt(rho) Z + sqrt(1-rho) eps_i with the first n0 means at
-    zero and the rest at mu_alt; p_i = 1 - Phi(X_i). Per iteration the
+    zero and the rest at mu_alt (+inf under ``force_nonnull_zero``); the
+    p-value of X_i is 1 - Phi(X_i). Per iteration the
     generator is re-keyed to the start of the stream of
     ``Philox(key=(seed << 64) + iteration)``, and the common factor Z is drawn
     first, then the n idiosyncratic terms.
@@ -133,16 +143,15 @@ def _draw_block(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
     mu = np.zeros(config.n)
     mu[config.n0 :] = config.mu_alt
     x = mu + math.sqrt(config.rho) * draws[:, :1] + math.sqrt(1.0 - config.rho) * draws[:, 1:]
-    p = std_normal_sf_array(x)
     if config.force_nonnull_zero:
-        p[:, config.n0 :] = 0.0
-    return p
+        x[:, config.n0 :] = np.inf
+    return x
 
 
 def draw_sample(config: SimulationConfig, iteration_index: int) -> engine.PValueSample:
-    """One draw of n one-sided p-values with truth labels attached, the same
-    draw ``run_experiment`` makes at that iteration."""
-    p = _draw_block(config, iteration_index, iteration_index + 1)[0]
+    """One draw of n one-sided p-values with truth labels attached, the p-values
+    of the statistics ``run_experiment`` draws at that iteration."""
+    p = std_normal_sf_array(_draw_block(config, iteration_index, iteration_index + 1)[0])
     return engine.PValueSample(values=p, truth=np.arange(config.n) < config.n0)
 
 
@@ -156,6 +165,29 @@ def _build_schedules(config: SimulationConfig) -> list[CriticalValueSchedule]:
     ]
 
 
+def _statistic_rules(
+    schedules: Sequence[CriticalValueSchedule],
+) -> list[tuple[str, np.ndarray]]:
+    """Each schedule's direction and its critical values moved to the scale
+    of s, the ascending sorted -x, for ``engine.rejection_count``.
+
+    s_i carries the i-th smallest p-value, sf(-s_i). A stepup hit p_(i) <=
+    alpha_i is x >= tau_i, i.e. s_i <= -tau_i. A stepdown miss p_(i) >=
+    alpha_i is x < tau'_i (tau' from ``<``), i.e. s_i >= nextafter(-tau'_i,
+    +inf), except that an alpha_i of 0, which has no tau' (-inf), always
+    misses and gets the bound -inf.
+    """
+    rules = []
+    for schedule in schedules:
+        if schedule.direction == STEPUP:
+            bounds = -std_normal_sf_thresholds(schedule.alphas)
+        else:
+            tau = std_normal_sf_thresholds(schedule.alphas, strict=True)
+            bounds = np.where(tau == -np.inf, -np.inf, np.nextafter(-tau, np.inf))
+        rules.append((schedule.direction, bounds))
+    return rules
+
+
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(values))
     if values.size < 2:
@@ -165,37 +197,46 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def run_experiment(
-    config: SimulationConfig, schedules: Sequence[CriticalValueSchedule] | None = None
+    config: SimulationConfig, rules: Sequence[tuple[str, np.ndarray]] | None = None
 ) -> SimulationSummary:
     """Estimate error rates and power for every configured procedure.
 
     Per iteration and procedure the k-FDP (at the config's k), the indicator
     of at least k false rejections, the FDP and the rejected fraction of
     false nulls are recorded; means and standard errors are taken over the
-    fixed per-iteration arrays, so reruns are bit-identical. Iterations run
-    in blocks of about ``_BLOCK_VALUES`` p-values. ``schedules``, one per
-    configured procedure, are built from the config when not given; they do
+    fixed per-iteration arrays, so reruns are bit-identical. ``rules``, one
+    (direction, bounds) pair per configured procedure from
+    ``_statistic_rules``, are built from the config when not given; they do
     not depend on n0.
+
+    Each block is sorted row-wise as s = sort(-x), a rule's rejection count
+    r is ``engine.rejection_count(s, bounds, direction)``, and V counts the
+    nulls with -x <= s_r (0 when r = 0). These equal the r and V of the
+    p-value procedure even where p-values tie, for instance at 1.0 for
+    distinct very negative x, because with nondecreasing alphas a stepwise
+    rule rejects a group of tied p-values whole: at a stepup count r,
+    p_(r) = p_(r+1) would make rank r + 1 a hit too (p_(r+1) <= alpha_r <=
+    alpha_(r+1)), and at a stepdown count r it would keep rank r + 1 from
+    missing (p_(r+1) < alpha_r <= alpha_(r+1)). So the rejected set is every
+    hypothesis with p <= p_(r), which is every one with -x <= s_r, whatever
+    order a sort gives tied values.
     """
-    if schedules is None:
-        schedules = _build_schedules(config)
+    if rules is None:
+        rules = _statistic_rules(_build_schedules(config))
     n, n0, n1, k, iters = config.n, config.n0, config.n1, config.k, config.iterations
     # [measure, procedure, iteration]: k-FDP, k-FWER indicator, FDP, power.
-    stats = np.empty((4, len(schedules), iters))
+    stats = np.empty((4, len(rules), iters))
     block = max(1, _BLOCK_VALUES // n)
     for start in range(0, iters, block):
         stop = min(start + block, iters)
-        p = _draw_block(config, start, stop)
-        order = np.argsort(p, axis=1, kind="stable")
-        sorted_p = np.take_along_axis(p, order, axis=1)
-        # nulls_below[i, r]: true nulls among the r smallest p-values of row i.
-        nulls_below = np.zeros((stop - start, n + 1), dtype=np.intp)
-        np.cumsum(order < n0, axis=1, out=nulls_below[:, 1:])
+        neg_x = -_draw_block(config, start, stop)
+        s = np.sort(neg_x, axis=1)
         rows = np.arange(stop - start)
-        for j, schedule in enumerate(schedules):
-            r = engine.rejection_count(sorted_p, schedule.alphas, schedule.direction)
-            v = nulls_below[rows, r]
+        for j, (direction, bounds) in enumerate(rules):
+            r = engine.rejection_count(s, bounds, direction)
             r_safe = np.maximum(r, 1)
+            last_rejected = s[rows, r_safe - 1, None]
+            v = np.where(r > 0, np.count_nonzero(neg_x[:, :n0] <= last_rejected, axis=1), 0)
             stats[0, j, start:stop] = np.where(v >= k, v / r_safe, 0.0)
             stats[1, j, start:stop] = v >= k
             stats[2, j, start:stop] = v / r_safe
@@ -212,16 +253,16 @@ def figure_sweep(
     base_config: SimulationConfig, n0_grid: Sequence[int]
 ) -> list[SimulationSummary]:
     """Run the experiment across a grid of true-null counts, building the
-    schedules once for the whole grid."""
+    schedules and their thresholds once for the whole grid."""
     for n0 in n0_grid:
         if not base_config.k <= n0 <= base_config.n:
             raise ValueError(
                 f"n0 grid values must lie in [k, n], got n0={n0} with "
                 f"k={base_config.k}, n={base_config.n}"
             )
-    schedules = _build_schedules(base_config)
+    rules = _statistic_rules(_build_schedules(base_config))
     return [
-        run_experiment(dataclasses.replace(base_config, n0=int(n0)), schedules)
+        run_experiment(dataclasses.replace(base_config, n0=int(n0)), rules)
         for n0 in n0_grid
     ]
 

@@ -120,6 +120,12 @@ def test_counterexample_csv(capsys):
         (["simulate", "--n", 10, "--n0-grid", 11], r"got n0=11\b"),
         (["simulate", "--n", 10, "--k", 2, "--n0-grid", 5, "--iterations", 20, "--mu-alt", "nan"],
          "mu_alt must be a number, got nan"),
+        (["schedule", "--procedure", "rescaled_const:abc", "--n", 5],
+         "procedure 'rescaled_const:abc': .* got 'abc'"),
+        (["simulate", "--n", 10, "--n0-grid", 10, "--procedures", "gen_bh,rescaled_const:abc"],
+         "procedure 'rescaled_const:abc': .* got 'abc'"),
+        (["schedule", "--procedure", "rescaled_const:2", "--n", 5],
+         r"procedure 'rescaled_const:2': .* in \[0, 1\], got '2'"),
     ],
 )
 def test_validation_errors_exit_one(argv, message, capsys):

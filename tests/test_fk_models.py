@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,14 @@ class TestEmpirical:
         path = tmp_path / "bad.csv"
         path.write_text(f"x,fk\n0,0\n0.5,{cell}\n1,1\n")
         with pytest.raises(ValueError, match=f"{path}: malformed row 3: "):
+            load_empirical_csv(str(path), k=2)
+
+    @pytest.mark.parametrize("row", ["0.5,nan", "0.5,inf", "-inf,0.5"])
+    def test_load_names_path_row_and_value_of_a_non_finite_cell(self, row, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x,fk\n0,0\n{row}\n1,1\n")
+        cells = repr(row.split(","))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: non-finite value in row 3: {cells}")):
             load_empirical_csv(str(path), k=2)
 
     def test_save_rejects_non_empirical(self, tmp_path):

@@ -14,7 +14,10 @@ from kfdr.numerics import (
     std_normal_quantile_array,
     std_normal_sf,
     std_normal_sf_array,
+    std_normal_sf_thresholds,
 )
+from kfdr.fk_models import equicorrelated_fk, independent_fk
+from kfdr.schedules import PROCEDURES, STEPUP, make_schedule
 
 # High-precision reference values (mpmath, 30 digits).
 PHI_1959964 = 0.9750000009035576
@@ -55,6 +58,28 @@ class TestStdNormalCdf:
     def test_monotone(self, x1, x2):
         lo, hi = sorted((x1, x2))
         assert std_normal_cdf(lo) <= std_normal_cdf(hi)
+
+
+class TestSfThresholds:
+    @pytest.mark.parametrize("model", [independent_fk(2), equicorrelated_fk(2, 0.5)])
+    def test_smallest_double_meeting_each_schedule_alpha(self, model):
+        # At each threshold the p-value meets alpha and at the next double
+        # down it does not, which also checks that libm's erfc is monotone
+        # there. A strict alpha of 0 has no threshold and yields -inf.
+        for name in PROCEDURES:
+            schedule = make_schedule(name, n=60, k=2, alpha=0.05, model=model)
+            strict = schedule.direction != STEPUP
+            alphas = np.concatenate([schedule.alphas, [0.0, 5e-324, 1e-300, 0.5, 1.0]])
+            taus = std_normal_sf_thresholds(alphas, strict=strict)
+            at = std_normal_sf_array(taus)
+            below = std_normal_sf_array(np.nextafter(taus, -np.inf))
+            meets = (lambda p, a: p < a) if strict else (lambda p, a: p <= a)
+            for alpha, tau, p, p_below in zip(alphas, taus, at, below):
+                if strict and alpha == 0.0:
+                    assert tau == -np.inf
+                    continue
+                assert meets(p, alpha), (name, alpha, tau)
+                assert tau == -np.inf or not meets(p_below, alpha), (name, alpha, tau)
 
 
 class TestStdNormalQuantile:

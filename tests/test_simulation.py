@@ -6,7 +6,8 @@ import pytest
 
 from kfdr import simulation
 from kfdr.engine import decide, k_fdp
-from kfdr.numerics import std_normal_sf
+from kfdr.numerics import std_normal_sf, std_normal_sf_array, std_normal_sf_thresholds
+from kfdr.schedules import STEPDOWN, STEPUP, CriticalValueSchedule
 from kfdr.simulation import SimulationConfig, counterexample_bound, draw_sample, run_experiment
 
 
@@ -51,10 +52,11 @@ def test_draw_sample_is_array_native():
     assert sample.truth.tolist() == [True] * 15 + [False] * 5
 
 
-def reference_experiment(cfg):
+def reference_experiment(cfg, schedules=None):
     """run_experiment's estimates from one draw_sample and one engine.decide
     per iteration."""
-    schedules = simulation._build_schedules(cfg)
+    if schedules is None:
+        schedules = simulation._build_schedules(cfg)
     measures = np.empty((len(schedules), 4, cfg.iterations))
     for it in range(cfg.iterations):
         sample = draw_sample(cfg, it)
@@ -80,15 +82,60 @@ def estimates(summary):
 PANEL = ("gen_bh", "gen_holm", "bh", "gen_simes", "lehmann_romano")
 
 
-@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
-@pytest.mark.parametrize("force_nonnull_zero", [False, True])
-@pytest.mark.parametrize("n0", [3, 12])
-def test_batched_matches_per_iteration_reference(rho, force_nonnull_zero, n0):
-    cfg = config(
-        n=12, n0=n0, k=3, rho=rho, iterations=40, procedures=PANEL,
-        mu_alt=2.5, force_nonnull_zero=force_nonnull_zero,
+def hand_schedule(direction, alphas):
+    return CriticalValueSchedule(
+        alphas=alphas, k=3, procedure="hand", alpha_level=0.05, direction=direction
     )
-    assert estimates(run_experiment(cfg)) == reference_experiment(cfg)
+
+
+# Critical values of 0.0 and 1.0 in both directions: p-values of exactly 0
+# (force_nonnull_zero) and 1 (mu_alt far below 0) meet them with equality.
+HAND = (
+    hand_schedule(STEPUP, [0.0] * 3 + [0.001, 0.01, 0.05, 0.2, 0.5, 0.5, 0.9, 1.0, 1.0]),
+    hand_schedule(STEPDOWN, [0.0] * 3 + [0.001, 0.01, 0.05, 0.2, 0.5, 0.5, 0.9, 1.0, 1.0]),
+    hand_schedule(STEPUP, [0.0] * 3 + [0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6]),
+    hand_schedule(STEPDOWN, [0.01] * 3 + [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0, 1.0]),
+)
+
+
+@pytest.mark.parametrize(
+    "overrides, schedules",
+    [
+        pytest.param(dict(n0=n0, force_nonnull_zero=force, rho=rho), None,
+                     id=f"{n0}-{force}-{rho}")
+        for n0 in (3, 12) for force in (False, True) for rho in (0.0, 0.5, 1.0)
+    ] + [
+        # Nonnull p-values tie at 1.0 although their statistics differ.
+        pytest.param(dict(n0=3, rho=0.5, mu_alt=-40.0), None, id="mu_alt=-40"),
+        pytest.param(dict(n0=3, rho=0.5, mu_alt=-math.inf), None, id="mu_alt=-inf"),
+        pytest.param(dict(n0=6, rho=0.5, mu_alt=-40.0), HAND, id="hand-mu_alt=-40"),
+        pytest.param(dict(n0=6, rho=0.5, force_nonnull_zero=True), HAND, id="hand-zeros"),
+        pytest.param(dict(n0=0, rho=0.0, mu_alt=-math.inf), HAND, id="hand-all-ones"),
+        pytest.param(dict(n=400, n0=300, rho=0.5), None, id="n=400"),
+    ],
+)
+def test_batched_matches_per_iteration_reference(overrides, schedules):
+    fields = dict(n=12, k=3, iterations=40, procedures=PANEL, mu_alt=2.5)
+    if schedules is not None:
+        fields["procedures"] = tuple(f"hand-{s.direction}" for s in schedules)
+    cfg = config(**{**fields, **overrides})
+    rules = None if schedules is None else simulation._statistic_rules(schedules)
+    assert estimates(run_experiment(cfg, rules)) == reference_experiment(cfg, schedules)
+
+
+@pytest.mark.parametrize("schedule", HAND, ids=lambda s: s.direction)
+def test_statistic_rules_decide_as_p_values_at_the_thresholds(schedule):
+    # Statistics at, just below and just above each threshold, and at +inf:
+    # comparing -x with the rule's bounds gives the p-value hit or miss.
+    ((direction, bounds),) = simulation._statistic_rules([schedule])
+    tau = std_normal_sf_thresholds(schedule.alphas, strict=direction == STEPDOWN)
+    alphas = schedule.alphas
+    for x in (tau, np.nextafter(tau, -np.inf), np.nextafter(tau, np.inf), np.full(12, np.inf)):
+        p = std_normal_sf_array(x)
+        if direction == STEPUP:
+            assert ((-x <= bounds) == (p <= alphas)).all()
+        else:
+            assert ((-x >= bounds) == (p >= alphas)).all()
 
 
 @pytest.mark.parametrize("rows", [1, 3])
