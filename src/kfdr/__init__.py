@@ -16,12 +16,6 @@ from .fk_models import (
     load_empirical_csv,
     save_empirical_csv,
 )
-from .numerics import (
-    equicorrelated_min_survivor,
-    invert_min_survivor,
-    std_normal_cdf,
-    std_normal_quantile,
-)
 from .schedules import (
     CriticalValueSchedule,
     bh_classic,
@@ -33,7 +27,6 @@ from .schedules import (
     lehmann_romano_stepdown,
     make_schedule,
     rescaled_stepup,
-    s_prime,
 )
 from .simulation import (
     ProcedureEstimates,
@@ -61,7 +54,6 @@ __all__ = [
     "decide",
     "draw_sample",
     "equicorrelated_fk",
-    "equicorrelated_min_survivor",
     "figure_sweep",
     "fit_empirical_fk",
     "fk_eval",
@@ -72,17 +64,13 @@ __all__ = [
     "gen_holm_stepdown",
     "gen_simes",
     "independent_fk",
-    "invert_min_survivor",
     "k_fdp",
     "lehmann_romano_stepdown",
     "load_empirical_csv",
     "make_schedule",
     "rescaled_stepup",
     "run_experiment",
-    "s_prime",
     "sample_from",
     "save_empirical_csv",
-    "std_normal_cdf",
-    "std_normal_quantile",
     "write_sweep_csv",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 from itertools import chain, count, islice, repeat
 from typing import IO, Iterable, Iterator, Sequence
@@ -100,7 +101,11 @@ def _output(path: str | None) -> Iterator[IO[str]]:
     if path is None or path == "-":
         yield sys.stdout
     else:
-        with open(path, "w", newline="") as fh:
+        try:
+            fh = open(path, "w", newline="")
+        except OSError as exc:
+            raise ValueError(f"cannot write {path!r}: {exc}") from exc
+        with fh:
             yield fh
 
 
@@ -176,8 +181,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         seed=args.seed,
         procedures=procedures,
-        mu_alt=args.mu_alt,
-        force_nonnull_zero=args.force_nonnull_zero,
+        mu_alt=math.inf if args.force_nonnull_zero else args.mu_alt,
     )
     summaries = figure_sweep(base, grid)
     with _output(args.output) as out:
@@ -245,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--force-nonnull-zero",
         dest="force_nonnull_zero",
         action="store_true",
-        help="set nonnull p-values to exactly zero (violation study mode)",
+        help="same as --mu-alt inf: set nonnull p-values to exactly zero (violation study mode)",
     )
     p_sim.add_argument("--output", default=None)
     p_sim.set_defaults(func=_cmd_simulate)

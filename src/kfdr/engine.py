@@ -56,10 +56,6 @@ class PValueSample:
     def n(self) -> int:
         return self.values.size
 
-    @property
-    def n_true_null(self) -> int | None:
-        return None if self.truth is None else int(np.count_nonzero(self.truth))
-
 
 @dataclass(frozen=True, eq=False)
 class DecisionOutcome:

@@ -47,24 +47,10 @@ _NODES = 20  # Gauss-Legendre nodes per piece of the integral
 _REL_TOL_INVERT = 1e-12  # inversion stops once |S_k(t) / target - 1| is at most this
 
 
-def std_normal_cdf(x: float) -> float:
-    """Standard normal CDF via the C library's erfc (error < 1e-13)."""
-    if not math.isfinite(x):
-        raise ValueError(f"std_normal_cdf requires finite input, got {x!r}")
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def std_normal_sf(x: float) -> float:
-    """Upper tail 1 - Phi(x), computed without cancellation."""
-    if not math.isfinite(x):
-        raise ValueError(f"std_normal_sf requires finite input, got {x!r}")
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
 def std_normal_sf_array(x: np.ndarray) -> np.ndarray:
     """1 - Phi over an array, cancellation-free and bit-equal to
-    ``std_normal_sf``: numpy's division and halving round as Python's do,
-    so only ``math.erfc`` runs per element."""
+    ``0.5 * math.erfc(x / sqrt(2))``: numpy's division and halving round as
+    Python's do, so only ``math.erfc`` runs per element."""
     arr = np.asarray(x, dtype=np.float64)
     scaled = (arr.ravel() / _SQRT2).tolist()
     out = 0.5 * np.fromiter(map(math.erfc, scaled), dtype=np.float64, count=len(scaled))
@@ -221,17 +207,10 @@ def std_normal_quantile_array(p: np.ndarray) -> np.ndarray:
     """
     arr = np.asarray(p, dtype=np.float64)
     if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError("std_normal_quantile requires 0 < p < 1")
+        raise ValueError("std_normal_quantile_array requires 0 < p < 1")
     upper = arr > 0.5
     x = _lower_quantile(np.where(upper, 1.0 - arr, arr))
     return np.where(upper, -x, x)
-
-
-def std_normal_quantile(p: float) -> float:
-    """Inverse of std_normal_cdf, accurate to the round-trip level (~1e-15)."""
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"std_normal_quantile requires 0 < p < 1, got {p!r}")
-    return float(std_normal_quantile_array(np.array([p]))[0])
 
 
 @lru_cache(maxsize=8)

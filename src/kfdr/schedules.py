@@ -212,10 +212,7 @@ def gen_simes(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSche
 
 def bh_classic(n: int, alpha: float) -> CriticalValueSchedule:
     """Original Benjamini-Hochberg stepup schedule alpha_i = i*alpha/n."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _validate_inputs(n, 1, alpha, None)
     return CriticalValueSchedule(
         alphas=[i * alpha / n for i in range(1, n + 1)],
         k=1,
@@ -241,34 +238,18 @@ def _s_primes(n: int, k: int, n0s: Sequence[int], f_base: np.ndarray) -> list[fl
     C(n0,k) * [F(b_{n-n0+k}) + sum_{i=k+1}^{n0} (F(b_{n-n0+i}) - F(b_{n-n0+i-1})) / C(i,k)].
     """
     diffs = np.diff(f_base)
-    combs = np.array([float(math.comb(i, k)) for i in range(k + 1, n + 1)])
+    try:
+        # C(i, k) grows with i, so every C(n0, k) below fits once these do.
+        combs = np.array([float(math.comb(i, k)) for i in range(k + 1, n + 1)])
+    except OverflowError as exc:
+        raise ValueError(
+            "a rescaling weight overflows double precision: C(n, k) is too large"
+        ) from exc
     return [
         math.comb(n0, k)
         * (float(f_base[n - n0 + k - 1]) + math.fsum(diffs[n - n0 + k - 1 :] / combs[: n0 - k]))
         for n0 in n0s
     ]
-
-
-def s_prime(
-    n: int,
-    k: int,
-    n0: int,
-    base: Sequence[float],
-    model: FkModel,
-) -> float:
-    """Rescaling sum S'(n0) for a candidate base sequence.
-
-    Evaluates C(n0,k)[F_k(b_{n-n0+k}) + sum a_i^{-1} telescoped F_k
-    differences] with binomial weights C(i,k).
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if model.k != k:
-        raise ValueError(f"model order {model.k} does not match schedule order {k}")
-    if not k <= n0 <= n:
-        raise ValueError(f"need k <= n0 <= n, got n0={n0}")
-    base = _check_base(n, k, base)
-    return _s_primes(n, k, [n0], fk_eval(model, base))[0]
 
 
 def rescaled_stepup(

@@ -18,7 +18,9 @@ thresholds after one plain sort of -x. A sweep over n0 builds its schedules
 and thresholds once, since they do not depend on n0. ``draw_sample`` still
 returns the p-values of one iteration, as the reference the tests compare
 with. Also provides the exact closed-form lower bound showing that
-generalized Simes critical values can fail to control the k-FDR.
+generalized Simes critical values can fail to control the k-FDR; a sweep at
+mu_alt = +inf, where every nonnull p-value is exactly zero, realizes the
+construction behind it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import engine
-from .fk_models import FkModel, equicorrelated_fk, independent_fk
+from .fk_models import equicorrelated_fk, independent_fk
 from .numerics import std_normal_sf_array, std_normal_sf_thresholds
 from .schedules import STEPUP, CriticalValueSchedule, make_schedule, needs_model
 
@@ -46,9 +48,9 @@ _BLOCK_VALUES = 16384
 class SimulationConfig:
     """One experiment: n tests, n0 true nulls, procedures run at level alpha.
 
-    ``force_nonnull_zero`` sets the n1 = n - n0 nonnull statistics to +inf,
-    whose p-values are exact zeros, emulating a procedure that always
-    rejects the nonnulls first; this realizes the k-FDR violation
+    The n1 = n - n0 nonnull statistics have mean ``mu_alt``. At mu_alt =
+    +inf they are all +inf, whose p-values are exact zeros, so every
+    procedure rejects the nonnulls first; this realizes the k-FDR violation
     construction.
     """
 
@@ -61,7 +63,6 @@ class SimulationConfig:
     seed: int
     procedures: tuple[str, ...]
     mu_alt: float = 2.0
-    force_nonnull_zero: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -107,13 +108,6 @@ class SimulationSummary:
     results: tuple[ProcedureEstimates, ...]
 
 
-def null_model_for(config: SimulationConfig) -> FkModel:
-    """The joint null model implied by the config's correlation."""
-    if config.rho == 0.0:
-        return independent_fk(config.k)
-    return equicorrelated_fk(config.k, config.rho)
-
-
 def _streams(seed: int) -> tuple[np.random.Generator, dict]:
     """A Philox generator and a state that re-keys it: with
     ``state["state"]["key"][0]`` set to an iteration, assigning ``state`` to
@@ -128,9 +122,9 @@ def _draw_block(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
     from iteration start + i.
 
     X_i = mu_i + sqrt(rho) Z + sqrt(1-rho) eps_i with the first n0 means at
-    zero and the rest at mu_alt (+inf under ``force_nonnull_zero``); the
-    p-value of X_i is 1 - Phi(X_i). Per iteration the
-    generator is re-keyed to the start of the stream of
+    zero and the rest at mu_alt; the p-value of X_i is 1 - Phi(X_i). An
+    infinite mu_alt makes those X_i infinite, since the draws are finite.
+    Per iteration the generator is re-keyed to the start of the stream of
     ``Philox(key=(seed << 64) + iteration)``, and the common factor Z is drawn
     first, then the n idiosyncratic terms.
     """
@@ -142,10 +136,7 @@ def _draw_block(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
         rng.standard_normal(out=row)
     mu = np.zeros(config.n)
     mu[config.n0 :] = config.mu_alt
-    x = mu + math.sqrt(config.rho) * draws[:, :1] + math.sqrt(1.0 - config.rho) * draws[:, 1:]
-    if config.force_nonnull_zero:
-        x[:, config.n0 :] = np.inf
-    return x
+    return mu + math.sqrt(config.rho) * draws[:, :1] + math.sqrt(1.0 - config.rho) * draws[:, 1:]
 
 
 def draw_sample(config: SimulationConfig, iteration_index: int) -> engine.PValueSample:
@@ -158,7 +149,10 @@ def draw_sample(config: SimulationConfig, iteration_index: int) -> engine.PValue
 def _build_schedules(config: SimulationConfig) -> list[CriticalValueSchedule]:
     model = None
     if any(needs_model(name) for name in config.procedures):
-        model = null_model_for(config)
+        if config.rho == 0.0:
+            model = independent_fk(config.k)
+        else:
+            model = equicorrelated_fk(config.k, config.rho)
     return [
         make_schedule(name, n=config.n, k=config.k, alpha=config.alpha, model=model)
         for name in config.procedures

@@ -126,6 +126,12 @@ def test_counterexample_csv(capsys):
          "procedure 'rescaled_const:abc': .* got 'abc'"),
         (["schedule", "--procedure", "rescaled_const:2", "--n", 5],
          r"procedure 'rescaled_const:2': .* in \[0, 1\], got '2'"),
+        (["schedule", "--procedure", "rescaled_hochberg", "--n", 1035, "--k", 488],
+         "rescaling weight overflows double precision"),
+        (["schedule", "--procedure", "rescaled_const:0.01", "--n", 1035, "--k", 488],
+         "rescaling weight overflows double precision"),
+        (["simulate", "--n", 1035, "--k", 488, "--n0-grid", 1035, "--iterations", 2,
+          "--procedures", "rescaled_hochberg"], "rescaling weight overflows double precision"),
     ],
 )
 def test_validation_errors_exit_one(argv, message, capsys):
@@ -133,6 +139,39 @@ def test_validation_errors_exit_one(argv, message, capsys):
     assert code == 1
     assert err.startswith("error: ")
     assert re.search(message, err)
+
+
+@pytest.mark.parametrize("sub", ["adjust", "schedule", "simulate"])
+def test_unopenable_output_exits_one(sub, ties_csv, tmp_path, capsys):
+    argv = {
+        "adjust": ["adjust", ties_csv],
+        "schedule": ["schedule", "--n", 5],
+        "simulate": ["simulate", "--n", 10, "--n0-grid", 5, "--iterations", 3],
+    }[sub]
+    dest = tmp_path / "missing" / "out.csv"
+    code, out, err = run([*argv, "--output", dest], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {str(dest)!r}: ")
+
+
+def test_force_nonnull_zero_is_mu_alt_inf(tmp_path, capsys):
+    argv = ["simulate", "--n", 12, "--k", 2, "--rho", 0.5, "--n0-grid", "3,12",
+            "--iterations", 50, "--procedures", "gen_bh,gen_simes"]
+    outputs = {}
+    for name, flags in [
+        ("inf", ["--mu-alt", "inf"]),
+        ("force", ["--force-nonnull-zero"]),
+        ("force-over-3", ["--force-nonnull-zero", "--mu-alt", 3]),
+        ("3", ["--mu-alt", 3]),
+    ]:
+        dest = tmp_path / f"{name}.csv"
+        assert run([*argv, *flags, "--output", dest], capsys)[0] == 0
+        outputs[name] = dest.read_bytes()
+    assert outputs["force"] == outputs["inf"]
+    assert outputs["force-over-3"] == outputs["inf"] != outputs["3"]
+    code, out, _ = run(["simulate", "--help"], capsys)
+    assert code == 0
+    assert "--force-nonnull-zero same as --mu-alt inf:" in " ".join(out.split())
 
 
 @pytest.mark.parametrize(

@@ -92,7 +92,7 @@ class TestPValueSample:
     def test_arrays(self):
         sample = sample_from([0.5, 0.25], [True, False])
         assert sample.values.dtype == np.float64 and sample.truth.dtype == bool
-        assert sample.n == 2 and sample.n_true_null == 1
+        assert sample.n == 2 and sample.truth.tolist() == [True, False]
 
     @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.5, math.inf])
     def test_rejects_outside_unit_interval(self, bad):

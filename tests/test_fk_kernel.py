@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from kfdr import schedules
 from kfdr.fk_models import (
     equicorrelated_fk,
     fit_empirical_fk,
@@ -25,7 +26,6 @@ from kfdr.schedules import (
     gen_simes,
     make_schedule,
     rescaled_stepup,
-    s_prime,
 )
 
 RHOS = (0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0)
@@ -100,16 +100,14 @@ def test_schedules_invert_to_their_targets(rho, k):
 
 
 def test_one_inversion_per_schedule(monkeypatch):
-    import kfdr.schedules as schedules_module
-
     calls = []
-    real = schedules_module.fk_invert
+    real = schedules.fk_invert
 
     def counting(model, targets):
         calls.append(np.size(targets))
         return real(model, targets)
 
-    monkeypatch.setattr(schedules_module, "fk_invert", counting)
+    monkeypatch.setattr(schedules, "fk_invert", counting)
     gen_holm_stepdown(300, 2, 0.05, equicorrelated_fk(2, 0.5))
     assert calls == [300]
 
@@ -181,7 +179,7 @@ def test_rescaling_sum_matches_loop():
         model = independent_fk(k)
         f_base = [b**k for b in base]
         loop = [_s_prime_loop(n, k, n0, f_base) for n0 in range(k, n + 1)]
-        assert [s_prime(n, k, n0, base, model) for n0 in range(k, n + 1)] == loop
+        assert schedules._s_primes(n, k, range(k, n + 1), fk_eval(model, base)) == loop
         alpha = 0.05
         expected = [alpha * f_base[max(i, k) - 1] / max(loop) for i in range(1, n + 1)]
         assert rescaled_stepup(n, k, alpha, base, model).f_targets.tolist() == expected

@@ -9,10 +9,7 @@ from kfdr import numerics
 from kfdr.numerics import (
     equicorrelated_min_survivor,
     invert_min_survivor,
-    std_normal_cdf,
-    std_normal_quantile,
     std_normal_quantile_array,
-    std_normal_sf,
     std_normal_sf_array,
     std_normal_sf_thresholds,
 )
@@ -26,38 +23,41 @@ SURV_1_030_3 = 0.017767238499379817
 SURV_M07_020_4 = 0.3950235186938144
 
 
+def sf(x):
+    """1 - Phi(x) for one float, the formula std_normal_sf_array is bit-equal to."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
 class TestStdNormalCdf:
+    # Phi(x) is std_normal_sf_array(-x).
     def test_symmetry_at_zero(self):
-        assert std_normal_cdf(0.0) == 0.5
+        assert std_normal_sf_array(-0.0) == 0.5
 
     def test_far_tail_saturates(self):
-        assert std_normal_cdf(40.0) == pytest.approx(1.0, abs=1e-15)
-        assert std_normal_cdf(-40.0) == pytest.approx(0.0, abs=1e-15)
+        assert std_normal_sf_array(-40.0) == pytest.approx(1.0, abs=1e-15)
+        assert std_normal_sf_array(40.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_reference_value(self):
-        assert std_normal_cdf(1.959964) == pytest.approx(PHI_1959964, abs=1e-12)
-
-    def test_rejects_non_finite(self):
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError):
-                std_normal_cdf(bad)
+        assert std_normal_sf_array(-1.959964) == pytest.approx(PHI_1959964, abs=1e-12)
 
     def test_sf_complements_cdf(self):
-        for x in (-3.0, -0.5, 0.0, 1.7, 6.0):
-            assert std_normal_sf(x) + std_normal_cdf(x) == pytest.approx(1.0, abs=1e-14)
+        xs = np.array([-3.0, -0.5, 0.0, 1.7, 6.0])
+        np.testing.assert_allclose(
+            std_normal_sf_array(xs) + std_normal_sf_array(-xs), 1.0, rtol=0, atol=1e-14
+        )
 
     def test_array_matches_scalar(self):
         xs = np.linspace(-5, 5, 37)
-        np.testing.assert_array_equal(std_normal_sf_array(xs), [std_normal_sf(x) for x in xs])
+        np.testing.assert_array_equal(std_normal_sf_array(xs), [sf(x) for x in xs])
         lower = xs[xs <= 0.0]  # where p = Phi(x) carries full precision
         np.testing.assert_allclose(
-            std_normal_quantile_array([std_normal_cdf(x) for x in lower]), lower, rtol=0, atol=1e-14
+            std_normal_quantile_array(std_normal_sf_array(-lower)), lower, rtol=0, atol=1e-14
         )
 
     @given(st.floats(-8, 8), st.floats(-8, 8))
     def test_monotone(self, x1, x2):
         lo, hi = sorted((x1, x2))
-        assert std_normal_cdf(lo) <= std_normal_cdf(hi)
+        assert std_normal_sf_array(-lo) <= std_normal_sf_array(-hi)
 
 
 class TestSfThresholds:
@@ -84,32 +84,34 @@ class TestSfThresholds:
 
 class TestStdNormalQuantile:
     def test_median(self):
-        assert std_normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
+        assert std_normal_quantile_array([0.5])[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_reference_value(self):
-        assert std_normal_quantile(0.975) == pytest.approx(PHI_INV_0975, abs=1e-6)
+        assert std_normal_quantile_array([0.975])[0] == pytest.approx(PHI_INV_0975, abs=1e-6)
 
     def test_antisymmetry(self):
-        for p in (0.001, 0.1, 0.25, 0.4997, 0.93):
-            assert std_normal_quantile(p) + std_normal_quantile(1 - p) == pytest.approx(
-                0.0, abs=1e-9
-            )
+        ps = np.array([0.001, 0.1, 0.25, 0.4997, 0.93])
+        np.testing.assert_allclose(
+            std_normal_quantile_array(ps) + std_normal_quantile_array(1 - ps), 0.0,
+            rtol=0, atol=1e-9,
+        )
 
     def test_rejects_out_of_range(self):
         for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                std_normal_quantile(bad)
+            with pytest.raises(ValueError, match="std_normal_quantile_array requires 0 < p < 1"):
+                std_normal_quantile_array([bad])
 
     def test_round_trip_bulk(self):
         rng = np.random.default_rng(1001)
         ps = rng.uniform(1e-8, 1 - 1e-8, size=10_000)
-        for p in ps:
-            assert abs(std_normal_cdf(std_normal_quantile(p)) - p) <= 1e-8
+        round_trip = std_normal_sf_array(-std_normal_quantile_array(ps))
+        assert np.max(np.abs(round_trip - ps)) <= 1e-8
 
     @given(st.floats(1e-12, 1 - 1e-12))
     @settings(max_examples=200)
     def test_round_trip_property(self, p):
-        assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-9)
+        x = std_normal_quantile_array([p])
+        assert std_normal_sf_array(-x)[0] == pytest.approx(p, abs=1e-9)
 
 
 class TestEquicorrelatedMinSurvivor:
@@ -119,7 +121,7 @@ class TestEquicorrelatedMinSurvivor:
     def test_perfect_correlation_limit(self):
         for t in (-1.3, 0.0, 0.8, 2.5):
             for k in (1, 3, 5):
-                assert equicorrelated_min_survivor(t, 1.0, k) == std_normal_sf(t)
+                assert equicorrelated_min_survivor(t, 1.0, k) == sf(t)
 
     def test_arcsine_identity(self):
         # Pr{X1 >= 0, X2 >= 0} = 1/4 + arcsin(rho)/(2 pi); at rho = 1/2 that is 1/3.
@@ -136,7 +138,7 @@ class TestEquicorrelatedMinSurvivor:
     def test_reduces_to_power_at_rho_zero(self):
         for t in np.linspace(-3, 3, 13):
             for k in (1, 2, 5):
-                expected = std_normal_sf(t) ** k
+                expected = sf(t) ** k
                 assert equicorrelated_min_survivor(t, 0.0, k) == pytest.approx(
                     expected, abs=1e-8
                 )
@@ -184,14 +186,14 @@ class TestEquicorrelatedMinSurvivor:
         ts = np.array([5.0, 10.0, 20.0, 37.0])
         for rho in (0.0, 0.5, 0.9):
             got = equicorrelated_min_survivor(ts, rho, 1)
-            np.testing.assert_allclose(got, [std_normal_sf(t) for t in ts], rtol=1e-12)
+            np.testing.assert_allclose(got, [sf(t) for t in ts], rtol=1e-12)
 
     def test_quadrature_matches_monte_carlo(self):
         rng = np.random.default_rng(77)
         for _ in range(5):
             k = int(rng.integers(1, 6))
             rho = float(rng.uniform(0.0, 0.8))
-            t_max = std_normal_quantile(1.0 - 1e-4 ** (1.0 / k))
+            t_max = float(std_normal_quantile_array([1.0 - 1e-4 ** (1.0 / k)])[0])
             t = float(rng.uniform(-2.0, t_max))
             m = 1_000_000
             z = rng.standard_normal(m)
@@ -219,15 +221,15 @@ class TestInvertMonotone:
         # F_1(x) = x for every rho: the threshold is the normal quantile
         for rho in (0.0, 0.3, 0.9, 1.0):
             (t,) = invert_min_survivor([0.3], rho, 1)
-            assert std_normal_sf(t) == pytest.approx(0.3, rel=1e-14)
+            assert sf(t) == pytest.approx(0.3, rel=1e-14)
 
     def test_square(self):
         (t,) = invert_min_survivor([1e-4], 0.0, 2)
-        assert std_normal_sf(t) == pytest.approx(1e-2, rel=1e-12)
+        assert sf(t) == pytest.approx(1e-2, rel=1e-12)
 
     def test_cube(self):
         (t,) = invert_min_survivor([0.027], 0.0, 3)
-        assert std_normal_sf(t) == pytest.approx(0.3, rel=1e-12)
+        assert sf(t) == pytest.approx(0.3, rel=1e-12)
 
     def test_out_of_range_target(self):
         for bad in (0.0, 1.0, -0.1, 1.5, math.nan):

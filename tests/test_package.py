@@ -1,0 +1,16 @@
+import kfdr
+
+PUBLIC = [
+    "CriticalValueSchedule", "DecisionOutcome", "FkModel", "PValueSample", "ProcedureEstimates",
+    "SimulationConfig", "SimulationSummary", "bh_classic", "counterexample_bound", "decide",
+    "draw_sample", "equicorrelated_fk", "figure_sweep", "fit_empirical_fk", "fk_eval",
+    "fk_invert", "gen_bh", "gen_by", "gen_hochberg_stepup", "gen_holm_stepdown", "gen_simes",
+    "independent_fk", "k_fdp", "lehmann_romano_stepdown", "load_empirical_csv", "make_schedule",
+    "rescaled_stepup", "run_experiment", "sample_from", "save_empirical_csv", "write_sweep_csv",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert sorted(kfdr.__all__) == PUBLIC
+    for name in PUBLIC:
+        getattr(kfdr, name)

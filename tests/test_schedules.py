@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfdr import schedules
 from kfdr.fk_models import equicorrelated_fk, fk_eval, independent_fk
 from kfdr.schedules import (
     STEPDOWN,
@@ -21,7 +22,6 @@ from kfdr.schedules import (
     make_schedule,
     needs_model,
     rescaled_stepup,
-    s_prime,
 )
 
 IND1 = independent_fk(1)
@@ -223,6 +223,12 @@ class TestBhClassic:
             )
 
 
+def s_prime(n, k, n0, base, model):
+    """S'(n0) of rescaled_stepup's rescaling constant D' = max S'(n0)."""
+    (value,) = schedules._s_primes(n, k, [n0], fk_eval(model, base))
+    return value
+
+
 class TestSPrime:
     def test_n0_equals_k_single_term(self):
         base = (0.1, 0.2, 0.4, 0.8)
@@ -242,12 +248,8 @@ class TestSPrime:
             assert s_prime(n, k, n0, (c,) * n, model) == pytest.approx(expected, abs=1e-13)
 
     def test_rejects_decreasing_base(self):
-        with pytest.raises(ValueError):
-            s_prime(3, 1, 2, (0.5, 0.4, 0.9), IND1)
-
-    def test_rejects_bad_n0(self):
-        with pytest.raises(ValueError):
-            s_prime(3, 2, 1, (0.1, 0.2, 0.3), IND2)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            rescaled_stepup(3, 1, 0.05, (0.5, 0.4, 0.9), IND1)
 
 
 class TestRescaledStepup:

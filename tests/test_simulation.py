@@ -6,7 +6,7 @@ import pytest
 
 from kfdr import simulation
 from kfdr.engine import decide, k_fdp
-from kfdr.numerics import std_normal_sf, std_normal_sf_array, std_normal_sf_thresholds
+from kfdr.numerics import std_normal_sf_array, std_normal_sf_thresholds
 from kfdr.schedules import STEPDOWN, STEPUP, CriticalValueSchedule
 from kfdr.simulation import SimulationConfig, counterexample_bound, draw_sample, run_experiment
 
@@ -89,7 +89,7 @@ def hand_schedule(direction, alphas):
 
 
 # Critical values of 0.0 and 1.0 in both directions: p-values of exactly 0
-# (force_nonnull_zero) and 1 (mu_alt far below 0) meet them with equality.
+# (mu_alt = +inf) and 1 (mu_alt far below 0) meet them with equality.
 HAND = (
     hand_schedule(STEPUP, [0.0] * 3 + [0.001, 0.01, 0.05, 0.2, 0.5, 0.5, 0.9, 1.0, 1.0]),
     hand_schedule(STEPDOWN, [0.0] * 3 + [0.001, 0.01, 0.05, 0.2, 0.5, 0.5, 0.9, 1.0, 1.0]),
@@ -101,7 +101,8 @@ HAND = (
 @pytest.mark.parametrize(
     "overrides, schedules",
     [
-        pytest.param(dict(n0=n0, force_nonnull_zero=force, rho=rho), None,
+        # force=True is the violation construction, nonnull statistics at +inf.
+        pytest.param(dict(n0=n0, rho=rho, **({"mu_alt": math.inf} if force else {})), None,
                      id=f"{n0}-{force}-{rho}")
         for n0 in (3, 12) for force in (False, True) for rho in (0.0, 0.5, 1.0)
     ] + [
@@ -109,7 +110,7 @@ HAND = (
         pytest.param(dict(n0=3, rho=0.5, mu_alt=-40.0), None, id="mu_alt=-40"),
         pytest.param(dict(n0=3, rho=0.5, mu_alt=-math.inf), None, id="mu_alt=-inf"),
         pytest.param(dict(n0=6, rho=0.5, mu_alt=-40.0), HAND, id="hand-mu_alt=-40"),
-        pytest.param(dict(n0=6, rho=0.5, force_nonnull_zero=True), HAND, id="hand-zeros"),
+        pytest.param(dict(n0=6, rho=0.5, mu_alt=math.inf), HAND, id="hand-zeros"),
         pytest.param(dict(n0=0, rho=0.0, mu_alt=-math.inf), HAND, id="hand-all-ones"),
         pytest.param(dict(n=400, n0=300, rho=0.5), None, id="n=400"),
     ],
@@ -161,7 +162,7 @@ def test_draw_sample_follows_one_factor_model():
     draws = np.random.Generator(np.random.Philox(key=(cfg.seed << 64) + 9)).standard_normal(7)
     x = [mu + math.sqrt(0.3) * draws[0] + math.sqrt(1.0 - 0.3) * e
          for mu, e in zip([0.0] * 4 + [1.5] * 2, draws[1:])]
-    assert draw_sample(cfg, 9).values.tolist() == [std_normal_sf(v) for v in x]
+    assert draw_sample(cfg, 9).values.tolist() == [0.5 * math.erfc(v / math.sqrt(2.0)) for v in x]
 
 
 def test_rerun_is_bit_identical():
@@ -187,7 +188,7 @@ def test_simulation_reproduces_simes_violation():
     # closed-form bound, which is above alpha.
     _, bound = counterexample_bound(50, 10, 0.05)
     cfg = config(n=60, n0=50, iterations=4000, seed=1, procedures=("gen_simes",),
-                 force_nonnull_zero=True)
+                 mu_alt=math.inf)
     (est,) = run_experiment(cfg).results
     assert est.kfdr_se > 0.0
     assert est.kfdr_hat >= bound - 4 * est.kfdr_se
