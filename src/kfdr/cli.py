@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 from itertools import chain, count, islice, repeat
 from typing import IO, Iterable, Iterator, Sequence
@@ -109,6 +110,17 @@ def _output(path: str | None) -> Iterator[IO[str]]:
             yield fh
 
 
+def _check_output_dir(path: str | None) -> None:
+    """Fail as ``_output`` would when the directory of ``path`` is missing or
+    not a directory, without creating or truncating anything, so a long run
+    can check its destination before it starts."""
+    if path is None or path == "-":
+        return
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"cannot write {path!r}: {directory!r} is not an existing directory")
+
+
 def _write_lines(out: IO[str], lines: Iterable[str]) -> None:
     """Write each line newline-terminated, _LINES_PER_WRITE lines per write."""
     lines = iter(lines)
@@ -183,6 +195,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         procedures=procedures,
         mu_alt=math.inf if args.force_nonnull_zero else args.mu_alt,
     )
+    _check_output_dir(args.output)
     summaries = figure_sweep(base, grid)
     with _output(args.output) as out:
         write_sweep_csv(summaries, out)

@@ -4,18 +4,26 @@ Draws equicorrelated normal test statistics via the one-factor model, runs a
 panel of stepwise procedures on them and estimates k-FDR, k-FWER, FDR and
 average power with standard errors. Each iteration gets its own
 counter-based Philox stream keyed by (seed, iteration), so serial and
-blocked execution produce bit-identical results. Iterations run in blocks of
-about ``_BLOCK_VALUES`` statistics: one Philox generator is re-keyed per
-iteration to fill an [m, n] block of statistics x, which is sorted and
-counted (``engine.rejection_count``) as whole arrays.
+blocked execution produce bit-identical results, and the draws of an
+iteration are the same at every n0.
+
+A sweep over n0 is one grid-major pass. Iterations run in blocks of about
+``_BLOCK_VALUES`` statistics: one Philox generator is re-keyed per iteration
+to fill the block's normals, which are drawn once per sweep, and every grid
+point adds its means to the same common and idiosyncratic terms, then sorts
+and counts (``engine.rejection_count``) its [m, n] block of statistics x as
+whole arrays. The rejections and false rejections of every iteration are
+kept as int32 counts, grid x procedures x iterations x 8 bytes in all (0.6
+MB for 5 points, 3 procedures and 5000 iterations), and the measures are
+formed from them at the end. ``run_experiment`` is the one-point case.
 
 The sweep never computes p-values. p = 1 - Phi(x) is nonincreasing in x, so
 a stepwise decision depends only on the order of the x and on where each
 critical value falls on the x axis: once per schedule, each alpha_i becomes
 the smallest double tau_i whose p-value meets it
 (``std_normal_sf_thresholds``), and a block is compared with these
-thresholds after one plain sort of -x. A sweep over n0 builds its schedules
-and thresholds once, since they do not depend on n0. ``draw_sample`` still
+thresholds after one plain sort of -x. A sweep builds its schedules and
+thresholds once, since they do not depend on n0. ``draw_sample`` still
 returns the p-values of one iteration, as the reference the tests compare
 with. Also provides the exact closed-form lower bound showing that
 generalized Simes critical values can fail to control the k-FDR; a sweep at
@@ -117,16 +125,18 @@ def _streams(seed: int) -> tuple[np.random.Generator, dict]:
     return np.random.Generator(bit_generator), bit_generator.state
 
 
-def _draw_block(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
-    """The statistics of iterations start..stop-1 as an [m, n] block, row i
-    from iteration start + i.
+def _draw_block(
+    config: SimulationConfig, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one-factor terms of iterations start..stop-1, row i from
+    iteration start + i: the common term sqrt(rho) Z as an [m, 1] column and
+    the idiosyncratic terms sqrt(1-rho) eps as an [m, n] block.
 
-    X_i = mu_i + sqrt(rho) Z + sqrt(1-rho) eps_i with the first n0 means at
-    zero and the rest at mu_alt; the p-value of X_i is 1 - Phi(X_i). An
-    infinite mu_alt makes those X_i infinite, since the draws are finite.
-    Per iteration the generator is re-keyed to the start of the stream of
-    ``Philox(key=(seed << 64) + iteration)``, and the common factor Z is drawn
-    first, then the n idiosyncratic terms.
+    They do not depend on n0, so a sweep draws each block once and
+    ``_statistics`` adds the means of every n0 point to the same terms. Per
+    iteration the generator is re-keyed to the start of the stream of
+    ``Philox(key=(seed << 64) + iteration)``, and Z is drawn first, then the
+    n eps_i.
     """
     rng, state = _streams(config.seed)
     draws = np.empty((stop - start, config.n + 1))
@@ -134,15 +144,26 @@ def _draw_block(config: SimulationConfig, start: int, stop: int) -> np.ndarray:
         state["state"]["key"][0] = iteration
         rng.bit_generator.state = state
         rng.standard_normal(out=row)
+    return math.sqrt(config.rho) * draws[:, :1], math.sqrt(1.0 - config.rho) * draws[:, 1:]
+
+
+def _statistics(config: SimulationConfig, common: np.ndarray, idio: np.ndarray) -> np.ndarray:
+    """X_i = mu_i + sqrt(rho) Z + sqrt(1-rho) eps_i for the terms of
+    ``_draw_block``, with the first n0 means at zero and the rest at mu_alt,
+    as a new array; ``common`` and ``idio`` are left as they are. The p-value
+    of X_i is 1 - Phi(X_i). An infinite mu_alt makes those X_i infinite,
+    since the draws are finite.
+    """
     mu = np.zeros(config.n)
     mu[config.n0 :] = config.mu_alt
-    return mu + math.sqrt(config.rho) * draws[:, :1] + math.sqrt(1.0 - config.rho) * draws[:, 1:]
+    return mu + common + idio
 
 
 def draw_sample(config: SimulationConfig, iteration_index: int) -> engine.PValueSample:
     """One draw of n one-sided p-values with truth labels attached, the p-values
     of the statistics ``run_experiment`` draws at that iteration."""
-    p = std_normal_sf_array(_draw_block(config, iteration_index, iteration_index + 1)[0])
+    terms = _draw_block(config, iteration_index, iteration_index + 1)
+    p = std_normal_sf_array(_statistics(config, *terms)[0])
     return engine.PValueSample(values=p, truth=np.arange(config.n) < config.n0)
 
 
@@ -190,10 +211,61 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, se
 
 
+def _sweep(
+    configs: Sequence[SimulationConfig], rules: Sequence[tuple[str, np.ndarray]]
+) -> list[SimulationSummary]:
+    """The Monte Carlo kernel: estimates for configs that differ only in n0,
+    scored block by block on the same draws. Per config, s = sort(-x) row-wise,
+    r is ``engine.rejection_count(s, bounds, direction)`` and V counts the
+    nulls with -x <= s_r (0 when r = 0); r and V are kept per iteration as
+    int32 [config, procedure, iteration] arrays and become the four measures
+    after the last block.
+    """
+    if not configs:
+        return []
+    base = configs[0]
+    k, iters = base.k, base.iterations
+    r = np.empty((len(configs), len(rules), iters), dtype=np.int32)
+    v = np.empty_like(r)
+    block = max(1, _BLOCK_VALUES // base.n)
+    for start in range(0, iters, block):
+        stop = min(start + block, iters)
+        common, idio = _draw_block(base, start, stop)
+        rows = np.arange(stop - start)
+        for c, config in enumerate(configs):
+            neg_x = -_statistics(config, common, idio)
+            s = np.sort(neg_x, axis=1)
+            for j, (direction, bounds) in enumerate(rules):
+                count = engine.rejection_count(s, bounds, direction)
+                last_rejected = s[rows, np.maximum(count, 1) - 1, None]
+                below = np.count_nonzero(neg_x[:, : config.n0] <= last_rejected, axis=1)
+                r[c, j, start:stop] = count
+                v[c, j, start:stop] = np.where(count > 0, below, 0)
+
+    summaries = []
+    for config, r_c, v_c in zip(configs, r, v):
+        results = []
+        for name, r_j, v_j in zip(config.procedures, r_c, v_c):
+            r_safe = np.maximum(r_j, 1)
+            # k-FDP, k-FWER indicator, FDP and power per iteration.
+            measures = (
+                np.where(v_j >= k, v_j / r_safe, 0.0),
+                (v_j >= k).astype(np.float64),
+                v_j / r_safe,
+                (r_j - v_j) / config.n1 if config.n1 > 0 else np.zeros(iters),
+            )
+            estimates = [value for m in measures for value in _mean_se(m)]
+            results.append(ProcedureEstimates(name, *estimates))
+        summaries.append(SimulationSummary(config=config, results=tuple(results)))
+    return summaries
+
+
 def run_experiment(
     config: SimulationConfig, rules: Sequence[tuple[str, np.ndarray]] | None = None
 ) -> SimulationSummary:
-    """Estimate error rates and power for every configured procedure.
+    """Estimate error rates and power for every configured procedure: the
+    one-point case of the sweep kernel, which keeps procedures x iterations
+    x 8 bytes of counts.
 
     Per iteration and procedure the k-FDP (at the config's k), the indicator
     of at least k false rejections, the FDP and the rejected fraction of
@@ -203,51 +275,29 @@ def run_experiment(
     ``_statistic_rules``, are built from the config when not given; they do
     not depend on n0.
 
-    Each block is sorted row-wise as s = sort(-x), a rule's rejection count
-    r is ``engine.rejection_count(s, bounds, direction)``, and V counts the
-    nulls with -x <= s_r (0 when r = 0). These equal the r and V of the
-    p-value procedure even where p-values tie, for instance at 1.0 for
-    distinct very negative x, because with nondecreasing alphas a stepwise
-    rule rejects a group of tied p-values whole: at a stepup count r,
-    p_(r) = p_(r+1) would make rank r + 1 a hit too (p_(r+1) <= alpha_r <=
-    alpha_(r+1)), and at a stepdown count r it would keep rank r + 1 from
-    missing (p_(r+1) < alpha_r <= alpha_(r+1)). So the rejected set is every
-    hypothesis with p <= p_(r), which is every one with -x <= s_r, whatever
-    order a sort gives tied values.
+    Counting on sorted -x gives the r and V of the p-value procedure even
+    where p-values tie, for instance at 1.0 for distinct very negative x,
+    because with nondecreasing alphas a stepwise rule rejects a group of
+    tied p-values whole: at a stepup count r, p_(r) = p_(r+1) would make rank
+    r + 1 a hit too (p_(r+1) <= alpha_r <= alpha_(r+1)), and at a stepdown
+    count r it would keep rank r + 1 from missing (p_(r+1) < alpha_r <=
+    alpha_(r+1)). So the rejected set is every hypothesis with p <= p_(r),
+    which is every one with -x <= s_r, whatever order a sort gives tied
+    values.
     """
     if rules is None:
         rules = _statistic_rules(_build_schedules(config))
-    n, n0, n1, k, iters = config.n, config.n0, config.n1, config.k, config.iterations
-    # [measure, procedure, iteration]: k-FDP, k-FWER indicator, FDP, power.
-    stats = np.empty((4, len(rules), iters))
-    block = max(1, _BLOCK_VALUES // n)
-    for start in range(0, iters, block):
-        stop = min(start + block, iters)
-        neg_x = -_draw_block(config, start, stop)
-        s = np.sort(neg_x, axis=1)
-        rows = np.arange(stop - start)
-        for j, (direction, bounds) in enumerate(rules):
-            r = engine.rejection_count(s, bounds, direction)
-            r_safe = np.maximum(r, 1)
-            last_rejected = s[rows, r_safe - 1, None]
-            v = np.where(r > 0, np.count_nonzero(neg_x[:, :n0] <= last_rejected, axis=1), 0)
-            stats[0, j, start:stop] = np.where(v >= k, v / r_safe, 0.0)
-            stats[1, j, start:stop] = v >= k
-            stats[2, j, start:stop] = v / r_safe
-            stats[3, j, start:stop] = (r - v) / n1 if n1 > 0 else 0.0
-
-    results = []
-    for j, name in enumerate(config.procedures):
-        estimates = [value for measure in stats[:, j] for value in _mean_se(measure)]
-        results.append(ProcedureEstimates(name, *estimates))
-    return SimulationSummary(config=config, results=tuple(results))
+    return _sweep([config], rules)[0]
 
 
 def figure_sweep(
     base_config: SimulationConfig, n0_grid: Sequence[int]
 ) -> list[SimulationSummary]:
-    """Run the experiment across a grid of true-null counts, building the
-    schedules and their thresholds once for the whole grid."""
+    """Run the experiment across a grid of true-null counts in one pass of
+    the sweep kernel: the schedules and their thresholds are built once, and
+    every grid point is scored on the same block of draws, so the results
+    equal those of ``run_experiment`` per point. The kernel keeps
+    len(grid) x procedures x iterations x 8 bytes of counts."""
     for n0 in n0_grid:
         if not base_config.k <= n0 <= base_config.n:
             raise ValueError(
@@ -255,10 +305,7 @@ def figure_sweep(
                 f"k={base_config.k}, n={base_config.n}"
             )
     rules = _statistic_rules(_build_schedules(base_config))
-    return [
-        run_experiment(dataclasses.replace(base_config, n0=int(n0)), rules)
-        for n0 in n0_grid
-    ]
+    return _sweep([dataclasses.replace(base_config, n0=int(n0)) for n0 in n0_grid], rules)
 
 
 SWEEP_COLUMNS = (

@@ -154,6 +154,49 @@ def test_unopenable_output_exits_one(sub, ties_csv, tmp_path, capsys):
     assert err.startswith(f"error: cannot write {str(dest)!r}: ")
 
 
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_simulate_checks_output_directory_before_the_sweep(parent, monkeypatch, tmp_path, capsys):
+    def no_sweep(*args):
+        raise AssertionError("figure_sweep ran before --output was checked")
+
+    monkeypatch.setattr(cli, "figure_sweep", no_sweep)
+    (tmp_path / "file").write_text("not a directory\n")
+    dest = tmp_path / parent / "out.csv"
+    argv = ["simulate", "--n", 10, "--n0-grid", 5, "--iterations", 3, "--output", dest]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {str(dest)!r}: ")
+    assert not dest.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["--procedures", "gen_bh,nope"], ["--n0-grid", 11], ["--rho", 2]]
+)
+def test_failing_simulate_keeps_existing_output(flags, tmp_path, capsys):
+    dest = tmp_path / "out.csv"
+    dest.write_bytes(b"n0,procedure\n5,gen_bh\n")
+    before = dest.read_bytes()
+    argv = ["simulate", "--n", 10, "--n0-grid", 5, "--iterations", 3, *flags, "--output", dest]
+    code, _, err = run(argv, capsys)
+    assert code == 1 and err.startswith("error: ")
+    assert dest.read_bytes() == before
+
+
+@pytest.mark.parametrize("flags", [[], ["--force-nonnull-zero"]])
+def test_sweep_rows_are_the_single_point_rows_in_grid_order(flags, capsys):
+    argv = ["simulate", "--n", 12, "--k", 3, "--rho", 0.5, "--iterations", 61,
+            "--procedures", "gen_bh,gen_holm,bh", *flags]
+
+    def data_rows(grid):
+        code, out, _ = run([*argv, "--n0-grid", grid], capsys)
+        assert code == 0
+        return _data_rows(out)[1:]
+
+    singles = [row for n0 in ("3", "12", "7") for row in data_rows(n0)]
+    assert len(singles) == 9
+    assert data_rows("3,12,7") == singles
+
+
 def test_force_nonnull_zero_is_mu_alt_inf(tmp_path, capsys):
     argv = ["simulate", "--n", 12, "--k", 2, "--rho", 0.5, "--n0-grid", "3,12",
             "--iterations", 50, "--procedures", "gen_bh,gen_simes"]

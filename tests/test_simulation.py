@@ -147,6 +147,21 @@ def test_block_size_does_not_change_results(rows, monkeypatch):
     assert run_experiment(cfg) == whole
 
 
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("mu_alt", [2.5, math.inf, -math.inf, -40.0])
+def test_sweep_equals_one_run_per_grid_point(mu_alt, rho, rows, monkeypatch):
+    # Unsorted and repeated, with n0 = k and n0 = n (no nonnulls); 11
+    # iterations do not fill a whole number of 3-row blocks.
+    grid = (12, 3, 12, 7)
+    base = config(n=12, n0=3, k=3, rho=rho, mu_alt=mu_alt, iterations=11, procedures=PANEL)
+    if rows is not None:
+        monkeypatch.setattr(simulation, "_BLOCK_VALUES", rows * base.n)
+    per_point = [run_experiment(dataclasses.replace(base, n0=n0)) for n0 in grid]
+    assert simulation.figure_sweep(base, grid) == per_point
+    assert simulation.figure_sweep(base, ()) == []
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_rekeyed_stream_equals_fresh_philox(seed):
     rng, state = simulation._streams(seed)
