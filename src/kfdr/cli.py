@@ -5,6 +5,12 @@ Subcommands: ``adjust`` (apply a procedure to a CSV of p-values),
 and ``counterexample`` (closed-form 2-FDR violation bound). All outputs are
 CSV with '#'-prefixed metadata comment lines and a mandatory header row.
 Exit codes: 0 success, 1 validation error, 2 runtime/numerical failure.
+
+``adjust`` stays in float64 arrays from input to output: the p-values are
+parsed in one ``float`` pass with one range check, and a row loop runs only
+on a file that pass rejects, to give the same result or word the error.
+Output rows are formatted with ``repr`` from the arrays, one
+``_LINES_PER_WRITE`` block at a time.
 """
 
 from __future__ import annotations
@@ -74,14 +80,39 @@ def _schedule_comments(schedule: CriticalValueSchedule, args: argparse.Namespace
     return lines
 
 
-def _read_pvalues(path: str) -> list[float]:
+def _read_pvalues(path: str) -> np.ndarray:
+    """The p-values of ``path`` as a float64 array, one per row.
+
+    Rows are the ``splitlines`` of the file. A first row reading p (any
+    case, stripped) is a header; blank rows and rows starting with # are
+    skipped. The fast path runs the builtin ``float`` over every row but
+    such a header and checks [0, 1] once for the whole array. ``float``
+    raises on a row the loop skips, and strips no whitespace that
+    ``str.strip`` keeps, so where it succeeds it gives the loop's values.
+    On any ValueError or failed range check the row loop (``_parse_rows``)
+    runs instead, and words the error with its row number.
+    """
     try:
         with open(path, newline="") as fh:
-            raw = fh.read().splitlines()
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
+    start = 1 if lines and lines[0].strip().lower() == "p" else 0
+    rows = islice(lines, start, None)
+    try:
+        values = np.fromiter(map(float, rows), np.float64, len(lines) - start)
+    except ValueError:
+        return _parse_rows(path, lines)
+    # NaN fails both comparisons, so it takes the row loop too.
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        return _parse_rows(path, lines)
+    return values
+
+
+def _parse_rows(path: str, lines: list[str]) -> np.ndarray:
+    """The p-values of the rows of ``path``, one row at a time."""
     values: list[float] = []
-    for lineno, line in enumerate(raw, start=1):
+    for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -94,7 +125,7 @@ def _read_pvalues(path: str) -> list[float]:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{path}: p-value outside [0, 1] on row {lineno}: {p}")
         values.append(p)
-    return values
+    return np.array(values, dtype=np.float64)
 
 
 @contextlib.contextmanager
@@ -128,22 +159,35 @@ def _write_lines(out: IO[str], lines: Iterable[str]) -> None:
         out.write("\n".join(block) + "\n")
 
 
+def _adjust_rows(values: np.ndarray, critical: np.ndarray, rejected: np.ndarray) -> Iterator[str]:
+    """The index,p,critical,rejected rows. The columns become Python floats
+    and bools one _LINES_PER_WRITE block at a time, not as whole lists."""
+    for start in range(0, values.size, _LINES_PER_WRITE):
+        block = slice(start, start + _LINES_PER_WRITE)
+        yield from (
+            f"{i},{p!r},{c!r},{'true' if flag else 'false'}"
+            for i, p, c, flag in zip(
+                count(start + 1),
+                values[block].tolist(),
+                critical[block].tolist(),
+                rejected[block].tolist(),
+            )
+        )
+
+
 def _cmd_adjust(args: argparse.Namespace) -> int:
     # Everything that can fail runs before --output is opened, so a failing
     # call leaves an existing output file as it was.
     values = _read_pvalues(args.input)
     lines: Iterable[str] = ["index,p,critical,rejected"]
-    if values:
-        schedule = _build_schedule(args, n=len(values))
+    if values.size:
+        schedule = _build_schedule(args, n=values.size)
         outcome = engine.decide(engine.sample_from(values), schedule)
-        critical = np.empty(len(values))
+        critical = np.empty(values.size)
         critical[outcome.order] = schedule.alphas
-        rejected = np.zeros(len(values), dtype=bool)
+        rejected = np.zeros(values.size, dtype=bool)
         rejected[outcome.order[: outcome.r]] = True
-        rows = (
-            f"{i},{p!r},{c!r},{'true' if flag else 'false'}"
-            for i, p, c, flag in zip(count(1), values, critical.tolist(), rejected.tolist())
-        )
+        rows = _adjust_rows(values, critical, rejected)
         lines = chain(_schedule_comments(schedule, args), lines, rows)
     with _output(args.output) as out:
         _write_lines(out, lines)

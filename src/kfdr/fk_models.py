@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -96,7 +97,7 @@ def _like_input(values: float | np.ndarray, out: np.ndarray) -> float | np.ndarr
 
 def _python_power(arr: np.ndarray, exponent: float) -> np.ndarray:
     # Python float arithmetic: np.power rounds differently for some values.
-    values = (v**exponent for v in arr.ravel().tolist())
+    values = map(pow, arr.ravel().tolist(), repeat(exponent))
     return np.fromiter(values, np.float64, arr.size).reshape(arr.shape)
 
 

@@ -6,16 +6,20 @@ each index and the schedule materializes alpha_i by inverting the model.
 Closed-form targets are alpha * (num / den) with exact integer num and den:
 Python's int/int division is correctly rounded, so equal rationals give equal
 targets and integer inequalities between ratios carry over to the floats.
-Each schedule is inverted with one batched ``fk_invert`` call. Schedules
-hold the inverted alphas and their F-targets as read-only float64 arrays, so
-downstream checks can compare targets without re-inversion noise.
+The targets are computed as arrays: binomials are built in int64 where one
+``math.comb`` at the largest index shows they cannot overflow
+(``_combs``), and where num and den are below 2^53 they are divided as
+float64, which rounds the same (``_f_targets``); elsewhere the integer
+loop runs per row. Each schedule is inverted with one batched
+``fk_invert`` call. Schedules hold the inverted alphas and their F-targets
+as read-only float64 arrays, so downstream checks can compare targets
+without re-inversion noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -24,6 +28,9 @@ from .fk_models import FkModel, fk_eval, fk_invert
 
 STEPUP = "stepup"
 STEPDOWN = "stepdown"
+
+# Every integer below 2^53 is a float64.
+_EXACT_INT = 2**53
 
 
 def _frozen_array(values: Sequence[float]) -> np.ndarray:
@@ -98,8 +105,52 @@ def _f_target(alpha: float, num: int, den: int) -> float:
     return alpha * ratio
 
 
+def _indices(n: int, k: int) -> np.ndarray:
+    """max(i, k) for i = 1..n, as int64."""
+    return np.maximum(np.arange(1, n + 1, dtype=np.int64), k)
+
+
+def _combs(m: np.ndarray, r: int, scale: int = 1) -> np.ndarray:
+    """scale * C(m, r) for each entry of an int64 array m >= r, exactly.
+
+    The result is int64 when no step can overflow it, else an object array
+    of Python ints from one ``math.comb`` per entry. The int64 form takes r
+    vectorised steps C(m, t+1) = C(m, t) (m - t) // (t + 1), whose products
+    are C(m, t+1) (t+1). Every C(m', t') with m' <= M = max(m) and t' <= r
+    is at most C(M, min(r, M // 2)), so that one ``math.comb`` times
+    max(r, scale) bounds every step and result.
+    """
+    top = int(m.max())
+    if math.comb(top, min(r, top // 2)) * max(r, scale) <= np.iinfo(np.int64).max:
+        c = np.ones_like(m)
+        for t in range(r):
+            c = c * (m - t) // (t + 1)
+        return scale * c
+    return np.array([scale * math.comb(v, r) for v in m.tolist()], dtype=object)
+
+
+def _f_targets(alpha: float, num: np.ndarray | int, den: np.ndarray | int) -> np.ndarray:
+    """``_f_target`` per entry of exact integers num and den (int64 or object
+    arrays, or Python ints, broadcast together), as a float64 array.
+
+    Where every num and den is an int64 below 2^53 they convert to float64
+    exactly, so one IEEE division rounds each ratio as Python's int/int
+    does, and ``alpha * ratio`` is the same multiply; with num >= 1, as in
+    every builder, such a ratio is at least 2^-53 and cannot underflow.
+    Elsewhere the integer loop runs, with its underflow ValueError.
+    """
+    num, den = np.broadcast_arrays(np.asarray(num), np.asarray(den))
+    if (
+        num.dtype.kind == den.dtype.kind == "i"
+        and num.max() < _EXACT_INT
+        and den.max() < _EXACT_INT
+    ):
+        return alpha * (num.astype(np.float64) / den.astype(np.float64))
+    return np.array([_f_target(alpha, a, b) for a, b in zip(num.tolist(), den.tolist())])
+
+
 def _invert_targets(
-    targets: Sequence[float],
+    targets: np.ndarray | Sequence[float],
     model: FkModel,
     k: int,
     procedure: str,
@@ -127,10 +178,8 @@ def gen_bh(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedul
     with j = max(i,k), whose smaller integers divide faster.
     """
     _validate_inputs(n, k, alpha, model)
-    targets = [
-        _f_target(alpha, j, n * math.comb(n + k - 1 - j, k - 1))
-        for j in chain(repeat(k, k - 1), range(k, n + 1))
-    ]
+    j = _indices(n, k)
+    targets = _f_targets(alpha, j, _combs(n + k - 1 - j, k - 1, scale=n))
     return _invert_targets(targets, model, k, "gen_bh", alpha, STEPUP)
 
 
@@ -154,13 +203,12 @@ def gen_by(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedul
     """
     _validate_inputs(n, k, alpha, model)
     harmonic = 1.0 + math.fsum(1.0 / j for j in range(k + 1, n + 1))
-    den = k * math.comb(n, k)
-    targets = [_f_target(alpha / harmonic, max(i, k), den) for i in range(1, n + 1)]
+    targets = _f_targets(alpha / harmonic, _indices(n, k), k * math.comb(n, k))
     return _invert_targets(targets, model, k, "gen_by", alpha, STEPUP)
 
 
-def _holm_targets(n: int, k: int, alpha: float) -> list[float]:
-    return [_f_target(alpha, 1, math.comb(n + k - max(i, k), k)) for i in range(1, n + 1)]
+def _holm_targets(n: int, k: int, alpha: float) -> np.ndarray:
+    return _f_targets(alpha, 1, _combs(n + k - _indices(n, k), k))
 
 
 def gen_holm_stepdown(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
@@ -205,8 +253,7 @@ def gen_simes(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSche
     because these constants can fail to control the k-FDR.
     """
     _validate_inputs(n, k, alpha, model)
-    a_n = math.comb(n, k)
-    targets = [_f_target(alpha, math.comb(max(i, k), k), a_n) for i in range(1, n + 1)]
+    targets = _f_targets(alpha, _combs(_indices(n, k), k), math.comb(n, k))
     return _invert_targets(targets, model, k, "gen_simes", alpha, STEPUP, warning=SIMES_WARNING)
 
 

@@ -12,10 +12,11 @@ A sweep over n0 is one grid-major pass. Iterations run in blocks of about
 to fill the block's normals, which are drawn once per sweep, and every grid
 point adds its means to the same common and idiosyncratic terms, then sorts
 and counts (``engine.rejection_count``) its [m, n] block of statistics x as
-whole arrays. The rejections and false rejections of every iteration are
-kept as int32 counts, grid x procedures x iterations x 8 bytes in all (0.6
-MB for 5 points, 3 procedures and 5000 iterations), and the measures are
-formed from them at the end. ``run_experiment`` is the one-point case.
+whole arrays; a grid value that repeats is scored once. The rejections and
+false rejections of every iteration are kept as int32 counts, grid x
+procedures x iterations x 8 bytes in all (0.6 MB for 5 points, 3
+procedures and 5000 iterations), and the measures are formed from them at
+the end. ``run_experiment`` is the one-point case.
 
 The sweep never computes p-values. p = 1 - Phi(x) is nonincreasing in x, so
 a stepwise decision depends only on the order of the x and on where each
@@ -295,9 +296,10 @@ def figure_sweep(
 ) -> list[SimulationSummary]:
     """Run the experiment across a grid of true-null counts in one pass of
     the sweep kernel: the schedules and their thresholds are built once, and
-    every grid point is scored on the same block of draws, so the results
-    equal those of ``run_experiment`` per point. The kernel keeps
-    len(grid) x procedures x iterations x 8 bytes of counts."""
+    every distinct grid point is scored once on the same block of draws, so
+    the results, returned in grid order, equal those of ``run_experiment``
+    per point. The kernel keeps distinct n0 x procedures x iterations x 8
+    bytes of counts."""
     for n0 in n0_grid:
         if not base_config.k <= n0 <= base_config.n:
             raise ValueError(
@@ -305,7 +307,10 @@ def figure_sweep(
                 f"k={base_config.k}, n={base_config.n}"
             )
     rules = _statistic_rules(_build_schedules(base_config))
-    return _sweep([dataclasses.replace(base_config, n0=int(n0)) for n0 in n0_grid], rules)
+    distinct = dict.fromkeys(int(n0) for n0 in n0_grid)
+    configs = [dataclasses.replace(base_config, n0=n0) for n0 in distinct]
+    by_n0 = dict(zip(distinct, _sweep(configs, rules)))
+    return [by_n0[int(n0)] for n0 in n0_grid]
 
 
 SWEEP_COLUMNS = (

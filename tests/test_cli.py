@@ -1,6 +1,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kfdr import cli, schedules
@@ -218,7 +219,13 @@ def test_force_nonnull_zero_is_mu_alt_inf(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "body, message", [("p\n0.1\n1.5\n", "outside [0, 1] on row 3"), ("p\n0.1\nabc\n", "malformed")]
+    "body, message",
+    [
+        ("p\n0.1\n1.5\n", "outside [0, 1] on row 3"),
+        ("p\n0.1\nabc\n", "malformed"),
+        # splitlines breaks at the form feed, so 'p' is on row 2, not a header.
+        ("\x0cp\n0.5\n", "malformed p-value on row 2: 'p'"),
+    ],
 )
 def test_bad_pvalue_rows_exit_one(body, message, tmp_path, capsys):
     path = tmp_path / "bad.csv"
@@ -226,6 +233,77 @@ def test_bad_pvalue_rows_exit_one(body, message, tmp_path, capsys):
     code, out, err = run(["adjust", path], capsys)
     assert code == 1 and out == ""
     assert message in err
+
+
+PARSE_INPUTS = {
+    "crlf": b"p\r\n0.1\r\n0.25\r\n",
+    "lone-cr": b"p\r0.1\r0.25\r",
+    "no-trailing-newline": b"p\n0.1\n0.25",
+    "blank-lines": b"p\n0.1\n\n  \n0.25\n\n",
+    "blank-first-line": b"\n0.1\n0.25\n",
+    "comment-top": b"# made by hand\n0.1\n0.25\n",
+    "comment-top-then-header": b"# made by hand\np\n0.1\n",
+    "comment-middle": b"p\n0.1\n# middle\n0.25\n",
+    "header-p": b"p\n0.5\n",
+    "header-spaced-P": b" P \n0.5\n",
+    "header-after-form-feed": b"\x0cp\n0.5\n",
+    "header-on-line-2": b"0.5\np\n",
+    "form-feed-ends": b"p\n\x0c0.5\x0c\n0.25\n",
+    "form-feed-inside": b"p\n0.\x0c5\n",
+    "file-separator-ends": b"p\n\x1c0.5\x1c\n0.25\n",
+    "file-separator-inside": b"p\n0.\x1c5\n",
+    "unit-separator-ends": b"p\n\x1f0.5\x1f\n",
+    "space-ends": b"p\n 0.5 \n\t0.25\t\n",
+    "space-inside": b"p\n0. 5\n",
+    "bom-header": "\ufeffp\n0.5\n".encode(),
+    "bom-value": "\ufeff0.5\n0.25\n".encode(),
+    "underscore-in-range": b"p\n0.2_5\n",
+    "underscore-out-of-range": b"p\n1_0\n",
+    "nan": b"p\n0.5\nnan\n",
+    "inf": b"p\ninf\n",
+    "negative-zero": b"p\n-0.0\n0.5\n",
+    "smallest-subnormal": b"p\n5e-324\n1\n",
+    "empty": b"",
+    "header-only": b"p\n",
+    "header-only-no-newline": b"p",
+}
+
+
+def _parse_outcome(parse):
+    try:
+        values = parse()
+    except ValueError as exc:
+        return str(exc)
+    assert values.dtype == np.float64 and values.ndim == 1
+    return values.tobytes()
+
+
+@pytest.mark.parametrize("body", PARSE_INPUTS.values(), ids=PARSE_INPUTS.keys())
+def test_read_pvalues_equals_the_row_loop(body, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(body)
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    expected = _parse_outcome(lambda: cli._parse_rows(str(path), lines))
+    assert _parse_outcome(lambda: cli._read_pvalues(str(path))) == expected
+
+
+@pytest.mark.parametrize("flags", [["--procedure", "gen_bh", "--k", 2], ["--procedure", "bh"]])
+def test_adjust_fast_path_and_row_loop_print_the_same_rows(flags, monkeypatch, tmp_path, capsys):
+    rows = ["0.3", "0.1", "0.3", "0.9", "0.1", "1e-05", "0.02", "1e-05", "0.3", "0.02"]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join(["p", *rows]) + "\n")
+    commented = tmp_path / "commented.csv"
+    commented.write_text("\n".join(["p", *rows[:4], "# forces the row loop", *rows[4:]]) + "\n")
+    loop_calls = []
+    row_loop = cli._parse_rows
+    monkeypatch.setattr(cli, "_parse_rows", lambda *a: loop_calls.append(a) or row_loop(*a))
+    fast = run(["adjust", plain, *flags, "--alpha", 0.5], capsys)
+    assert loop_calls == []
+    slow = run(["adjust", commented, *flags, "--alpha", 0.5], capsys)
+    assert len(loop_calls) == 1
+    assert fast == slow and fast[0] == 0
+    assert fast[1].count("true") > 0 and fast[1].count("false") > 0
 
 
 @pytest.mark.parametrize(

@@ -454,6 +454,69 @@ class TestScheduleValidation:
                 construct(2000, 1000, 0.05, independent_fk(1000))
 
 
+def loop_targets(name, n, k, alpha):
+    """A closed-form builder's F-targets from one ``_f_target`` per row on
+    exact Python ints, the reference for the array form."""
+    f, js = schedules._f_target, [max(i, k) for i in range(1, n + 1)]
+    if name == "gen_bh":
+        return [f(alpha, j, n * math.comb(n + k - 1 - j, k - 1)) for j in js]
+    if name == "gen_by":
+        harmonic = 1.0 + math.fsum(1.0 / j for j in range(k + 1, n + 1))
+        return [f(alpha / harmonic, j, k * math.comb(n, k)) for j in js]
+    if name == "gen_simes":
+        return [f(alpha, math.comb(j, k), math.comb(n, k)) for j in js]
+    return [f(alpha, 1, math.comb(n + k - j, k)) for j in js]
+
+
+CLOSED_FORM = ("gen_bh", "gen_by", "gen_holm", "gen_hochberg", "gen_simes")
+
+
+class TestVectorisedTargets:
+    @pytest.mark.parametrize("name", CLOSED_FORM)
+    def test_equal_the_integer_loop(self, name):
+        # Every k up to n = 60, and k near n = 70 and 100, where the steps
+        # to a small C(m, k) pass C(m, m // 2) > 2^63.
+        pairs = [(n, k) for n in range(1, 61) for k in range(1, n + 1)]
+        pairs += [(n, k) for n in (70, 100) for k in range(n - 4, n + 1)]
+        for n, k in pairs:
+            got = make_schedule(name, n, k, 0.05, independent_fk(k)).f_targets
+            assert got.tolist() == loop_targets(name, n, k, 0.05), (n, k)
+
+    # Pairs whose largest denominator lies just below and just above 2^53:
+    # n C(n-1, k-1) = k C(n, k) for gen_bh and gen_by, C(n, k) for the rest.
+    @pytest.mark.parametrize(
+        "names, n, k, fast",
+        [
+            (("gen_bh", "gen_by"), 290, 8, True),
+            (("gen_bh", "gen_by"), 291, 8, False),
+            (("gen_bh", "gen_by"), 61, 17, False),
+            (("gen_holm", "gen_hochberg", "gen_simes"), 375, 8, True),
+            (("gen_holm", "gen_hochberg", "gen_simes"), 376, 8, False),
+            (("gen_holm", "gen_hochberg", "gen_simes"), 59, 22, True),
+            (("gen_holm", "gen_hochberg", "gen_simes"), 90, 14, False),
+        ],
+    )
+    def test_exact_float_boundary(self, names, n, k, fast, monkeypatch):
+        largest = k * math.comb(n, k) if "gen_bh" in names else math.comb(n, k)
+        assert (largest < 2**53) == fast
+        rows = []
+        row_target = schedules._f_target
+        monkeypatch.setattr(
+            schedules, "_f_target", lambda *a: rows.append(a) or row_target(*a)
+        )
+        for name in names:
+            expected = loop_targets(name, n, k, 0.05)
+            rows.clear()
+            got = make_schedule(name, n, k, 0.05, independent_fk(k)).f_targets
+            assert got.tolist() == expected
+            assert len(rows) == (0 if fast else n)
+
+    def test_gen_bh_at_a_million_rows(self):
+        n = 1_000_000
+        got = gen_bh(n, 2, 0.05, IND2).f_targets
+        assert got.tolist() == loop_targets("gen_bh", n, 2, 0.05)
+
+
 class TestMakeSchedule:
     def test_registry_names(self):
         model = IND2

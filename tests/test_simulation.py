@@ -162,6 +162,16 @@ def test_sweep_equals_one_run_per_grid_point(mu_alt, rho, rows, monkeypatch):
     assert simulation.figure_sweep(base, ()) == []
 
 
+def test_sweep_scores_each_distinct_n0_once(monkeypatch):
+    base = config(n=12, n0=3, k=3, rho=0.5, iterations=11, procedures=PANEL)
+    per_point = [run_experiment(dataclasses.replace(base, n0=n0)) for n0 in (12, 3, 12, 7)]
+    calls = []
+    sweep = simulation._sweep
+    monkeypatch.setattr(simulation, "_sweep", lambda c, r: calls.append(c) or sweep(c, r))
+    assert simulation.figure_sweep(base, (12, 3, 12, 7)) == per_point
+    assert [[c.n0 for c in configs] for configs in calls] == [[12, 3, 7]]
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_rekeyed_stream_equals_fresh_philox(seed):
     rng, state = simulation._streams(seed)
