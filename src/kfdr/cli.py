@@ -9,8 +9,9 @@ Exit codes: 0 success, 1 validation error, 2 runtime/numerical failure.
 ``adjust`` stays in float64 arrays from input to output: the p-values are
 parsed in one ``float`` pass with one range check, and a row loop runs only
 on a file that pass rejects, to give the same result or word the error.
-Output rows are formatted with ``repr`` from the arrays, one
-``_LINES_PER_WRITE`` block at a time.
+Both tables, of ``adjust`` and of ``schedule``, are written from their array
+columns by ``_write_table``: one ``_LINES_PER_WRITE`` block at a time
+becomes Python values and rows, with floats formatted by ``repr``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import contextlib
 import math
 import os
 import sys
-from itertools import chain, count, islice, repeat
-from typing import IO, Iterable, Iterator, Sequence
+from itertools import count, islice
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -152,34 +153,29 @@ def _check_output_dir(path: str | None) -> None:
         raise ValueError(f"cannot write {path!r}: {directory!r} is not an existing directory")
 
 
-def _write_lines(out: IO[str], lines: Iterable[str]) -> None:
-    """Write each line newline-terminated, _LINES_PER_WRITE lines per write."""
-    lines = iter(lines)
-    while block := list(islice(lines, _LINES_PER_WRITE)):
-        out.write("\n".join(block) + "\n")
-
-
-def _adjust_rows(values: np.ndarray, critical: np.ndarray, rejected: np.ndarray) -> Iterator[str]:
-    """The index,p,critical,rejected rows. The columns become Python floats
-    and bools one _LINES_PER_WRITE block at a time, not as whole lists."""
-    for start in range(0, values.size, _LINES_PER_WRITE):
+def _write_table(
+    out: IO[str], head: Sequence[str], row: Callable[..., str], *columns: np.ndarray
+) -> None:
+    """Write the head lines, then one ``row(index, *values)`` line per entry
+    of the columns, indexed from 1. The columns become Python values one
+    _LINES_PER_WRITE block at a time, and each block is one write."""
+    out.write("".join(line + "\n" for line in head))
+    for start in range(0, columns[0].size, _LINES_PER_WRITE):
         block = slice(start, start + _LINES_PER_WRITE)
-        yield from (
-            f"{i},{p!r},{c!r},{'true' if flag else 'false'}"
-            for i, p, c, flag in zip(
-                count(start + 1),
-                values[block].tolist(),
-                critical[block].tolist(),
-                rejected[block].tolist(),
-            )
-        )
+        out.write("".join(map(row, count(start + 1), *(c[block].tolist() for c in columns))))
+
+
+def _adjust_row(i: int, p: float, c: float, flag: bool) -> str:
+    return f"{i},{p!r},{c!r},{'true' if flag else 'false'}\n"
 
 
 def _cmd_adjust(args: argparse.Namespace) -> int:
     # Everything that can fail runs before --output is opened, so a failing
     # call leaves an existing output file as it was.
     values = _read_pvalues(args.input)
-    lines: Iterable[str] = ["index,p,critical,rejected"]
+    head = ["index,p,critical,rejected"]
+    # An empty input has no schedule and prints only the header.
+    critical = rejected = values
     if values.size:
         schedule = _build_schedule(args, n=values.size)
         outcome = engine.decide(engine.sample_from(values), schedule)
@@ -187,20 +183,20 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
         critical[outcome.order] = schedule.alphas
         rejected = np.zeros(values.size, dtype=bool)
         rejected[outcome.order[: outcome.r]] = True
-        rows = _adjust_rows(values, critical, rejected)
-        lines = chain(_schedule_comments(schedule, args), lines, rows)
+        head = _schedule_comments(schedule, args) + head
     with _output(args.output) as out:
-        _write_lines(out, lines)
+        _write_table(out, head, _adjust_row, values, critical, rejected)
     return 0
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     schedule = _build_schedule(args, n=args.n)
-    targets = repeat("") if schedule.f_targets is None else map(repr, schedule.f_targets.tolist())
-    rows = (f"{i},{t},{a!r}" for i, t, a in zip(count(1), targets, schedule.alphas.tolist()))
+    head = [*_schedule_comments(schedule, args), "index,f_target,alpha"]
     with _output(args.output) as out:
-        header = ["index,f_target,alpha"]
-        _write_lines(out, chain(_schedule_comments(schedule, args), header, rows))
+        if schedule.f_targets is None:
+            _write_table(out, head, "{},,{!r}\n".format, schedule.alphas)
+        else:
+            _write_table(out, head, "{},{!r},{!r}\n".format, schedule.f_targets, schedule.alphas)
     return 0
 
 

@@ -66,11 +66,11 @@ def _ordered_key_flip(bits: np.ndarray) -> np.ndarray:
     return bits ^ ((bits >> 63) & _NON_SIGN_BITS)
 
 
-def std_normal_sf_thresholds(alphas: np.ndarray, strict: bool = False) -> np.ndarray:
+def std_normal_sf_thresholds(alphas: np.ndarray) -> np.ndarray:
     """For each alpha, the smallest double t with ``std_normal_sf_array(t)
-    <= alpha`` (``< alpha`` when ``strict``), so that sf(x) meets the
-    predicate exactly when x >= t. Where no double does, which among alphas
-    in [0, 1] is only a strict alpha of 0, the result is -inf.
+    <= alpha``, so that sf(x) <= alpha exactly when x >= t. Where no double
+    has it (alpha < 0), the result is -inf. For ``sf < alpha`` pass
+    ``np.nextafter(alpha, -np.inf)``: on doubles the two predicates agree.
 
     Bisects the ordered int64 keys of the doubles in [-inf, +inf], about 64
     vectorised passes of the exact float predicate. This relies on the
@@ -91,7 +91,7 @@ def std_normal_sf_thresholds(alphas: np.ndarray, strict: bool = False) -> np.nda
         # Settled entries may sit at an outside key, a NaN; clip them to a double.
         x = _ordered_key_flip(np.clip(mid, ends[0], ends[1])).view(np.float64)
         sf = std_normal_sf_array(x)
-        met = sf < alphas if strict else sf <= alphas
+        met = sf <= alphas
         hi = np.where(active & met, mid, hi)
         lo = np.where(active & ~met, mid, lo)
         active = lo + 1 < hi

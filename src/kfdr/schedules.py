@@ -19,6 +19,7 @@ without re-inversion noise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -150,7 +151,7 @@ def _f_targets(alpha: float, num: np.ndarray | int, den: np.ndarray | int) -> np
 
 
 def _invert_targets(
-    targets: np.ndarray | Sequence[float],
+    targets: np.ndarray,
     model: FkModel,
     k: int,
     procedure: str,
@@ -310,7 +311,9 @@ def rescaled_stepup(
 
     The base constants are rescaled by D' = max_{k<=n0<=n} S'(n0), giving
     F-targets alpha * F_k(b_{max(i,k)}) / D'. Valid under arbitrary
-    dependence; all targets are <= alpha because D' >= F_k(b_n).
+    dependence; all targets are <= alpha because D' >= F_k(b_n). Where
+    F_k(b_i) > 0 but alpha * F_k(b_i) is subnormal or the target is 0, the
+    target has lost its precision and a ValueError is raised.
     """
     _validate_inputs(n, k, alpha, model)
     base = _check_base(n, k, base)
@@ -318,8 +321,11 @@ def rescaled_stepup(
     d_prime = max(_s_primes(n, k, range(k, n + 1), f_base))
     if d_prime <= 0.0:
         raise ValueError("base sequence gives a degenerate rescaling constant")
-    f_list = f_base.tolist()
-    targets = [alpha * f_list[max(i, k) - 1] / d_prime for i in range(1, n + 1)]
+    f = f_base[_indices(n, k) - 1]
+    scaled = alpha * f
+    targets = scaled / d_prime
+    if ((f > 0.0) & ((scaled < sys.float_info.min) | (targets == 0.0))).any():
+        raise ValueError("an F-target underflows double precision: alpha * F_k(b_i) is too small")
     return _invert_targets(targets, model, k, "rescaled_stepup", alpha, STEPUP)
 
 

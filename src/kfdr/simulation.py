@@ -189,16 +189,17 @@ def _statistic_rules(
 
     s_i carries the i-th smallest p-value, sf(-s_i). A stepup hit p_(i) <=
     alpha_i is x >= tau_i, i.e. s_i <= -tau_i. A stepdown miss p_(i) >=
-    alpha_i is x < tau'_i (tau' from ``<``), i.e. s_i >= nextafter(-tau'_i,
-    +inf), except that an alpha_i of 0, which has no tau' (-inf), always
-    misses and gets the bound -inf.
+    alpha_i is x < tau'_i, where tau'_i is the threshold of the double
+    below alpha_i (p < alpha_i exactly when p <= that double), i.e. s_i >=
+    nextafter(-tau'_i, +inf), except that an alpha_i of 0, which has no
+    tau' (-inf), always misses and gets the bound -inf.
     """
     rules = []
     for schedule in schedules:
         if schedule.direction == STEPUP:
             bounds = -std_normal_sf_thresholds(schedule.alphas)
         else:
-            tau = std_normal_sf_thresholds(schedule.alphas, strict=True)
+            tau = std_normal_sf_thresholds(np.nextafter(schedule.alphas, -np.inf))
             bounds = np.where(tau == -np.inf, -np.inf, np.nextafter(-tau, np.inf))
         rules.append((schedule.direction, bounds))
     return rules
@@ -313,20 +314,11 @@ def figure_sweep(
     return [by_n0[int(n0)] for n0 in n0_grid]
 
 
-SWEEP_COLUMNS = (
-    "n0",
-    "procedure",
-    "kfdr_hat",
-    "kfdr_se",
-    "kfwer_hat",
-    "kfwer_se",
-    "fdr_hat",
-    "fdr_se",
-    "power_hat",
-    "power_se",
-    "iterations",
-    "seed",
+# The sweep CSV's estimate columns: the ProcedureEstimates fields in order.
+_ESTIMATE_COLUMNS = tuple(
+    f.name for f in dataclasses.fields(ProcedureEstimates) if f.name != "procedure"
 )
+SWEEP_COLUMNS = ("n0", "procedure", *_ESTIMATE_COLUMNS, "iterations", "seed")
 
 
 def write_sweep_csv(summaries: Sequence[SimulationSummary], fh: IO[str]) -> None:
@@ -336,22 +328,8 @@ def write_sweep_csv(summaries: Sequence[SimulationSummary], fh: IO[str]) -> None
     for summary in summaries:
         cfg = summary.config
         for est in summary.results:
-            writer.writerow(
-                [
-                    cfg.n0,
-                    est.procedure,
-                    repr(est.kfdr_hat),
-                    repr(est.kfdr_se),
-                    repr(est.kfwer_hat),
-                    repr(est.kfwer_se),
-                    repr(est.fdr_hat),
-                    repr(est.fdr_se),
-                    repr(est.power_hat),
-                    repr(est.power_se),
-                    cfg.iterations,
-                    cfg.seed,
-                ]
-            )
+            estimates = (repr(getattr(est, name)) for name in _ESTIMATE_COLUMNS)
+            writer.writerow([cfg.n0, est.procedure, *estimates, cfg.iterations, cfg.seed])
 
 
 def counterexample_bound(n0: int, n1: int, alpha: float) -> tuple[float, float]:

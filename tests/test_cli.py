@@ -133,6 +133,18 @@ def test_counterexample_csv(capsys):
          "rescaling weight overflows double precision"),
         (["simulate", "--n", 1035, "--k", 488, "--n0-grid", 1035, "--iterations", 2,
           "--procedures", "rescaled_hochberg"], "rescaling weight overflows double precision"),
+        # alpha * F_k(b_i) underflows to 0 (1e-300) or to a subnormal (1e-160).
+        (["schedule", "--procedure", "rescaled_hochberg", "--n", 4, "--k", 2, "--alpha", 1e-300],
+         "F-target underflows double precision"),
+        (["schedule", "--procedure", "rescaled_hochberg", "--n", 4, "--k", 2, "--alpha", 1e-300,
+          "--model", "equicorrelated:0.5"], "F-target underflows double precision"),
+        (["schedule", "--procedure", "rescaled_hochberg", "--n", 4, "--k", 2, "--alpha", 1e-160],
+         "F-target underflows double precision"),
+        (["schedule", "--procedure", "rescaled_hochberg", "--n", 4, "--k", 2, "--alpha", 1e-160,
+          "--model", "equicorrelated:0.5"], "F-target underflows double precision"),
+        # alpha * F_k(b_i) is normal but the division by D' ~ 1e306 gives 0.
+        (["schedule", "--procedure", "rescaled_const:0.5", "--n", 1030, "--k", 480,
+          "--alpha", 1e-20], "F-target underflows double precision"),
     ],
 )
 def test_validation_errors_exit_one(argv, message, capsys):
@@ -304,6 +316,35 @@ def test_adjust_fast_path_and_row_loop_print_the_same_rows(flags, monkeypatch, t
     assert len(loop_calls) == 1
     assert fast == slow and fast[0] == 0
     assert fast[1].count("true") > 0 and fast[1].count("false") > 0
+
+
+def test_empty_adjust_prints_only_the_header(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("p\n")
+    assert run(["adjust", path, "--procedure", "gen_bh", "--k", 2], capsys) == (
+        0, "index,p,critical,rejected\n", ""
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["adjust", "INPUT", "--procedure", "gen_bh", "--k", 2, "--alpha", 0.5],
+        ["schedule", "--procedure", "gen_bh", "--n", 7, "--k", 2],
+        ["schedule", "--procedure", "lehmann_romano", "--n", 7, "--k", 2],
+    ],
+    ids=["adjust", "schedule-targets", "schedule-no-targets"],
+)
+def test_block_size_does_not_change_the_output(argv, monkeypatch, tmp_path, capsys):
+    # Seven rows at three per block: two full blocks and a partial one.
+    path = tmp_path / "p.csv"
+    path.write_text("p\n0.3\n0.1\n0.02\n0.9\n1e-05\n0.3\n0.04\n")
+    argv = [path if a == "INPUT" else a for a in argv]
+    whole = run(argv, capsys)
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 3)
+    blocks = run(argv, capsys)
+    assert blocks == whole and whole[0] == 0
+    assert len(whole[1].splitlines()) == 7 + whole[1].count("#") + 1
 
 
 @pytest.mark.parametrize(

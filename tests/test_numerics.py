@@ -65,12 +65,13 @@ class TestSfThresholds:
     def test_smallest_double_meeting_each_schedule_alpha(self, model):
         # At each threshold the p-value meets alpha and at the next double
         # down it does not, which also checks that libm's erfc is monotone
-        # there. A strict alpha of 0 has no threshold and yields -inf.
+        # there. Stepdown asks p < alpha, which is p <= the double below
+        # alpha; for an alpha of 0 no double has it and the result is -inf.
         for name in PROCEDURES:
             schedule = make_schedule(name, n=60, k=2, alpha=0.05, model=model)
             strict = schedule.direction != STEPUP
             alphas = np.concatenate([schedule.alphas, [0.0, 5e-324, 1e-300, 0.5, 1.0]])
-            taus = std_normal_sf_thresholds(alphas, strict=strict)
+            taus = std_normal_sf_thresholds(np.nextafter(alphas, -np.inf) if strict else alphas)
             at = std_normal_sf_array(taus)
             below = std_normal_sf_array(np.nextafter(taus, -np.inf))
             meets = (lambda p, a: p < a) if strict else (lambda p, a: p <= a)

@@ -129,8 +129,10 @@ def test_statistic_rules_decide_as_p_values_at_the_thresholds(schedule):
     # Statistics at, just below and just above each threshold, and at +inf:
     # comparing -x with the rule's bounds gives the p-value hit or miss.
     ((direction, bounds),) = simulation._statistic_rules([schedule])
-    tau = std_normal_sf_thresholds(schedule.alphas, strict=direction == STEPDOWN)
     alphas = schedule.alphas
+    tau = std_normal_sf_thresholds(
+        np.nextafter(alphas, -np.inf) if direction == STEPDOWN else alphas
+    )
     for x in (tau, np.nextafter(tau, -np.inf), np.nextafter(tau, np.inf), np.full(12, np.inf)):
         p = std_normal_sf_array(x)
         if direction == STEPUP:
