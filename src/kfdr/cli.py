@@ -4,7 +4,8 @@ Subcommands: ``adjust`` (apply a procedure to a CSV of p-values),
 ``schedule`` (print critical values), ``simulate`` (error rate sweep CSV)
 and ``counterexample`` (closed-form 2-FDR violation bound). All outputs are
 CSV with '#'-prefixed metadata comment lines and a mandatory header row.
-Exit codes: 0 success, 1 validation error, 2 runtime/numerical failure.
+Exit codes: 0 success, 1 validation error (an ``adjust`` input with no
+p-value rows among them), 2 runtime/numerical failure.
 
 ``adjust`` stays in float64 arrays from input to output: the p-values are
 parsed in one ``float`` pass with one range check, and a row loop runs only
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import engine
 from .fk_models import FkModel, equicorrelated_fk, independent_fk, load_empirical_csv
-from .schedules import PROCEDURES, CriticalValueSchedule, make_schedule, needs_model
+from .schedules import PROCEDURES, CriticalValueSchedule, make_schedule, resolve
 from .simulation import (
     SimulationConfig,
     counterexample_bound,
@@ -63,7 +64,7 @@ def _parse_model(spec: str, k: int) -> FkModel:
 
 
 def _build_schedule(args: argparse.Namespace, n: int) -> CriticalValueSchedule:
-    model = _parse_model(args.model, args.k) if needs_model(args.procedure) else None
+    model = _parse_model(args.model, args.k) if resolve(args.procedure).needs_model else None
     return make_schedule(args.procedure, n=n, k=args.k, alpha=args.alpha, model=model)
 
 
@@ -74,7 +75,7 @@ def _schedule_comments(schedule: CriticalValueSchedule, args: argparse.Namespace
         f"# alpha={schedule.alpha_level}",
         f"# direction={schedule.direction}",
     ]
-    if needs_model(args.procedure):
+    if resolve(args.procedure).needs_model:
         lines.append(f"# model={args.model}")
     if schedule.warning is not None:
         lines.append(f"# warning={schedule.warning}")
@@ -172,20 +173,18 @@ def _adjust_row(i: int, p: float, c: float, flag: bool) -> str:
 def _cmd_adjust(args: argparse.Namespace) -> int:
     # Everything that can fail runs before --output is opened, so a failing
     # call leaves an existing output file as it was.
-    values = _read_pvalues(args.input)
-    head = ["index,p,critical,rejected"]
-    # An empty input has no schedule and prints only the header.
-    critical = rejected = values
-    if values.size:
-        schedule = _build_schedule(args, n=values.size)
-        outcome = engine.decide(engine.sample_from(values), schedule)
-        critical = np.empty(values.size)
-        critical[outcome.order] = schedule.alphas
-        rejected = np.zeros(values.size, dtype=bool)
-        rejected[outcome.order[: outcome.r]] = True
-        head = _schedule_comments(schedule, args) + head
+    sample = engine.sample_from(_read_pvalues(args.input))
+    if not sample.n:
+        raise ValueError(f"{args.input}: no p-values")
+    schedule = _build_schedule(args, n=sample.n)
+    outcome = engine.decide(sample, schedule)
+    critical = np.empty(sample.n)
+    critical[outcome.order] = schedule.alphas
+    rejected = np.zeros(sample.n, dtype=bool)
+    rejected[outcome.order[: outcome.r]] = True
+    head = [*_schedule_comments(schedule, args), "index,p,critical,rejected"]
     with _output(args.output) as out:
-        _write_table(out, head, _adjust_row, values, critical, rejected)
+        _write_table(out, head, _adjust_row, sample.values, critical, rejected)
     return 0
 
 
@@ -250,6 +249,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--procedure", default="bh", help=f"procedure name: {_PROCEDURES_HELP}")
     parser.add_argument("--k", type=int, default=1, help="error-rate order parameter")
     parser.add_argument("--alpha", type=float, default=0.05, help="target error level")
     parser.add_argument(
@@ -269,13 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_adjust = sub.add_parser("adjust", help="apply a procedure to a CSV of p-values")
     p_adjust.add_argument("input", help="CSV with one p-value per row (optional header 'p')")
-    p_adjust.add_argument("--procedure", default="bh", help=f"procedure name: {_PROCEDURES_HELP}")
     _add_common_flags(p_adjust)
     p_adjust.set_defaults(func=_cmd_adjust)
 
     p_sched = sub.add_parser("schedule", help="print a critical-value schedule as CSV")
     p_sched.add_argument("--n", type=int, required=True, help="number of hypotheses")
-    p_sched.add_argument("--procedure", default="bh", help=f"procedure name: {_PROCEDURES_HELP}")
     _add_common_flags(p_sched)
     p_sched.set_defaults(func=_cmd_schedule)
 

@@ -10,11 +10,12 @@ among equal p-values are broken by original index, so results are
 deterministic. A p-value exactly equal to its critical value counts as
 rejected.
 
-The counting kernel, ``rejection_count``, takes one sorted sample or an
-[m, n] block of sorted samples (one per row) and returns one count per row,
-so the Monte Carlo harness counts a whole block of iterations in one call.
-It only compares ascending values with bounds, so the harness passes sorted
-negated test statistics and critical values moved to that scale.
+The counting kernel, ``rejection_count``, takes an [m, n] block of sorted
+samples (one per row) and returns one count per row, so the Monte Carlo
+harness counts a whole block of iterations in one call and ``decide`` counts
+a one-row block. It only compares ascending values with bounds, so the
+harness passes sorted negated test statistics and critical values moved to
+that scale.
 """
 
 from __future__ import annotations
@@ -24,22 +25,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .schedules import STEPUP, CriticalValueSchedule
+from .schedules import STEPUP, CriticalValueSchedule, _frozen_array
 
 
 @dataclass(frozen=True, eq=False)
 class PValueSample:
-    """n p-values (float64 array), optionally labeled with ground truth.
+    """n p-values, optionally labeled with ground truth.
 
-    ``truth[i]`` is True when hypothesis i is a true null (so a rejection of
-    it is a false rejection).
+    ``values`` (float64) and ``truth`` (bool) are read-only arrays; any
+    sequence passed in is copied into one. ``truth[i]`` is True when
+    hypothesis i is a true null (so a rejection of it is a false rejection).
     """
 
     values: np.ndarray
     truth: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _frozen_array(self.values)
         if values.ndim != 1:
             raise ValueError("p-values must form a one-dimensional sequence")
         # NaN fails both comparisons, so it is rejected here too.
@@ -47,7 +49,7 @@ class PValueSample:
             raise ValueError("p-values must lie in [0, 1]")
         object.__setattr__(self, "values", values)
         if self.truth is not None:
-            truth = np.asarray(self.truth, dtype=bool)
+            truth = _frozen_array(self.truth, dtype=bool)
             if truth.shape != values.shape:
                 raise ValueError("truth labels must match the number of p-values")
             object.__setattr__(self, "truth", truth)
@@ -82,33 +84,26 @@ def k_fdp(r: int, v: int, k: int) -> float:
     return 0.0
 
 
-def _per_row(counts: np.ndarray, sorted_p: np.ndarray) -> int | np.ndarray:
-    return counts if np.ndim(sorted_p) == 2 else int(counts[0])
-
-
-def stepup_count(sorted_p: np.ndarray, alphas: np.ndarray) -> int | np.ndarray:
-    """Number of rejections of a stepup rule: the largest i with
-    p_(i) <= alpha_i, or 0 when no index qualifies. Counts every row of an
-    [m, n] block."""
-    hits = np.atleast_2d(sorted_p <= alphas)
+def stepup_count(sorted_p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Rejections of a stepup rule in each row of a sorted [m, n] block: the
+    largest i with p_(i) <= alpha_i, or 0 when no index qualifies."""
+    hits = sorted_p <= alphas
     last = hits.shape[1] - np.argmax(hits[:, ::-1], axis=1)
-    return _per_row(np.where(hits.any(axis=1), last, 0), sorted_p)
+    return np.where(hits.any(axis=1), last, 0)
 
 
-def stepdown_count(sorted_p: np.ndarray, alphas: np.ndarray) -> int | np.ndarray:
-    """Number of rejections of a stepdown rule: one less than the smallest i
-    with p_(i) >= alpha_i, or n when every ordered p-value is strictly
-    below its critical value. Counts every row of an [m, n] block."""
-    misses = np.atleast_2d(sorted_p >= alphas)
+def stepdown_count(sorted_p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Rejections of a stepdown rule in each row of a sorted [m, n] block:
+    one less than the smallest i with p_(i) >= alpha_i, or n when every
+    ordered p-value is strictly below its critical value."""
+    misses = sorted_p >= alphas
     first = np.argmax(misses, axis=1)
-    return _per_row(np.where(misses.any(axis=1), first, misses.shape[1]), sorted_p)
+    return np.where(misses.any(axis=1), first, misses.shape[1])
 
 
-def rejection_count(
-    sorted_p: np.ndarray, alphas: np.ndarray, direction: str
-) -> int | np.ndarray:
-    """Rejections of the stepup or stepdown rule named by ``direction``: an
-    int for one sorted sample, one count per row for a sorted [m, n] block."""
+def rejection_count(sorted_p: np.ndarray, alphas: np.ndarray, direction: str) -> np.ndarray:
+    """Rejections of the stepup or stepdown rule named by ``direction``, one
+    count per row of a sorted [m, n] block."""
     if direction == STEPUP:
         return stepup_count(sorted_p, alphas)
     return stepdown_count(sorted_p, alphas)
@@ -121,7 +116,7 @@ def decide(sample: PValueSample, schedule: CriticalValueSchedule) -> DecisionOut
             f"schedule length {schedule.n} does not match sample length {sample.n}"
         )
     order = np.argsort(sample.values, kind="stable")
-    r = rejection_count(sample.values[order], schedule.alphas, schedule.direction)
+    r = int(rejection_count(sample.values[order][None], schedule.alphas, schedule.direction)[0])
     if sample.truth is None:
         return DecisionOutcome(order=order, r=r)
     v = int(np.count_nonzero(sample.truth[order[:r]]))

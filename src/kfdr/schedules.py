@@ -34,10 +34,8 @@ STEPDOWN = "stepdown"
 _EXACT_INT = 2**53
 
 
-def _frozen_array(values: Sequence[float]) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("a schedule is a one-dimensional sequence")
+def _frozen_array(values: Sequence[float], dtype: type = np.float64) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -64,6 +62,8 @@ class CriticalValueSchedule:
     def __post_init__(self) -> None:
         alphas = _frozen_array(self.alphas)
         object.__setattr__(self, "alphas", alphas)
+        if alphas.ndim != 1:
+            raise ValueError("a schedule is a one-dimensional sequence")
         n = alphas.size
         if n == 0:
             raise ValueError("schedule must have at least one critical value")
@@ -81,7 +81,7 @@ class CriticalValueSchedule:
         if self.f_targets is not None:
             f_targets = _frozen_array(self.f_targets)
             object.__setattr__(self, "f_targets", f_targets)
-            if f_targets.size != n:
+            if f_targets.shape != alphas.shape:
                 raise ValueError("f_targets must match the schedule length")
 
     @property
@@ -203,7 +203,7 @@ def gen_by(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedul
     i = n target n c <= alpha because k C(n,k) = n C(n-1,k-1) >= n and H >= 1.
     """
     _validate_inputs(n, k, alpha, model)
-    harmonic = 1.0 + math.fsum(1.0 / j for j in range(k + 1, n + 1))
+    harmonic = 1.0 + math.fsum(1.0 / np.arange(k + 1, n + 1))
     targets = _f_targets(alpha / harmonic, _indices(n, k), k * math.comb(n, k))
     return _invert_targets(targets, model, k, "gen_by", alpha, STEPUP)
 
@@ -233,7 +233,7 @@ def lehmann_romano_stepdown(n: int, k: int, alpha: float) -> CriticalValueSchedu
     """Marginal k-FWER stepdown schedule alpha_i = k*alpha/(n+k-max(i,k))."""
     _validate_inputs(n, k, alpha, None)
     return CriticalValueSchedule(
-        alphas=[k * alpha / (n + k - max(i, k)) for i in range(1, n + 1)],
+        alphas=k * alpha / (n + k - _indices(n, k)),
         k=k,
         procedure="lehmann_romano",
         alpha_level=alpha,
@@ -262,7 +262,7 @@ def bh_classic(n: int, alpha: float) -> CriticalValueSchedule:
     """Original Benjamini-Hochberg stepup schedule alpha_i = i*alpha/n."""
     _validate_inputs(n, 1, alpha, None)
     return CriticalValueSchedule(
-        alphas=[i * alpha / n for i in range(1, n + 1)],
+        alphas=np.arange(1, n + 1) * alpha / n,
         k=1,
         procedure="bh",
         alpha_level=alpha,
@@ -270,13 +270,15 @@ def bh_classic(n: int, alpha: float) -> CriticalValueSchedule:
     )
 
 
-def _check_base(n: int, k: int, base: Sequence[float]) -> list[float]:
-    base = [float(b) for b in base]
-    if len(base) != n:
-        raise ValueError(f"base sequence must have length {n}, got {len(base)}")
-    if any(not 0.0 <= b <= 1.0 for b in base):
+def _check_base(n: int, base: Sequence[float]) -> np.ndarray:
+    base = np.asarray(base, dtype=np.float64)
+    if base.shape != (n,):
+        size = len(base) if base.ndim == 1 else base.shape
+        raise ValueError(f"base sequence must have length {n}, got {size}")
+    # NaN fails both comparisons, so it is rejected here too.
+    if not ((base >= 0.0) & (base <= 1.0)).all():
         raise ValueError("base sequence values must lie in [0, 1]")
-    if any(b2 < b1 for b1, b2 in zip(base, base[1:])):
+    if (np.diff(base) < 0.0).any():
         raise ValueError("base sequence must be nondecreasing")
     return base
 
@@ -316,7 +318,7 @@ def rescaled_stepup(
     target has lost its precision and a ValueError is raised.
     """
     _validate_inputs(n, k, alpha, model)
-    base = _check_base(n, k, base)
+    base = _check_base(n, base)
     f_base = fk_eval(model, base)
     d_prime = max(_s_primes(n, k, range(k, n + 1), f_base))
     if d_prime <= 0.0:
@@ -330,8 +332,8 @@ def rescaled_stepup(
 
 
 class Procedure(NamedTuple):
-    """A registry entry: ``build(n, k, alpha, model)`` and whether it needs
-    an FkModel (model-free builders ignore ``model``)."""
+    """A procedure as ``resolve`` returns it: ``build(n, k, alpha, model)``
+    and whether it needs an FkModel (model-free builders ignore ``model``)."""
 
     build: Callable[[int, int, float, FkModel | None], CriticalValueSchedule]
     needs_model: bool
@@ -363,34 +365,35 @@ PROCEDURES: dict[str, Procedure] = {
 }
 
 
-def needs_model(name: str) -> bool:
-    """Whether procedure ``name`` needs an FkModel. Names outside the
-    registry (rescaled_const:C, unknown ones) are taken to need one."""
-    return name not in PROCEDURES or PROCEDURES[name].needs_model
+def resolve(name: str) -> Procedure:
+    """The procedure called ``name``: its ``PROCEDURES`` entry, or for the
+    form rescaled_const:C, ``rescaled_stepup`` on the constant base C in
+    [0, 1]. Every other name raises ValueError."""
+    if name in PROCEDURES:
+        return PROCEDURES[name]
+    if not name.startswith("rescaled_const:"):
+        raise ValueError(f"unknown procedure {name!r}")
+    text = name.split(":", 1)[1]
+    try:
+        c = float(text)
+    except ValueError:
+        c = math.nan
+    # NaN fails this test too.
+    if not 0.0 <= c <= 1.0:
+        raise ValueError(
+            f"procedure {name!r}: the constant C of rescaled_const:C must be a number "
+            f"in [0, 1], got {text!r}"
+        )
+    return Procedure(
+        lambda n, k, alpha, model: rescaled_stepup(n, k, alpha, np.full(n, c), model), True
+    )
 
 
 def make_schedule(
     name: str, n: int, k: int, alpha: float, model: FkModel | None = None
 ) -> CriticalValueSchedule:
-    """Build a schedule from a ``PROCEDURES`` name, or from the special form
-    rescaled_const:C (``rescaled_stepup`` with the constant base C). Other
-    bases go to ``rescaled_stepup`` directly.
-    """
-    if model is None and needs_model(name):
+    """Build the schedule of the procedure ``resolve(name)`` returns."""
+    procedure = resolve(name)
+    if model is None and procedure.needs_model:
         raise ValueError(f"procedure {name!r} requires an FkModel")
-    if name in PROCEDURES:
-        return PROCEDURES[name].build(n, k, alpha, model)
-    if name.startswith("rescaled_const:"):
-        text = name.split(":", 1)[1]
-        try:
-            c = float(text)
-        except ValueError:
-            c = math.nan
-        # NaN fails this test too.
-        if not 0.0 <= c <= 1.0:
-            raise ValueError(
-                f"procedure {name!r}: the constant C of rescaled_const:C must be a number "
-                f"in [0, 1], got {text!r}"
-            )
-        return rescaled_stepup(n, k, alpha, [c] * n, model)
-    raise ValueError(f"unknown procedure {name!r}")
+    return procedure.build(n, k, alpha, model)

@@ -45,7 +45,7 @@ import numpy as np
 from . import engine
 from .fk_models import equicorrelated_fk, independent_fk
 from .numerics import std_normal_sf_array, std_normal_sf_thresholds
-from .schedules import STEPUP, CriticalValueSchedule, make_schedule, needs_model
+from .schedules import STEPUP, CriticalValueSchedule, make_schedule, resolve
 
 # Monte Carlo iterations run in blocks of about this many statistics
 # (max(1, _BLOCK_VALUES // n) iterations), which bounds the block's
@@ -169,8 +169,9 @@ def draw_sample(config: SimulationConfig, iteration_index: int) -> engine.PValue
 
 
 def _build_schedules(config: SimulationConfig) -> list[CriticalValueSchedule]:
+    # Every name is looked up before any model or schedule is built.
     model = None
-    if any(needs_model(name) for name in config.procedures):
+    if any([resolve(name).needs_model for name in config.procedures]):
         if config.rho == 0.0:
             model = independent_fk(config.k)
         else:

@@ -145,6 +145,13 @@ def test_counterexample_csv(capsys):
         # alpha * F_k(b_i) is normal but the division by D' ~ 1e306 gives 0.
         (["schedule", "--procedure", "rescaled_const:0.5", "--n", 1030, "--k", 480,
           "--alpha", 1e-20], "F-target underflows double precision"),
+        # An unknown name is reported before the model is read.
+        (["schedule", "--procedure", "nope", "--n", 3, "--model", "bogus"],
+         "unknown procedure 'nope'"),
+        (["schedule", "--procedure", "nope", "--n", 3, "--model", "empirical:/no/such/file"],
+         "unknown procedure 'nope'"),
+        (["simulate", "--n", 10, "--n0-grid", 10, "--rho", 0.5, "--procedures", "gen_bh,nope"],
+         "unknown procedure 'nope'"),
     ],
 )
 def test_validation_errors_exit_one(argv, message, capsys):
@@ -318,12 +325,24 @@ def test_adjust_fast_path_and_row_loop_print_the_same_rows(flags, monkeypatch, t
     assert fast[1].count("true") > 0 and fast[1].count("false") > 0
 
 
-def test_empty_adjust_prints_only_the_header(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "body, flags",
+    [
+        ("p\n", ["--procedure", "gen_bh", "--k", 2]),
+        ("p\n", ["--procedure", "nope"]),
+        ("p\n", ["--k", 0]),
+        ("p\n", ["--alpha", 5]),
+        ("p\n", ["--procedure", "gen_bh", "--model", "bogus"]),
+        ("# only a comment\n\n", []),
+        ("", []),
+    ],
+    ids=["header-only", "unknown-procedure", "k-zero", "alpha-five", "bad-model",
+         "comment-only", "empty"],
+)
+def test_adjust_without_pvalues_exits_one(body, flags, tmp_path, capsys):
     path = tmp_path / "empty.csv"
-    path.write_text("p\n")
-    assert run(["adjust", path, "--procedure", "gen_bh", "--k", 2], capsys) == (
-        0, "index,p,critical,rejected\n", ""
-    )
+    path.write_text(body)
+    assert run(["adjust", path, *flags], capsys) == (1, "", f"error: {path}: no p-values\n")
 
 
 @pytest.mark.parametrize(

@@ -60,26 +60,25 @@ class TestAgainstOracle:
 
 class TestRejectionCount:
     def test_directions(self):
-        sorted_p = np.array([0.01, 0.5, 0.03])
+        sorted_p = np.array([[0.01, 0.5, 0.03]])
         alphas = np.array([0.02, 0.04, 0.06])
-        assert rejection_count(sorted_p, alphas, STEPUP) == 3
-        assert rejection_count(sorted_p, alphas, STEPDOWN) == 1
-
+        assert rejection_count(sorted_p, alphas, STEPUP).tolist() == [3]
+        assert rejection_count(sorted_p, alphas, STEPDOWN).tolist() == [1]
 
     @given(decision_cases(), st.integers(1, 6))
     @settings(max_examples=200, deadline=None)
     def test_block_rows_match_single_rows(self, case, m):
         _, _, schedule = case
-        n, alphas = schedule.n, np.asarray(schedule.alphas)
+        n, alphas = schedule.n, schedule.alphas
         rng = np.random.default_rng(m)
         block = np.sort(rng.choice(GRID, size=(m, n)), axis=1)
         # Rows of zeros and of ones: every value hits, or (below 1) none does.
         block = np.vstack([block, np.zeros(n), np.ones(n)])
         counts = rejection_count(block, alphas, schedule.direction)
         assert counts.shape == (m + 2,)
-        expected = [rejection_count(row, alphas, schedule.direction) for row in block]
+        brute = brute_force_stepup if schedule.direction == STEPUP else brute_force_stepdown
+        expected = [len(brute(row.tolist(), alphas.tolist())) for row in block]
         assert counts.tolist() == expected
-        assert all(type(c) is int for c in expected)
 
     def test_block_with_no_hit_and_all_hits(self):
         alphas = np.array([0.02, 0.04, 0.06])
@@ -104,6 +103,25 @@ class TestPValueSample:
             PValueSample(values=[[0.5, 0.5]])
         with pytest.raises(ValueError):
             PValueSample(values=(0.5, 0.5), truth=(True,))
+
+    def test_holds_read_only_arrays(self):
+        sample = PValueSample(values=(0.01, 0.5), truth=(True, False))
+        assert sample.values.dtype == np.float64 and sample.truth.dtype == bool
+        for arr in (sample.values, sample.truth):
+            assert isinstance(arr, np.ndarray) and arr.ndim == 1
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            sample.values[1] = -3.0
+        with pytest.raises(ValueError):
+            sample.truth[0] = False
+
+    def test_copies_a_caller_array(self):
+        values, truth = np.array([0.01, 0.5, 0.03]), np.array([True, False, True])
+        sample = PValueSample(values, truth)
+        values[0], truth[0] = 7.0, False
+        assert sample.values.tolist() == [0.01, 0.5, 0.03]
+        assert sample.truth.tolist() == [True, False, True]
+        assert values.flags.writeable and truth.flags.writeable
 
     def test_length_mismatch(self):
         schedule = CriticalValueSchedule((0.1, 0.2), 1, "grid", 0.2, STEPUP)

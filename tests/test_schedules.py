@@ -20,12 +20,20 @@ from kfdr.schedules import (
     lehmann_romano_stepdown,
     PROCEDURES,
     make_schedule,
-    needs_model,
     rescaled_stepup,
+    resolve,
 )
 
 IND1 = independent_fk(1)
 IND2 = independent_fk(2)
+
+# (n, k, alpha) for the array-built marginal schedules, subnormal alphas too.
+MARGINAL_CASES = [
+    (n, k, alpha)
+    for n in (1, 2, 7, 1000, 65537)
+    for k in sorted({1, min(2, n), n})
+    for alpha in (0.05, 0.999999, 1e-300, 5e-321)
+]
 
 
 class TestGenBh:
@@ -185,6 +193,11 @@ class TestLehmannRomano:
     def test_no_f_targets(self):
         assert lehmann_romano_stepdown(5, 2, 0.05).f_targets is None
 
+    @pytest.mark.parametrize("n, k, alpha", MARGINAL_CASES)
+    def test_equals_the_python_formula(self, n, k, alpha):
+        expected = [k * alpha / (n + k - max(i, k)) for i in range(1, n + 1)]
+        assert lehmann_romano_stepdown(n, k, alpha).alphas.tolist() == expected
+
 
 class TestGenSimes:
     def test_k1_reduces_to_bh_constants(self):
@@ -213,6 +226,11 @@ class TestBhClassic:
 
     def test_single_hypothesis(self):
         assert bh_classic(1, 0.05).alphas.tolist() == [0.05]
+
+    @pytest.mark.parametrize("n, alpha", sorted({(n, a) for n, _, a in MARGINAL_CASES}))
+    def test_equals_the_python_formula(self, n, alpha):
+        expected = [i * alpha / n for i in range(1, n + 1)]
+        assert bh_classic(n, alpha).alphas.tolist() == expected
 
     def test_equals_gen_bh_k1(self):
         for n in (1, 2, 7, 20):
@@ -253,6 +271,21 @@ class TestSPrime:
 
 
 class TestRescaledStepup:
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            ((0.1, 0.2), "must have length 3, got 2"),
+            (np.full((3, 1), 0.5), r"must have length 3, got \(3, 1\)"),
+            ((0.1, math.nan, 0.3), r"values must lie in \[0, 1\]"),
+            ((-0.1, 0.2, 0.3), r"values must lie in \[0, 1\]"),
+            ((0.1, 0.2, 1.5), r"values must lie in \[0, 1\]"),
+            ((0.5, 0.4, 0.9), "must be nondecreasing"),
+        ],
+    )
+    def test_base_messages(self, base, message):
+        with pytest.raises(ValueError, match=message):
+            rescaled_stepup(3, 1, 0.05, base, IND1)
+
     def test_hand_evaluated_example(self):
         s = rescaled_stepup(2, 1, 0.05, (0.5, 1.0), IND1)
         np.testing.assert_allclose(s.f_targets, (0.05 * 0.5 / 1.5, 0.05 / 1.5), atol=1e-15)
@@ -543,11 +576,32 @@ class TestMakeSchedule:
                     make_schedule(name, n=6, k=2, alpha=0.05)
             else:
                 assert make_schedule(name, n=6, k=2, alpha=0.05).n == 6
-        assert needs_model("rescaled_const:0.5") and needs_model("rescaled")
+        assert resolve("rescaled_const:0.5").needs_model
+        with pytest.raises(ValueError, match="requires an FkModel"):
+            make_schedule("rescaled_const:0.5", n=6, k=2, alpha=0.05)
+
+    def test_resolve_returns_registry_entries(self):
+        for name, entry in PROCEDURES.items():
+            assert resolve(name) is entry
+
+    @pytest.mark.parametrize("model", [IND2, equicorrelated_fk(2, 0.5)])
+    def test_resolve_rescaled_const(self, model):
+        got = resolve("rescaled_const:0.5").build(7, 2, 0.05, model)
+        expected = rescaled_stepup(7, 2, 0.05, [0.5] * 7, model)
+        assert got.alphas.tolist() == expected.alphas.tolist()
+        assert got.f_targets.tolist() == expected.f_targets.tolist()
+
+    @pytest.mark.parametrize("name", ["rescaled", "rescaled_const", "fisher", "nope", ""])
+    def test_resolve_unknown_names(self, name):
+        with pytest.raises(ValueError, match=f"unknown procedure {name!r}"):
+            resolve(name)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown procedure 'fisher'"):
             make_schedule("fisher", n=5, k=1, alpha=0.05, model=IND1)
+        # The name is checked before the missing model.
+        with pytest.raises(ValueError, match="unknown procedure 'fisher'"):
+            make_schedule("fisher", n=5, k=1, alpha=0.05)
 
     def test_model_required(self):
         with pytest.raises(ValueError):
