@@ -13,6 +13,13 @@ on a file that pass rejects, to give the same result or word the error.
 Both tables, of ``adjust`` and of ``schedule``, are written from their array
 columns by ``_write_table``: one ``_LINES_PER_WRITE`` block at a time
 becomes Python values and rows, with floats formatted by ``repr``.
+
+The parse and the row formatting are single-core Python loops, so both go
+through ``_split_map``: with P >= 2 usable CPUs and at least two chunks of
+lines or blocks of rows, P - 1 forked children take the later shares and
+spool their results back, and the parent merges them in input order. With
+one CPU, one chunk, or no ``os.fork``, it is plain ``map``. Either way the
+output bytes and the error messages are the same.
 """
 
 from __future__ import annotations
@@ -21,9 +28,13 @@ import argparse
 import contextlib
 import math
 import os
+import pickle
+import signal
 import sys
+import tempfile
+import warnings
 from itertools import count, islice
-from typing import IO, Callable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,24 +102,47 @@ def _read_pvalues(path: str) -> np.ndarray:
     such a header and checks [0, 1] once for the whole array. ``float``
     raises on a row the loop skips, and strips no whitespace that
     ``str.strip`` keeps, so where it succeeds it gives the loop's values.
-    On any ValueError or failed range check the row loop (``_parse_rows``)
-    runs instead, and words the error with its row number.
+
+    The text is cut after a newline at about every ``_LINES_PER_WRITE``
+    lines (``_line_chunks``), and ``_split_map`` parses the chunks, on
+    every usable CPU when there are several chunks and on one otherwise.
+    A cut after \\n never splits \\r\\n, so the chunks' rows are the file's
+    rows, and only the first chunk can hold the header. No more than one
+    chunk's row strings are held at a time. On any ValueError, failed child
+    or failed range check the row loop (``_parse_rows``) runs over the whole
+    file instead, and words the error with its row number.
     """
     try:
         with open(path, newline="") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
-    start = 1 if lines and lines[0].strip().lower() == "p" else 0
-    rows = islice(lines, start, None)
+
+    def parse(chunk: tuple[int, int]) -> np.ndarray:
+        lines = text[chunk[0] : chunk[1]].splitlines()
+        start = 1 if chunk[0] == 0 and lines and lines[0].strip().lower() == "p" else 0
+        return np.fromiter(map(float, islice(lines, start, None)), np.float64, len(lines) - start)
+
     try:
-        values = np.fromiter(map(float, rows), np.float64, len(lines) - start)
-    except ValueError:
-        return _parse_rows(path, lines)
+        values = np.concatenate(list(_split_map(parse, _line_chunks(text))))
+    except (ValueError, ChildProcessError):
+        return _parse_rows(path, text.splitlines())
     # NaN fails both comparisons, so it takes the row loop too.
     if not ((values >= 0.0) & (values <= 1.0)).all():
-        return _parse_rows(path, lines)
+        return _parse_rows(path, text.splitlines())
     return values
+
+
+def _line_chunks(text: str) -> list[tuple[int, int]]:
+    """(start, stop) offsets that cut ``text`` after a \\n at about every
+    ``_LINES_PER_WRITE`` lines; at least one chunk, empty for empty text."""
+    step = max(1, len(text) * _LINES_PER_WRITE // max(1, text.count("\n")))
+    chunks, start = [], 0
+    while not chunks or start < len(text):
+        stop = text.find("\n", start + step - 1) + 1 or len(text)
+        chunks.append((start, stop))
+        start = stop
+    return chunks
 
 
 def _parse_rows(path: str, lines: list[str]) -> np.ndarray:
@@ -159,11 +193,94 @@ def _write_table(
 ) -> None:
     """Write the head lines, then one ``row(index, *values)`` line per entry
     of the columns, indexed from 1. The columns become Python values one
-    _LINES_PER_WRITE block at a time, and each block is one write."""
+    _LINES_PER_WRITE block at a time, each block is formatted by
+    ``_split_map`` and written in one call; only this process writes."""
     out.write("".join(line + "\n" for line in head))
-    for start in range(0, columns[0].size, _LINES_PER_WRITE):
-        block = slice(start, start + _LINES_PER_WRITE)
-        out.write("".join(map(row, count(start + 1), *(c[block].tolist() for c in columns))))
+    tasks = [
+        (row, start, [c[start : start + _LINES_PER_WRITE] for c in columns])
+        for start in range(0, columns[0].size, _LINES_PER_WRITE)
+    ]
+    with contextlib.closing(_split_map(_format_block, tasks)) as blocks:
+        out.writelines(blocks)
+
+
+def _format_block(task: tuple[Callable[..., str], int, list[np.ndarray]]) -> str:
+    row, start, columns = task
+    return "".join(map(row, count(start + 1), *(c.tolist() for c in columns)))
+
+
+def _usable_cpus() -> int:
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _split_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> Iterator[Any]:
+    """``map(fn, items)``, with the work shared out over the usable CPUs.
+
+    With P = min(usable CPUs, len(items)) >= 2, P - 1 forked children each
+    take one of the later contiguous shares of ``items`` and pickle their
+    results, one at a time, into an anonymous spool file. The parent
+    computes and yields the first share, then reaps each child in order and
+    yields its spooled results. An exception that ``fn`` raises in a child
+    is spooled after the results before it and raised here, where ``map``
+    would raise it; a child that dies otherwise raises ChildProcessError.
+    A child leaves only through ``os._exit``, never into the caller, and
+    any child not yet reaped when the generator fails or is closed is
+    killed and reaped. With one CPU or one item this is plain ``map``.
+    """
+    shares = min(_usable_cpus(), len(items))
+    if shares < 2:
+        yield from map(fn, items)
+        return
+    bounds = [len(items) * i // shares for i in range(shares + 1)]
+    pending: list[tuple[int, IO[bytes], int]] = []  # forked and not yet reaped
+    with contextlib.ExitStack() as spools:
+        try:
+            for lo, hi in zip(bounds[1:], bounds[2:]):
+                spool = spools.enter_context(tempfile.TemporaryFile())
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns about fork in a process with threads
+                    # (numpy's BLAS pool); the children never call BLAS.
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        _spool_share(fn, items[lo:hi], spool)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                pending.append((pid, spool, hi - lo))
+            yield from map(fn, items[: bounds[1]])
+            while pending:
+                pid, spool, size = pending[0]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del pending[0]
+                if code != 0:
+                    raise ChildProcessError(f"a forked worker exited with status {code}")
+                spool.seek(0)
+                for _ in range(size):
+                    ok, value = pickle.load(spool)
+                    if not ok:
+                        raise value
+                    yield value
+        finally:
+            for pid, _, _ in pending:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _spool_share(fn: Callable[[Any], Any], share: Sequence[Any], spool: IO[bytes]) -> None:
+    """Pickle (True, ``fn(item)``) for each item into ``spool``, or, once
+    ``fn`` raises, (False, the exception) and stop. Each record is pickled
+    whole before it is written, so a failed pickle leaves no part record."""
+    try:
+        for item in share:
+            spool.write(pickle.dumps((True, fn(item)), pickle.HIGHEST_PROTOCOL))
+    except Exception as exc:  # noqa: BLE001 - raised again by the parent
+        spool.write(pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL))
+    spool.flush()
 
 
 def _adjust_row(i: int, p: float, c: float, flag: bool) -> str:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -42,6 +42,9 @@ EQUICORRELATED = "equicorrelated_normal_one_sided"
 EMPIRICAL = "empirical"
 
 _KINDS = (INDEPENDENT_UNIFORM, EQUICORRELATED, EMPIRICAL)
+
+# Entries per block that ``_python_power`` turns into Python floats at once.
+_POWER_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,10 @@ def _like_input(values: float | np.ndarray, out: np.ndarray) -> float | np.ndarr
 
 def _python_power(arr: np.ndarray, exponent: float) -> np.ndarray:
     # Python float arithmetic: np.power rounds differently for some values.
-    values = map(pow, arr.ravel().tolist(), repeat(exponent))
+    # The floats are made one block at a time, not as one list of arr.size.
+    flat = arr.ravel()
+    blocks = (flat[i : i + _POWER_BLOCK].tolist() for i in range(0, flat.size, _POWER_BLOCK))
+    values = chain.from_iterable(map(pow, block, repeat(exponent)) for block in blocks)
     return np.fromiter(values, np.float64, arr.size).reshape(arr.shape)
 
 

@@ -12,11 +12,11 @@ A sweep over n0 is one grid-major pass. Iterations run in blocks of about
 to fill the block's normals, which are drawn once per sweep, and every grid
 point adds its means to the same common and idiosyncratic terms, then sorts
 and counts (``engine.rejection_count``) its [m, n] block of statistics x as
-whole arrays; a grid value that repeats is scored once. The rejections and
-false rejections of every iteration are kept as int32 counts, grid x
-procedures x iterations x 8 bytes in all (0.6 MB for 5 points, 3
-procedures and 5000 iterations), and the measures are formed from them at
-the end. ``run_experiment`` is the one-point case.
+whole arrays; a grid value or procedure name that repeats is scored once.
+The rejections and false rejections of every iteration are kept as int32
+counts, grid x procedures x iterations x 8 bytes in all (0.6 MB for 5
+points, 3 procedures and 5000 iterations), and the measures are formed
+from them at the end. ``run_experiment`` is the one-point case.
 
 The sweep never computes p-values. p = 1 - Phi(x) is nonincreasing in x, so
 a stepwise decision depends only on the order of the x and on where each
@@ -298,20 +298,26 @@ def figure_sweep(
 ) -> list[SimulationSummary]:
     """Run the experiment across a grid of true-null counts in one pass of
     the sweep kernel: the schedules and their thresholds are built once, and
-    every distinct grid point is scored once on the same block of draws, so
-    the results, returned in grid order, equal those of ``run_experiment``
-    per point. The kernel keeps distinct n0 x procedures x iterations x 8
-    bytes of counts."""
+    every distinct grid point and procedure name is scored once on the same
+    block of draws, so the results, returned in grid and procedure order,
+    equal those of ``run_experiment`` per point. The kernel keeps distinct
+    n0 x distinct procedures x iterations x 8 bytes of counts."""
     for n0 in n0_grid:
         if not base_config.k <= n0 <= base_config.n:
             raise ValueError(
                 f"n0 grid values must lie in [k, n], got n0={n0} with "
                 f"k={base_config.k}, n={base_config.n}"
             )
-    rules = _statistic_rules(_build_schedules(base_config))
+    names = tuple(dict.fromkeys(base_config.procedures))
+    scored = dataclasses.replace(base_config, procedures=names)
+    rules = _statistic_rules(_build_schedules(scored))
     distinct = dict.fromkeys(int(n0) for n0 in n0_grid)
-    configs = [dataclasses.replace(base_config, n0=n0) for n0 in distinct]
-    by_n0 = dict(zip(distinct, _sweep(configs, rules)))
+    configs = [dataclasses.replace(scored, n0=n0) for n0 in distinct]
+    by_n0 = {}
+    for n0, summary in zip(distinct, _sweep(configs, rules)):
+        by_name = dict(zip(names, summary.results))
+        results = tuple(by_name[name] for name in base_config.procedures)
+        by_n0[n0] = SimulationSummary(dataclasses.replace(base_config, n0=n0), results)
     return [by_n0[int(n0)] for n0 in n0_grid]
 
 

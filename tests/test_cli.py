@@ -1,10 +1,12 @@
+import os
 import re
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kfdr import cli, schedules
+from kfdr import cli, schedules, simulation
 from kfdr.simulation import counterexample_bound
 
 GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "bench/golden/sweep_seed20070523.csv"
@@ -409,3 +411,161 @@ def test_sweep_matches_golden(tmp_path, capsys):
 
 def _data_rows(text):
     return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+def test_repeated_procedure_is_built_and_scored_once(monkeypatch, tmp_path, capsys):
+    argv = ["simulate", "--n", 12, "--k", 2, "--rho", 0.5, "--n0-grid", "3,12",
+            "--iterations", 61]
+    once, repeated = tmp_path / "once.csv", tmp_path / "repeated.csv"
+    assert run([*argv, "--procedures", "gen_bh,bh", "--output", once], capsys)[0] == 0
+    built = []
+    make = simulation.make_schedule
+    monkeypatch.setattr(simulation, "make_schedule", lambda name, **kw: built.append(name)
+                        or make(name, **kw))
+    assert run([*argv, "--procedures", "gen_bh,bh,gen_bh", "--output", repeated], capsys)[0] == 0
+    assert built == ["gen_bh", "bh"]
+    head, *rows = once.read_bytes().splitlines(keepends=True)
+    # Per n0: the gen_bh row, the bh row, then the gen_bh row again.
+    expected = [head, *(row for n0 in (rows[0:2], rows[2:4]) for row in (*n0, n0[0]))]
+    assert repeated.read_bytes() == b"".join(expected)
+
+
+def _use_cpus(monkeypatch, cpus):
+    """Make ``_split_map`` see ``cpus`` usable CPUs and record its forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("sub", ["adjust", "schedule"])
+def test_output_is_the_same_on_one_cpu_and_on_two(sub, monkeypatch, tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    p = np.random.default_rng(5).random(3 * cli._LINES_PER_WRITE + 1)
+    path.write_text("p\n" + "\n".join(map(repr, p.tolist())) + "\n")
+    argv = {
+        "adjust": ["adjust", path, "--procedure", "gen_bh", "--k", 2, "--alpha", 0.5],
+        "schedule": ["schedule", "--procedure", "gen_bh", "--n", 200001, "--k", 2],
+    }[sub]
+    outputs = []
+    for cpus in (1, 2):
+        forks = _use_cpus(monkeypatch, cpus)
+        outputs.append(run(argv, capsys))
+        assert len(forks) == {"adjust": 2, "schedule": 1}[sub] * (cpus - 1)
+        _assert_no_child_left()
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    assert outputs[0][1].count("\n") > 3 * cli._LINES_PER_WRITE
+
+
+def _rows(*rows, sep="\n"):
+    return (sep.join(rows) + sep).encode()
+
+
+# Fourteen rows cut two lines a chunk: the parent parses the first chunks,
+# a child the later ones, where each change sits.
+_VALUES = [f"0.{i:02d}" for i in range(1, 14)]
+CHUNKED_INPUTS = {
+    "crlf-header": _rows("p", *_VALUES, sep="\r\n"),
+    "crlf-at-cuts": b"p\n0.1\r\n0.2\n0.3\r\n" + _rows(*_VALUES, sep="\r\n"),
+    "lone-cr-late": _rows("p", *_VALUES[:9]) + b"0.5\r0.25\r0.75\n",
+    "form-feed-late": _rows("p", *_VALUES[:10], "\x0c0.5\x0c", "0.1\x0c0.2"),
+    "header-late": _rows("p", *_VALUES[:10], "p", *_VALUES[10:]),
+    "comment-late": _rows("p", *_VALUES[:10], "# late", *_VALUES[10:]),
+    "blank-late": _rows("p", *_VALUES[:10], "", "  ", *_VALUES[10:]),
+    "bad-row-in-parent-share": _rows("p", "0.1", "abc", *_VALUES),
+    "bad-row-in-child-share": _rows("p", *_VALUES[:10], "abc", *_VALUES[10:]),
+    "out-of-range-in-child-share": _rows("p", *_VALUES[:11], "1.5", *_VALUES[11:]),
+}
+CHUNKED_ERRORS = {
+    "header-late": "malformed p-value on row 12: 'p'",
+    "bad-row-in-parent-share": "malformed p-value on row 3: 'abc'",
+    "bad-row-in-child-share": "malformed p-value on row 12: 'abc'",
+    "out-of-range-in-child-share": "p-value outside [0, 1] on row 13: 1.5",
+}
+
+
+@pytest.mark.parametrize(
+    "body", [*PARSE_INPUTS.values(), *CHUNKED_INPUTS.values()],
+    ids=[*PARSE_INPUTS.keys(), *CHUNKED_INPUTS.keys()],
+)
+def test_read_pvalues_in_forked_chunks_equals_the_row_loop(body, monkeypatch, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(body)
+    with open(path, newline="") as fh:
+        text = fh.read()
+    expected = _parse_outcome(lambda: cli._parse_rows(str(path), text.splitlines()))
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
+    chunks = cli._line_chunks(text)
+    assert "".join(text[a:b] for a, b in chunks) == text
+    assert [line for a, b in chunks for line in text[a:b].splitlines()] == text.splitlines()
+    forks = _use_cpus(monkeypatch, 2)
+    assert _parse_outcome(lambda: cli._read_pvalues(str(path))) == expected
+    assert len(forks) == (len(chunks) > 1)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", CHUNKED_ERRORS)
+def test_forked_parse_keeps_the_message_and_row(name, monkeypatch, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(CHUNKED_INPUTS[name])
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
+    forks = _use_cpus(monkeypatch, 2)
+    assert run(["adjust", path], capsys) == (1, "", f"error: {path}: {CHUNKED_ERRORS[name]}\n")
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+def _fails_on(bad):
+    def fn(x):
+        if x == bad:
+            raise KeyError(f"item {x}")
+        return x * x
+    return fn
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_split_map_is_map_in_order(cpus, monkeypatch):
+    forks = _use_cpus(monkeypatch, cpus)
+    assert list(cli._split_map(_fails_on(None), range(10))) == [x * x for x in range(10)]
+    assert list(cli._split_map(_fails_on(None), [4])) == [16]
+    assert len(forks) == cpus - 1
+    for bad in (1, 8):
+        results = cli._split_map(_fails_on(bad), range(10))
+        assert list(islice(results, bad)) == [x * x for x in range(bad)]
+        with pytest.raises(KeyError, match=f"item {bad}"):
+            next(results)
+    if cpus > 1:
+        with pytest.raises(ChildProcessError, match="exited with status 3"):
+            list(cli._split_map(lambda x: os._exit(3) if x == 9 else x, range(10)))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_split_map_is_plain_map_without_fork_or_affinity(missing, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, missing)
+    assert cli._usable_cpus() == 1
+    assert list(cli._split_map(_fails_on(None), range(4))) == [0, 1, 4, 9]
+
+
+def test_split_map_kills_children_when_the_writer_fails(monkeypatch):
+    class BrokenPipeOut:
+        def write(self, text):
+            pass
+
+        def writelines(self, lines):
+            next(iter(lines))
+            raise BrokenPipeError("reader went away")
+
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
+    forks = _use_cpus(monkeypatch, 2)
+    with pytest.raises(BrokenPipeError):
+        cli._write_table(BrokenPipeOut(), [], "{}\n".format, np.arange(9.0))
+    assert forks == [1]
+    _assert_no_child_left()
