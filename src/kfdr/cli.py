@@ -16,10 +16,12 @@ becomes Python values and rows, with floats formatted by ``repr``.
 
 The parse and the row formatting are single-core Python loops, so both go
 through ``_split_map``: with P >= 2 usable CPUs and at least two chunks of
-lines or blocks of rows, P - 1 forked children take the later shares and
-spool their results back, and the parent merges them in input order. With
-one CPU, one chunk, or no ``os.fork``, it is plain ``map``. Either way the
-output bytes and the error messages are the same.
+lines or blocks of rows, a ``ProcessPoolExecutor`` of P forked workers runs
+them, at most P + 1 chunks or blocks ahead of the caller, and the results
+come back in input order. The pool is imported only when it is used, so a
+call that never forks does not pay for the import. With one CPU, one chunk,
+or no ``os.fork``, it is plain ``map``. Either way the output bytes and the
+error messages are the same.
 """
 
 from __future__ import annotations
@@ -28,11 +30,8 @@ import argparse
 import contextlib
 import math
 import os
-import pickle
-import signal
 import sys
-import tempfile
-import warnings
+from collections import deque
 from itertools import count, islice
 from typing import IO, Any, Callable, Iterator, Sequence
 
@@ -67,7 +66,7 @@ def _parse_model(spec: str, k: int) -> FkModel:
         path = spec.split(":", 1)[1]
         try:
             return load_empirical_csv(path, k)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ValueError(f"cannot read empirical model {path!r}: {exc}") from exc
     raise ValueError(
         f"--model must be independent, equicorrelated:RHO or empirical:PATH, got {spec!r}"
@@ -81,7 +80,7 @@ def _build_schedule(args: argparse.Namespace, n: int) -> CriticalValueSchedule:
 
 def _schedule_comments(schedule: CriticalValueSchedule, args: argparse.Namespace) -> list[str]:
     lines = [
-        f"# procedure={schedule.procedure}",
+        f"# procedure={args.procedure}",
         f"# k={schedule.k}",
         f"# alpha={schedule.alpha_level}",
         f"# direction={schedule.direction}",
@@ -108,14 +107,14 @@ def _read_pvalues(path: str) -> np.ndarray:
     every usable CPU when there are several chunks and on one otherwise.
     A cut after \\n never splits \\r\\n, so the chunks' rows are the file's
     rows, and only the first chunk can hold the header. No more than one
-    chunk's row strings are held at a time. On any ValueError, failed child
+    chunk's row strings are held at a time. On any ValueError, dead worker
     or failed range check the row loop (``_parse_rows``) runs over the whole
     file instead, and words the error with its row number.
     """
     try:
         with open(path, newline="") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
 
     def parse(chunk: tuple[int, int]) -> np.ndarray:
@@ -125,7 +124,7 @@ def _read_pvalues(path: str) -> np.ndarray:
 
     try:
         values = np.concatenate(list(_split_map(parse, _line_chunks(text))))
-    except (ValueError, ChildProcessError):
+    except (ValueError, RuntimeError):  # RuntimeError: a dead worker
         return _parse_rows(path, text.splitlines())
     # NaN fails both comparisons, so it takes the row loop too.
     if not ((values >= 0.0) & (values <= 1.0)).all():
@@ -196,17 +195,14 @@ def _write_table(
     _LINES_PER_WRITE block at a time, each block is formatted by
     ``_split_map`` and written in one call; only this process writes."""
     out.write("".join(line + "\n" for line in head))
-    tasks = [
-        (row, start, [c[start : start + _LINES_PER_WRITE] for c in columns])
-        for start in range(0, columns[0].size, _LINES_PER_WRITE)
-    ]
-    with contextlib.closing(_split_map(_format_block, tasks)) as blocks:
+    size = _LINES_PER_WRITE
+
+    def block(start: int) -> str:
+        values = (c[start : start + size].tolist() for c in columns)
+        return "".join(map(row, count(start + 1), *values))
+
+    with contextlib.closing(_split_map(block, range(0, columns[0].size, size))) as blocks:
         out.writelines(blocks)
-
-
-def _format_block(task: tuple[Callable[..., str], int, list[np.ndarray]]) -> str:
-    row, start, columns = task
-    return "".join(map(row, count(start + 1), *(c.tolist() for c in columns)))
 
 
 def _usable_cpus() -> int:
@@ -218,69 +214,54 @@ def _usable_cpus() -> int:
 def _split_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> Iterator[Any]:
     """``map(fn, items)``, with the work shared out over the usable CPUs.
 
-    With P = min(usable CPUs, len(items)) >= 2, P - 1 forked children each
-    take one of the later contiguous shares of ``items`` and pickle their
-    results, one at a time, into an anonymous spool file. The parent
-    computes and yields the first share, then reaps each child in order and
-    yields its spooled results. An exception that ``fn`` raises in a child
-    is spooled after the results before it and raised here, where ``map``
-    would raise it; a child that dies otherwise raises ChildProcessError.
-    A child leaves only through ``os._exit``, never into the caller, and
-    any child not yet reaped when the generator fails or is closed is
-    killed and reaped. With one CPU or one item this is plain ``map``.
+    With P = min(usable CPUs, len(items)) >= 2, a ``ProcessPoolExecutor``
+    on the fork context runs ``fn`` in P workers. ``fn`` reaches them as the
+    pool's initializer argument, which a fork inherits without pickling, so
+    it may be a closure over large data; only the items and the results are
+    pickled. A deque of futures keeps at most P + 1 items submitted and not
+    yet yielded, so a slow consumer does not pile up results. An exception
+    that ``fn`` raises is raised here, where ``map`` would raise it; a worker
+    that dies raises BrokenProcessPool, a RuntimeError. When the generator
+    fails or is closed, the queued items are cancelled and the pool joins
+    every worker, so no child outlives the call. With one CPU, one item or
+    no ``os.fork`` this is plain ``map``.
     """
-    shares = min(_usable_cpus(), len(items))
-    if shares < 2:
+    workers = min(_usable_cpus(), len(items))
+    if workers < 2:
         yield from map(fn, items)
         return
-    bounds = [len(items) * i // shares for i in range(shares + 1)]
-    pending: list[tuple[int, IO[bytes], int]] = []  # forked and not yet reaped
-    with contextlib.ExitStack() as spools:
+    # Imported here, not at the top: the import adds about 20 ms to a fresh
+    # kfdr, and the calls that never fork should not pay for it.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"), _set_worker_fn, (fn,)
+    ) as pool:
+        pending: deque[Any] = deque()
         try:
-            for lo, hi in zip(bounds[1:], bounds[2:]):
-                spool = spools.enter_context(tempfile.TemporaryFile())
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns about fork in a process with threads
-                    # (numpy's BLAS pool); the children never call BLAS.
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-                if pid == 0:
-                    code = 1
-                    try:
-                        _spool_share(fn, items[lo:hi], spool)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                pending.append((pid, spool, hi - lo))
-            yield from map(fn, items[: bounds[1]])
+            for item in items:
+                pending.append(pool.submit(_call_worker_fn, item))
+                if len(pending) > workers:
+                    yield pending.popleft().result()
             while pending:
-                pid, spool, size = pending[0]
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del pending[0]
-                if code != 0:
-                    raise ChildProcessError(f"a forked worker exited with status {code}")
-                spool.seek(0)
-                for _ in range(size):
-                    ok, value = pickle.load(spool)
-                    if not ok:
-                        raise value
-                    yield value
+                yield pending.popleft().result()
         finally:
-            for pid, _, _ in pending:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+            for future in pending:
+                future.cancel()
 
 
-def _spool_share(fn: Callable[[Any], Any], share: Sequence[Any], spool: IO[bytes]) -> None:
-    """Pickle (True, ``fn(item)``) for each item into ``spool``, or, once
-    ``fn`` raises, (False, the exception) and stop. Each record is pickled
-    whole before it is written, so a failed pickle leaves no part record."""
-    try:
-        for item in share:
-            spool.write(pickle.dumps((True, fn(item)), pickle.HIGHEST_PROTOCOL))
-    except Exception as exc:  # noqa: BLE001 - raised again by the parent
-        spool.write(pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL))
-    spool.flush()
+# Set only in a pool worker: the ``fn`` of the ``_split_map`` that forked it.
+_worker_fn: Callable[[Any], Any]
+
+
+def _set_worker_fn(fn: Callable[[Any], Any]) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker_fn(item: Any) -> Any:
+    return _worker_fn(item)
 
 
 def _adjust_row(i: int, p: float, c: float, flag: bool) -> str:

@@ -1,5 +1,6 @@
 import os
 import re
+from concurrent.futures.process import BrokenProcessPool
 from itertools import islice
 from pathlib import Path
 
@@ -431,7 +432,8 @@ def test_repeated_procedure_is_built_and_scored_once(monkeypatch, tmp_path, caps
 
 
 def _use_cpus(monkeypatch, cpus):
-    """Make ``_split_map`` see ``cpus`` usable CPUs and record its forks."""
+    """Make ``_split_map`` see ``cpus`` usable CPUs and record its forks:
+    a pool forks one worker per usable CPU, and none on one CPU."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     forks = []
     fork = os.fork
@@ -457,7 +459,7 @@ def test_output_is_the_same_on_one_cpu_and_on_two(sub, monkeypatch, tmp_path, ca
     for cpus in (1, 2):
         forks = _use_cpus(monkeypatch, cpus)
         outputs.append(run(argv, capsys))
-        assert len(forks) == {"adjust": 2, "schedule": 1}[sub] * (cpus - 1)
+        assert len(forks) == {"adjust": 2, "schedule": 1}[sub] * (cpus if cpus > 1 else 0)
         _assert_no_child_left()
     assert outputs[0] == outputs[1] and outputs[0][0] == 0
     assert outputs[0][1].count("\n") > 3 * cli._LINES_PER_WRITE
@@ -506,7 +508,7 @@ def test_read_pvalues_in_forked_chunks_equals_the_row_loop(body, monkeypatch, tm
     assert [line for a, b in chunks for line in text[a:b].splitlines()] == text.splitlines()
     forks = _use_cpus(monkeypatch, 2)
     assert _parse_outcome(lambda: cli._read_pvalues(str(path))) == expected
-    assert len(forks) == (len(chunks) > 1)
+    assert len(forks) == (2 if len(chunks) > 1 else 0)
     _assert_no_child_left()
 
 
@@ -517,7 +519,7 @@ def test_forked_parse_keeps_the_message_and_row(name, monkeypatch, tmp_path, cap
     monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
     forks = _use_cpus(monkeypatch, 2)
     assert run(["adjust", path], capsys) == (1, "", f"error: {path}: {CHUNKED_ERRORS[name]}\n")
-    assert forks == [1]
+    assert forks == [1, 1]
     _assert_no_child_left()
 
 
@@ -534,14 +536,14 @@ def test_split_map_is_map_in_order(cpus, monkeypatch):
     forks = _use_cpus(monkeypatch, cpus)
     assert list(cli._split_map(_fails_on(None), range(10))) == [x * x for x in range(10)]
     assert list(cli._split_map(_fails_on(None), [4])) == [16]
-    assert len(forks) == cpus - 1
+    assert len(forks) == (cpus if cpus > 1 else 0)
     for bad in (1, 8):
         results = cli._split_map(_fails_on(bad), range(10))
         assert list(islice(results, bad)) == [x * x for x in range(bad)]
         with pytest.raises(KeyError, match=f"item {bad}"):
             next(results)
     if cpus > 1:
-        with pytest.raises(ChildProcessError, match="exited with status 3"):
+        with pytest.raises(BrokenProcessPool):
             list(cli._split_map(lambda x: os._exit(3) if x == 9 else x, range(10)))
     _assert_no_child_left()
 
@@ -567,5 +569,73 @@ def test_split_map_kills_children_when_the_writer_fails(monkeypatch):
     forks = _use_cpus(monkeypatch, 2)
     with pytest.raises(BrokenPipeError):
         cli._write_table(BrokenPipeOut(), [], "{}\n".format, np.arange(9.0))
-    assert forks == [1]
+    assert forks == [1, 1]
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_closing_split_map_early_leaves_no_work_running(cpus, monkeypatch, tmp_path):
+    started = tmp_path / "started"
+    fd = os.open(started, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def fn(x):
+        os.write(fd, b"%d\n" % x)
+        return x
+
+    _use_cpus(monkeypatch, cpus)
+    results = cli._split_map(fn, range(100))
+    try:
+        assert next(results) == 0
+        results.close()
+    finally:
+        os.close(fd)
+    items = [int(line) for line in started.read_bytes().splitlines()]
+    # The first item, and of the rest only those submitted with it.
+    assert 0 in items and set(items) <= set(range(cpus + 1)) and len(items) <= cpus + 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", ["crlf-header", "bad-row-in-child-share"])
+def test_a_dead_parse_worker_falls_back_to_the_row_loop(name, monkeypatch, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(CHUNKED_INPUTS[name])
+    with open(path, newline="") as fh:
+        expected = _parse_outcome(lambda: cli._parse_rows(str(path), fh.read().splitlines()))
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
+    # Only the chunk parse calls islice; every worker that runs it dies.
+    parent = os.getpid()
+    monkeypatch.setattr(
+        cli, "islice", lambda *a: islice(*a) if os.getpid() == parent else os._exit(3)
+    )
+    forks = _use_cpus(monkeypatch, 2)
+    assert _parse_outcome(lambda: cli._read_pvalues(str(path))) == expected
+    assert forks == [1, 1]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["adjust", "INPUT"], "cannot read {!r}: "),
+        (["schedule", "--procedure", "gen_bh", "--n", 4, "--k", 2, "--model", "empirical:INPUT"],
+         "cannot read empirical model {!r}: "),
+    ],
+    ids=["adjust", "empirical-model"],
+)
+def test_a_file_that_is_not_utf8_names_the_file(argv, message, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xff\n")
+    argv = [str(a).replace("INPUT", str(path)) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message.format(str(path))) and "decode" in err
+
+
+@pytest.mark.parametrize("name", [*schedules.PROCEDURES, "rescaled_const:0.5"])
+def test_procedure_line_is_the_name_given(name, tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    path.write_text("p\n0.01\n0.2\n0.5\n0.04\n0.9\n")
+    for argv in (["schedule", "--n", 5], ["adjust", path]):
+        code, out, _ = run([*argv, "--procedure", name, "--k", 2], capsys)
+        assert code == 0
+        assert out.splitlines()[0] == f"# procedure={name}"
