@@ -7,19 +7,21 @@ CSV with '#'-prefixed metadata comment lines and a mandatory header row.
 Exit codes: 0 success, 1 validation error (an ``adjust`` input with no
 p-value rows among them), 2 runtime/numerical failure.
 
-``adjust`` stays in float64 arrays from input to output: the p-values are
-parsed in one ``float`` pass with one range check, and a row loop runs only
-on a file that pass rejects, to give the same result or word the error.
+``adjust`` stays in float64 arrays from input to output: the input is read
+in pieces of about ``_LINES_PER_WRITE`` lines, never as one whole-file
+string, the p-values are parsed in one ``float`` pass with one range check,
+and a row loop runs only on a file that pass rejects, to give the same
+result or word the error. Only the columns it prints outlive the decision.
 Both tables, of ``adjust`` and of ``schedule``, are written from their array
 columns by ``_write_table``: one ``_LINES_PER_WRITE`` block at a time
 becomes Python values and rows, with floats formatted by ``repr``.
 
 The parse and the row formatting are single-core Python loops, so both go
-through ``_split_map``: with P >= 2 usable CPUs and at least two chunks of
-lines or blocks of rows, a ``ProcessPoolExecutor`` of P forked workers runs
-them, at most P + 1 chunks or blocks ahead of the caller, and the results
+through ``_split_map``: with P >= 2 usable CPUs and at least two pieces of
+input or blocks of rows, a ``ProcessPoolExecutor`` of P forked workers runs
+them, at most P + 1 pieces or blocks ahead of the caller, and the results
 come back in input order. The pool is imported only when it is used, so a
-call that never forks does not pay for the import. With one CPU, one chunk,
+call that never forks does not pay for the import. With one CPU, one piece,
 or no ``os.fork``, it is plain ``map``. Either way the output bytes and the
 error messages are the same.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import os
 import sys
@@ -93,7 +96,7 @@ def _schedule_comments(schedule: CriticalValueSchedule, args: argparse.Namespace
 
 
 def _read_pvalues(path: str) -> np.ndarray:
-    """The p-values of ``path`` as a float64 array, one per row.
+    """The p-values of ``path`` as a read-only float64 array, one per row.
 
     Rows are the ``splitlines`` of the file. A first row reading p (any
     case, stripped) is a header; blank rows and rows starting with # are
@@ -102,46 +105,54 @@ def _read_pvalues(path: str) -> np.ndarray:
     raises on a row the loop skips, and strips no whitespace that
     ``str.strip`` keeps, so where it succeeds it gives the loop's values.
 
-    The text is cut after a newline at about every ``_LINES_PER_WRITE``
-    lines (``_line_chunks``), and ``_split_map`` parses the chunks, on
-    every usable CPU when there are several chunks and on one otherwise.
-    A cut after \\n never splits \\r\\n, so the chunks' rows are the file's
-    rows, and only the first chunk can hold the header. No more than one
-    chunk's row strings are held at a time. On any ValueError, dead worker
-    or failed range check the row loop (``_parse_rows``) runs over the whole
-    file instead, and words the error with its row number.
+    The file is read in pieces of about ``_LINES_PER_WRITE`` lines
+    (``_read_pieces``), never as one string. Freeing a whole-file string
+    raises glibc's mmap threshold to its size, so every later array up to
+    that size would come from the heap, whose pages stay resident after the
+    array is freed and count again in each forked worker. ``_split_map``
+    parses the pieces, on every usable CPU when there are several and on
+    one otherwise; the workers inherit the pieces and get only indices.
+    Each piece ends on a line break and no piece splits \\r\\n, so the
+    pieces' rows are the file's rows, and only the first piece can hold the
+    header. No more than one piece's row strings are held at a time. On any
+    ValueError, dead worker or failed range check the row loop
+    (``_parse_rows``) runs over the joined pieces instead, and words the
+    error with its row number.
     """
     try:
-        with open(path, newline="") as fh:
-            text = fh.read()
+        pieces = _read_pieces(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
 
-    def parse(chunk: tuple[int, int]) -> np.ndarray:
-        lines = text[chunk[0] : chunk[1]].splitlines()
-        start = 1 if chunk[0] == 0 and lines and lines[0].strip().lower() == "p" else 0
+    def parse(index: int) -> np.ndarray:
+        lines = pieces[index].splitlines()
+        start = 1 if index == 0 and lines and lines[0].strip().lower() == "p" else 0
         return np.fromiter(map(float, islice(lines, start, None)), np.float64, len(lines) - start)
 
     try:
-        values = np.concatenate(list(_split_map(parse, _line_chunks(text))))
+        values = np.concatenate(list(_split_map(parse, range(len(pieces)))))
     except (ValueError, RuntimeError):  # RuntimeError: a dead worker
-        return _parse_rows(path, text.splitlines())
+        values = None
     # NaN fails both comparisons, so it takes the row loop too.
-    if not ((values >= 0.0) & (values <= 1.0)).all():
-        return _parse_rows(path, text.splitlines())
+    if values is None or not ((values >= 0.0) & (values <= 1.0)).all():
+        values = _parse_rows(path, "".join(pieces).splitlines())
+    values.flags.writeable = False
     return values
 
 
-def _line_chunks(text: str) -> list[tuple[int, int]]:
-    """(start, stop) offsets that cut ``text`` after a \\n at about every
-    ``_LINES_PER_WRITE`` lines; at least one chunk, empty for empty text."""
-    step = max(1, len(text) * _LINES_PER_WRITE // max(1, text.count("\n")))
-    chunks, start = [], 0
-    while not chunks or start < len(text):
-        stop = text.find("\n", start + step - 1) + 1 or len(text)
-        chunks.append((start, stop))
-        start = stop
-    return chunks
+def _read_pieces(path: str) -> list[str]:
+    """The text of ``path`` as consecutive pieces: the first
+    ``_LINES_PER_WRITE`` lines, then reads of that many characters, each
+    completed by ``readline``. The file is read untranslated, whose
+    ``readline`` ends a line at \\n, \\r or a whole \\r\\n, so every piece
+    but the last ends on a line break, and a read that stops inside \\r\\n
+    is completed by the \\n. At least one piece, empty for an empty file."""
+    with open(path, newline="") as fh:
+        pieces = ["".join(fh.readline() for _ in range(_LINES_PER_WRITE))]
+        size = max(1, len(pieces[0]))
+        while piece := fh.read(size):
+            pieces.append(piece + fh.readline())
+    return pieces
 
 
 def _parse_rows(path: str, lines: list[str]) -> np.ndarray:
@@ -275,12 +286,16 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
     if not sample.n:
         raise ValueError(f"{args.input}: no p-values")
     schedule = _build_schedule(args, n=sample.n)
+    head = [*_schedule_comments(schedule, args), "index,p,critical,rejected"]
+    # Only the printed columns are kept: the F-targets go before the sort,
+    # the schedule and the sort order before the writers fork.
+    schedule = dataclasses.replace(schedule, f_targets=None)
     outcome = engine.decide(sample, schedule)
     critical = np.empty(sample.n)
     critical[outcome.order] = schedule.alphas
     rejected = np.zeros(sample.n, dtype=bool)
     rejected[outcome.order[: outcome.r]] = True
-    head = [*_schedule_comments(schedule, args), "index,p,critical,rejected"]
+    del schedule, outcome
     with _output(args.output) as out:
         _write_table(out, head, _adjust_row, sample.values, critical, rejected)
     return 0

@@ -32,9 +32,11 @@ from .schedules import STEPUP, CriticalValueSchedule, _frozen_array
 class PValueSample:
     """n p-values, optionally labeled with ground truth.
 
-    ``values`` (float64) and ``truth`` (bool) are read-only arrays; any
-    sequence passed in is copied into one. ``truth[i]`` is True when
-    hypothesis i is a true null (so a rejection of it is a false rejection).
+    ``values`` (float64) and ``truth`` (bool) are read-only arrays. A
+    read-only array of that dtype that owns its data is kept as it is; any
+    other sequence, a writeable array included, is copied into one.
+    ``truth[i]`` is True when hypothesis i is a true null (so a rejection of
+    it is a false rejection).
     """
 
     values: np.ndarray

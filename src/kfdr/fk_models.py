@@ -43,7 +43,8 @@ EMPIRICAL = "empirical"
 
 _KINDS = (INDEPENDENT_UNIFORM, EQUICORRELATED, EMPIRICAL)
 
-# Entries per block that ``_python_power`` turns into Python floats at once.
+# Entries per block that ``_python_power`` turns into Python floats at once,
+# and indices per block of the closed-form F-targets in ``schedules``.
 _POWER_BLOCK = 65536
 
 
@@ -101,10 +102,12 @@ def _like_input(values: float | np.ndarray, out: np.ndarray) -> float | np.ndarr
 def _python_power(arr: np.ndarray, exponent: float) -> np.ndarray:
     # Python float arithmetic: np.power rounds differently for some values.
     # The floats are made one block at a time, not as one list of arr.size.
+    # A 1-D result is not reshaped, so it owns its data (see _frozen_array).
     flat = arr.ravel()
     blocks = (flat[i : i + _POWER_BLOCK].tolist() for i in range(0, flat.size, _POWER_BLOCK))
     values = chain.from_iterable(map(pow, block, repeat(exponent)) for block in blocks)
-    return np.fromiter(values, np.float64, arr.size).reshape(arr.shape)
+    out = np.fromiter(values, np.float64, arr.size)
+    return out if arr.ndim == 1 else out.reshape(arr.shape)
 
 
 def fk_eval(model: FkModel, x: float | np.ndarray) -> float | np.ndarray:

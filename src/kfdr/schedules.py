@@ -6,14 +6,17 @@ each index and the schedule materializes alpha_i by inverting the model.
 Closed-form targets are alpha * (num / den) with exact integer num and den:
 Python's int/int division is correctly rounded, so equal rationals give equal
 targets and integer inequalities between ratios carry over to the floats.
-The targets are computed as arrays: binomials are built in int64 where one
-``math.comb`` at the largest index shows they cannot overflow
-(``_combs``), and where num and den are below 2^53 they are divided as
-float64, which rounds the same (``_f_targets``); elsewhere the integer
-loop runs per row. Each schedule is inverted with one batched
-``fk_invert`` call. Schedules hold the inverted alphas and their F-targets
-as read-only float64 arrays, so downstream checks can compare targets
-without re-inversion noise.
+The targets are computed as arrays, one ``_POWER_BLOCK`` of indices at a
+time into one preallocated float64 array (``_block_targets``), so no
+n-element integer or quotient temporaries are made. In each block,
+binomials are built in int64 where one ``math.comb`` at the block's largest
+index shows they cannot overflow (``_combs``), and where num and den are
+below 2^53 they are divided as float64, which rounds the same
+(``_f_targets``); elsewhere the integer loop runs per row. Every path gives
+the same correctly rounded target, so the blocks change no bit. Each
+schedule is inverted with one batched ``fk_invert`` call. Schedules hold
+the inverted alphas and their F-targets as read-only float64 arrays, so
+downstream checks can compare targets without re-inversion noise.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fk_models import FkModel, fk_eval, fk_invert
+from .fk_models import _POWER_BLOCK, FkModel, fk_eval, fk_invert
 
 STEPUP = "stepup"
 STEPDOWN = "stepdown"
@@ -35,6 +38,15 @@ _EXACT_INT = 2**53
 
 
 def _frozen_array(values: Sequence[float], dtype: type = np.float64) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``: the input itself when it
+    is already one that owns its data, else a copy."""
+    if (
+        type(values) is np.ndarray
+        and values.dtype == dtype
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
@@ -44,11 +56,12 @@ def _frozen_array(values: Sequence[float], dtype: type = np.float64) -> np.ndarr
 class CriticalValueSchedule:
     """A nondecreasing sequence alpha_1 <= ... <= alpha_n plus identity.
 
-    ``alphas`` and ``f_targets`` are read-only float64 arrays; any sequence
-    passed in is copied into one. ``f_targets`` holds the F_k(alpha_i) values
-    the construction prescribed (None for marginal constructions that bypass
-    F_k). ``warning`` is set on schedules that are known not to control the
-    error rate they resemble.
+    ``alphas`` and ``f_targets`` are read-only float64 arrays. A read-only
+    float64 array that owns its data is kept as it is; any other sequence,
+    a writeable array included, is copied into one. ``f_targets`` holds the
+    F_k(alpha_i) values the construction prescribed (None for marginal
+    constructions that bypass F_k). ``warning`` is set on schedules that are
+    known not to control the error rate they resemble.
     """
 
     alphas: np.ndarray
@@ -74,7 +87,7 @@ class CriticalValueSchedule:
         # NaN fails both comparisons, so it is rejected here too.
         if not ((alphas >= 0.0) & (alphas <= 1.0)).all():
             raise ValueError("critical values must lie in [0, 1]")
-        if (np.diff(alphas) < 0.0).any():
+        if (alphas[1:] < alphas[:-1]).any():
             raise ValueError("critical values must be nondecreasing")
         if (alphas[: self.k] != alphas[0]).any():
             raise ValueError("the first k critical values must coincide")
@@ -106,9 +119,21 @@ def _f_target(alpha: float, num: int, den: int) -> float:
     return alpha * ratio
 
 
-def _indices(n: int, k: int) -> np.ndarray:
-    """max(i, k) for i = 1..n, as int64."""
-    return np.maximum(np.arange(1, n + 1, dtype=np.int64), k)
+def _indices(stop: int, k: int, start: int = 0) -> np.ndarray:
+    """max(i, k) for i = start + 1..stop, as int64."""
+    return np.maximum(np.arange(start + 1, stop + 1, dtype=np.int64), k)
+
+
+def _block_targets(n: int, k: int, targets: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``targets(j)`` for j = max(i, k), i = 1..n, filled into one float64
+    array one ``_POWER_BLOCK`` of indices at a time, so every temporary is
+    block-sized. Each block picks its own paths in ``_combs`` and
+    ``_f_targets``, which give the same targets and underflow error."""
+    out = np.empty(n)
+    for start in range(0, n, _POWER_BLOCK):
+        stop = min(n, start + _POWER_BLOCK)
+        out[start:stop] = targets(_indices(stop, k, start))
+    return out
 
 
 def _combs(m: np.ndarray, r: int, scale: int = 1) -> np.ndarray:
@@ -159,8 +184,12 @@ def _invert_targets(
     direction: str,
     warning: str | None = None,
 ) -> CriticalValueSchedule:
+    # Frozen here, the arrays the builder made are kept by the schedule
+    # without a copy.
+    alphas = fk_invert(model, targets)
+    alphas.flags.writeable = targets.flags.writeable = False
     return CriticalValueSchedule(
-        alphas=fk_invert(model, targets),
+        alphas=alphas,
         k=k,
         procedure=procedure,
         alpha_level=alpha,
@@ -179,8 +208,9 @@ def gen_bh(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedul
     with j = max(i,k), whose smaller integers divide faster.
     """
     _validate_inputs(n, k, alpha, model)
-    j = _indices(n, k)
-    targets = _f_targets(alpha, j, _combs(n + k - 1 - j, k - 1, scale=n))
+    targets = _block_targets(
+        n, k, lambda j: _f_targets(alpha, j, _combs(n + k - 1 - j, k - 1, scale=n))
+    )
     return _invert_targets(targets, model, k, "gen_bh", alpha, STEPUP)
 
 
@@ -204,12 +234,13 @@ def gen_by(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedul
     """
     _validate_inputs(n, k, alpha, model)
     harmonic = 1.0 + math.fsum(1.0 / np.arange(k + 1, n + 1))
-    targets = _f_targets(alpha / harmonic, _indices(n, k), k * math.comb(n, k))
+    den = k * math.comb(n, k)
+    targets = _block_targets(n, k, lambda j: _f_targets(alpha / harmonic, j, den))
     return _invert_targets(targets, model, k, "gen_by", alpha, STEPUP)
 
 
 def _holm_targets(n: int, k: int, alpha: float) -> np.ndarray:
-    return _f_targets(alpha, 1, _combs(n + k - _indices(n, k), k))
+    return _block_targets(n, k, lambda j: _f_targets(alpha, 1, _combs(n + k - j, k)))
 
 
 def gen_holm_stepdown(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
@@ -254,7 +285,8 @@ def gen_simes(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSche
     because these constants can fail to control the k-FDR.
     """
     _validate_inputs(n, k, alpha, model)
-    targets = _f_targets(alpha, _combs(_indices(n, k), k), math.comb(n, k))
+    den = math.comb(n, k)
+    targets = _block_targets(n, k, lambda j: _f_targets(alpha, _combs(j, k), den))
     return _invert_targets(targets, model, k, "gen_simes", alpha, STEPUP, warning=SIMES_WARNING)
 
 
@@ -278,7 +310,7 @@ def _check_base(n: int, base: Sequence[float]) -> np.ndarray:
     # NaN fails both comparisons, so it is rejected here too.
     if not ((base >= 0.0) & (base <= 1.0)).all():
         raise ValueError("base sequence values must lie in [0, 1]")
-    if (np.diff(base) < 0.0).any():
+    if (base[1:] < base[:-1]).any():
         raise ValueError("base sequence must be nondecreasing")
     return base
 
@@ -314,7 +346,7 @@ def rescaled_stepup(
     The base constants are rescaled by D' = max_{k<=n0<=n} S'(n0), giving
     F-targets alpha * F_k(b_{max(i,k)}) / D'. Valid under arbitrary
     dependence; all targets are <= alpha because D' >= F_k(b_n). Where
-    F_k(b_i) > 0 but alpha * F_k(b_i) is subnormal or the target is 0, the
+    F_k(b_i) > 0 but alpha * F_k(b_i) or the target is subnormal or 0, the
     target has lost its precision and a ValueError is raised.
     """
     _validate_inputs(n, k, alpha, model)
@@ -326,7 +358,7 @@ def rescaled_stepup(
     f = f_base[_indices(n, k) - 1]
     scaled = alpha * f
     targets = scaled / d_prime
-    if ((f > 0.0) & ((scaled < sys.float_info.min) | (targets == 0.0))).any():
+    if ((f > 0.0) & ((scaled < sys.float_info.min) | (targets < sys.float_info.min))).any():
         raise ValueError("an F-target underflows double precision: alpha * F_k(b_i) is too small")
     return _invert_targets(targets, model, k, "rescaled_stepup", alpha, STEPUP)
 

@@ -1,5 +1,6 @@
 import os
 import re
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from itertools import islice
 from pathlib import Path
@@ -68,6 +69,39 @@ def test_adjust_writes_output_file(ties_csv, tmp_path, capsys):
     code, out, _ = run(["adjust", ties_csv, "--alpha", 0.5, "--output", dest], capsys)
     assert code == 0 and out == ""
     assert dest.read_text().splitlines()[-1] == "5,0.1,0.2,true"
+
+
+def test_adjust_output_may_name_its_input(monkeypatch, tmp_path, capsys):
+    # Several pieces: the input is read to its end before the output opens.
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
+    path = tmp_path / "p.csv"
+    path.write_text("p\n0.3\n0.1\n0.02\n0.9\n1e-05\n0.3\n0.04\n")
+    argv = ["adjust", path, "--procedure", "gen_bh", "--k", 2, "--alpha", 0.5]
+    code, expected, _ = run(argv, capsys)
+    assert code == 0 and expected.count("\n") > 7
+    assert run([*argv, "--output", path], capsys) == (0, "", "")
+    assert path.read_text() == expected
+
+
+def test_adjust_peak_memory_per_row(monkeypatch, tmp_path):
+    # tracemalloc counts numpy's buffers as well as Python's objects, and
+    # not what the C allocator keeps, so the bound holds on any allocator.
+    rows = 2**18
+    path = tmp_path / "p.csv"
+    p = np.random.default_rng(11).random(rows).tolist()
+    path.write_text("p\n" + "\n".join(map(repr, p)) + "\n")
+    del p
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    argv = ["adjust", str(path), "--procedure", "gen_bh", "--k", "2",
+            "--output", str(tmp_path / "out.csv")]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / rows <= 75
 
 
 @pytest.mark.parametrize(
@@ -155,6 +189,9 @@ def test_counterexample_csv(capsys):
          "unknown procedure 'nope'"),
         (["simulate", "--n", 10, "--n0-grid", 10, "--rho", 0.5, "--procedures", "gen_bh,nope"],
          "unknown procedure 'nope'"),
+        # alpha * F_k(b_i) is normal but the division by D' gives a subnormal.
+        (["schedule", "--procedure", "rescaled_const:0.5", "--n", 1030, "--k", 480],
+         "F-target underflows double precision"),
     ],
 )
 def test_validation_errors_exit_one(argv, message, capsys):
@@ -503,13 +540,28 @@ def test_read_pvalues_in_forked_chunks_equals_the_row_loop(body, monkeypatch, tm
         text = fh.read()
     expected = _parse_outcome(lambda: cli._parse_rows(str(path), text.splitlines()))
     monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
-    chunks = cli._line_chunks(text)
-    assert "".join(text[a:b] for a, b in chunks) == text
-    assert [line for a, b in chunks for line in text[a:b].splitlines()] == text.splitlines()
+    pieces = cli._read_pieces(str(path))
+    assert "".join(pieces) == text
+    assert [line for piece in pieces for line in piece.splitlines()] == text.splitlines()
+    assert all(piece.endswith(("\n", "\r")) for piece in pieces[:-1])
     forks = _use_cpus(monkeypatch, 2)
     assert _parse_outcome(lambda: cli._read_pvalues(str(path))) == expected
-    assert len(forks) == (2 if len(chunks) > 1 else 0)
+    assert len(forks) == (2 if len(pieces) > 1 else 0)
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3, 5])
+def test_read_pieces_never_split_crlf(lines, monkeypatch, tmp_path):
+    # Rows of every length from 5 to 42 characters, so the reads after the
+    # first piece stop at many offsets of a row, between \r and \n too.
+    text = "".join(f"0.{'1' * i}\r\n" for i in range(1, 39)) * 3
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", lines)
+    pieces = cli._read_pieces(str(path))
+    assert "".join(pieces) == text and len(pieces) > 3
+    assert all(piece.endswith("\r\n") for piece in pieces)
+    assert pieces[0].count("\n") == lines
 
 
 @pytest.mark.parametrize("name", CHUNKED_ERRORS)

@@ -123,6 +123,17 @@ class TestPValueSample:
         assert sample.truth.tolist() == [True, False, True]
         assert values.flags.writeable and truth.flags.writeable
 
+    def test_keeps_a_frozen_array_it_owns(self):
+        values, truth = np.array([0.01, 0.5, 0.03]), np.array([True, False, True])
+        values.flags.writeable = truth.flags.writeable = False
+        sample = PValueSample(values, truth)
+        assert np.shares_memory(sample.values, values) and np.shares_memory(sample.truth, truth)
+        # A read-only view can change through its base, so it is copied.
+        base = np.array([0.01, 0.5, 0.03])
+        view = base[1:]
+        view.flags.writeable = False
+        assert not np.shares_memory(PValueSample(view).values, base)
+
     def test_length_mismatch(self):
         schedule = CriticalValueSchedule((0.1, 0.2), 1, "grid", 0.2, STEPUP)
         with pytest.raises(ValueError, match="does not match"):

@@ -470,6 +470,28 @@ class TestScheduleValidation:
         alphas[0] = 0.3
         assert s.alphas.tolist() == [0.1, 0.2] and alphas.flags.writeable
 
+    def test_keeps_a_frozen_array_it_owns(self):
+        alphas, f_targets = np.array([0.1, 0.2]), np.array([0.01, 0.04])
+        alphas.flags.writeable = f_targets.flags.writeable = False
+        s = CriticalValueSchedule(alphas, 1, "x", 0.05, STEPUP, f_targets=f_targets)
+        assert s.alphas is alphas and s.f_targets is f_targets
+        # A read-only view can change through its base, so it is copied.
+        base = np.array([0.1, 0.2, 0.3])
+        view = base[1:]
+        view.flags.writeable = False
+        kept = CriticalValueSchedule(view, 1, "x", 0.05, STEPUP)
+        assert not np.shares_memory(kept.alphas, base)
+        assert not kept.alphas.flags.writeable and kept.alphas.flags.owndata
+
+    @pytest.mark.parametrize("name", ["gen_bh", "gen_holm", "rescaled_hochberg"])
+    def test_a_built_schedule_keeps_the_arrays_it_made(self, name, monkeypatch):
+        made = []
+        invert = schedules.fk_invert
+        monkeypatch.setattr(schedules, "fk_invert", lambda *a: made.append(invert(*a)) or made[-1])
+        s = make_schedule(name, 7, 2, 0.05, IND2)
+        assert np.shares_memory(s.alphas, made[-1]) and s.alphas.flags.owndata
+        assert s.f_targets.flags.owndata and not s.f_targets.flags.writeable
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             gen_bh(5, 2, 1.5, IND2)
@@ -543,6 +565,62 @@ class TestVectorisedTargets:
             got = make_schedule(name, n, k, 0.05, independent_fk(k)).f_targets
             assert got.tolist() == expected
             assert len(rows) == (0 if fast else n)
+
+    # n = B - 1, B, B + 1 and 2B + 1 for a block of B = 3 indices: a last
+    # block that is partial, full, a single index, and past two full ones.
+    @pytest.mark.parametrize("name", CLOSED_FORM)
+    def test_blocks_equal_the_whole_array(self, name, monkeypatch):
+        pairs = [(n, k) for n in (2, 3, 4, 7) for k in range(1, n + 1)]
+        monkeypatch.setattr(schedules, "_POWER_BLOCK", 3)
+        for n, k in pairs:
+            got = make_schedule(name, n, k, 0.05, independent_fk(k)).f_targets
+            assert got.tobytes() == np.array(loop_targets(name, n, k, 0.05)).tobytes(), (n, k)
+
+    # Blocks that take different paths: the first blocks, where the
+    # binomials are largest, pass 2^53 ("float") or int64 ("int64"), the
+    # last ones do not.
+    @pytest.mark.parametrize(
+        "name, n, k, block, mixed",
+        [
+            ("gen_holm", 376, 8, 64, "float"),
+            ("gen_bh", 291, 8, 64, "float"),
+            ("gen_bh", 61, 17, 8, "float"),
+            ("gen_holm", 120, 30, 16, "int64"),
+            ("gen_simes", 100, 20, 16, "int64"),
+        ],
+    )
+    def test_blocks_on_different_paths_equal_the_whole_array(
+        self, name, n, k, block, mixed, monkeypatch
+    ):
+        whole = make_schedule(name, n, k, 0.05, independent_fk(k)).f_targets
+        rows, kinds = [], set()
+        row_target, combs = schedules._f_target, schedules._combs
+        monkeypatch.setattr(schedules, "_f_target", lambda *a: rows.append(a) or row_target(*a))
+        monkeypatch.setattr(
+            schedules, "_combs", lambda *a, **kw: kinds.add((c := combs(*a, **kw)).dtype.kind) or c
+        )
+        monkeypatch.setattr(schedules, "_POWER_BLOCK", block)
+        got = make_schedule(name, n, k, 0.05, independent_fk(k)).f_targets
+        if mixed == "float":
+            assert 0 < len(rows) < n
+        else:
+            assert kinds == {"i", "O"}
+        assert got.tobytes() == whole.tobytes()
+        assert got.tolist() == loop_targets(name, n, k, 0.05)
+
+    @pytest.mark.parametrize("block", [3, 65536])
+    def test_blocks_keep_the_underflow_error(self, block, monkeypatch):
+        monkeypatch.setattr(schedules, "_POWER_BLOCK", block)
+        for construct in (gen_bh, gen_by, gen_holm_stepdown, gen_simes):
+            with pytest.raises(ValueError, match="underflows"):
+                construct(2000, 1000, 0.05, independent_fk(1000))
+
+    @pytest.mark.parametrize("name", ["gen_bh", "gen_holm"])
+    def test_blocks_of_the_real_size(self, name):
+        assert schedules._POWER_BLOCK == 65536
+        for n in (65535, 65536, 65537):
+            got = make_schedule(name, n, 2, 0.05, IND2).f_targets
+            assert got.tolist() == loop_targets(name, n, 2, 0.05), n
 
     def test_gen_bh_at_a_million_rows(self):
         n = 1_000_000
