@@ -13,17 +13,18 @@ string, the p-values are parsed in one ``float`` pass with one range check,
 and a row loop runs only on a file that pass rejects, to give the same
 result or word the error. Only the columns it prints outlive the decision.
 Both tables, of ``adjust`` and of ``schedule``, are written from their array
-columns by ``_write_table``: one ``_LINES_PER_WRITE`` block at a time
-becomes Python values and rows, with floats formatted by ``repr``.
+columns by ``_write_table``: ``render.rows_text`` turns one
+``_LINES_PER_WRITE`` block at a time into CSV text in numpy, each float
+printed as its ``repr``, with no Python object per row or value.
 
-The parse and the row formatting are single-core Python loops, so both go
+The parse and the rendering of the rows each run on one core, so both go
 through ``_split_map``: with P >= 2 usable CPUs and at least two pieces of
 input or blocks of rows, a ``ProcessPoolExecutor`` of P forked workers runs
 them, at most P + 1 pieces or blocks ahead of the caller, and the results
-come back in input order. The pool is imported only when it is used, so a
-call that never forks does not pay for the import. With one CPU, one piece,
-or no ``os.fork``, it is plain ``map``. Either way the output bytes and the
-error messages are the same.
+come back in input order. The pool and ``render`` are imported only when
+they are used, so a call that never needs them does not pay for the import.
+With one CPU, one piece, or no ``os.fork``, it is plain ``map``. Either way
+the output bytes and the error messages are the same.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 import os
 import sys
 from collections import deque
-from itertools import count, islice
+from itertools import islice
 from typing import IO, Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -198,21 +199,29 @@ def _check_output_dir(path: str | None) -> None:
         raise ValueError(f"cannot write {path!r}: {directory!r} is not an existing directory")
 
 
-def _write_table(
-    out: IO[str], head: Sequence[str], row: Callable[..., str], *columns: np.ndarray
-) -> None:
-    """Write the head lines, then one ``row(index, *values)`` line per entry
-    of the columns, indexed from 1. The columns become Python values one
-    _LINES_PER_WRITE block at a time, each block is formatted by
-    ``_split_map`` and written in one call; only this process writes."""
+def _write_table(out: IO[str], head: Sequence[str], *columns: np.ndarray | None) -> None:
+    """Write the head lines, then one CSV row per entry of the columns,
+    indexed from 1: first any ``None`` columns (empty cells), then float64
+    columns in [0, 1], each value printed as its ``repr``, then at most one
+    bool column, printed as true or false. The columns are checked before
+    anything is written, and a column that fails, NaN included, raises
+    RuntimeError. ``_split_map`` renders the _LINES_PER_WRITE blocks with
+    ``render.rows_text``, and each is written in one call; only this
+    process writes."""
+    # Imported here: compiling the module adds milliseconds to a fresh
+    # kfdr, which a call that prints no table should not pay.
+    from . import render
+
+    render.check_columns(columns)
     out.write("".join(line + "\n" for line in head))
     size = _LINES_PER_WRITE
 
     def block(start: int) -> str:
-        values = (c[start : start + size].tolist() for c in columns)
-        return "".join(map(row, count(start + 1), *values))
+        return render.rows_text(start + 1, [c if c is None else c[start : start + size]
+                                            for c in columns])
 
-    with contextlib.closing(_split_map(block, range(0, columns[0].size, size))) as blocks:
+    rows = next(c.size for c in columns if c is not None)
+    with contextlib.closing(_split_map(block, range(0, rows, size))) as blocks:
         out.writelines(blocks)
 
 
@@ -275,10 +284,6 @@ def _call_worker_fn(item: Any) -> Any:
     return _worker_fn(item)
 
 
-def _adjust_row(i: int, p: float, c: float, flag: bool) -> str:
-    return f"{i},{p!r},{c!r},{'true' if flag else 'false'}\n"
-
-
 def _cmd_adjust(args: argparse.Namespace) -> int:
     # Everything that can fail runs before --output is opened, so a failing
     # call leaves an existing output file as it was.
@@ -297,7 +302,7 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
     rejected[outcome.order[: outcome.r]] = True
     del schedule, outcome
     with _output(args.output) as out:
-        _write_table(out, head, _adjust_row, sample.values, critical, rejected)
+        _write_table(out, head, sample.values, critical, rejected)
     return 0
 
 
@@ -305,10 +310,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     schedule = _build_schedule(args, n=args.n)
     head = [*_schedule_comments(schedule, args), "index,f_target,alpha"]
     with _output(args.output) as out:
-        if schedule.f_targets is None:
-            _write_table(out, head, "{},,{!r}\n".format, schedule.alphas)
-        else:
-            _write_table(out, head, "{},{!r},{!r}\n".format, schedule.f_targets, schedule.alphas)
+        _write_table(out, head, schedule.f_targets, schedule.alphas)
     return 0
 
 

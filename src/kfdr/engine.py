@@ -117,8 +117,16 @@ def decide(sample: PValueSample, schedule: CriticalValueSchedule) -> DecisionOut
         raise ValueError(
             f"schedule length {schedule.n} does not match sample length {sample.n}"
         )
-    order = np.argsort(sample.values, kind="stable")
-    r = int(rejection_count(sample.values[order][None], schedule.alphas, schedule.direction)[0])
+    # Without ties every sort gives the stable order, so the stable sort,
+    # several times slower, runs only where two sorted values are equal
+    # (-0.0 and 0.0 included). The first order is freed before it runs.
+    order = np.argsort(sample.values)
+    sorted_p = sample.values[order]
+    if (sorted_p[1:] == sorted_p[:-1]).any():
+        del order, sorted_p
+        order = np.argsort(sample.values, kind="stable")
+        sorted_p = sample.values[order]
+    r = int(rejection_count(sorted_p[None], schedule.alphas, schedule.direction)[0])
     if sample.truth is None:
         return DecisionOutcome(order=order, r=r)
     v = int(np.count_nonzero(sample.truth[order[:r]]))

@@ -111,12 +111,15 @@ def _validate_inputs(n: int, k: int, alpha: float, model: FkModel | None) -> Non
         raise ValueError(f"model order {model.k} does not match schedule order {k}")
 
 
+_UNDERFLOW = "an F-target underflows double precision: alpha / C(n, k) is too small"
+
+
 def _f_target(alpha: float, num: int, den: int) -> float:
     """alpha * num/den with the ratio rounded once, from exact integers."""
-    ratio = num / den
-    if ratio == 0.0:
-        raise ValueError("an F-target underflows double precision: C(n, k) is too large")
-    return alpha * ratio
+    target = alpha * (num / den)
+    if target == 0.0:
+        raise ValueError(_UNDERFLOW)
+    return target
 
 
 def _indices(stop: int, k: int, start: int = 0) -> np.ndarray:
@@ -162,8 +165,9 @@ def _f_targets(alpha: float, num: np.ndarray | int, den: np.ndarray | int) -> np
     Where every num and den is an int64 below 2^53 they convert to float64
     exactly, so one IEEE division rounds each ratio as Python's int/int
     does, and ``alpha * ratio`` is the same multiply; with num >= 1, as in
-    every builder, such a ratio is at least 2^-53 and cannot underflow.
-    Elsewhere the integer loop runs, with its underflow ValueError.
+    every builder, such a ratio is at least 2^-53, but alpha times it may
+    still be 0. Elsewhere the integer loop runs. A target of 0 raises the
+    underflow ValueError either way.
     """
     num, den = np.broadcast_arrays(np.asarray(num), np.asarray(den))
     if (
@@ -171,7 +175,10 @@ def _f_targets(alpha: float, num: np.ndarray | int, den: np.ndarray | int) -> np
         and num.max() < _EXACT_INT
         and den.max() < _EXACT_INT
     ):
-        return alpha * (num.astype(np.float64) / den.astype(np.float64))
+        targets = alpha * (num.astype(np.float64) / den.astype(np.float64))
+        if not targets.all():
+            raise ValueError(_UNDERFLOW)
+        return targets
     return np.array([_f_target(alpha, a, b) for a, b in zip(num.tolist(), den.tolist())])
 
 
@@ -424,8 +431,16 @@ def resolve(name: str) -> Procedure:
 def make_schedule(
     name: str, n: int, k: int, alpha: float, model: FkModel | None = None
 ) -> CriticalValueSchedule:
-    """Build the schedule of the procedure ``resolve(name)`` returns."""
+    """Build the schedule of the procedure ``resolve(name)`` returns.
+
+    The builders compute their formulas for any alpha in (0, 1). Every call
+    of the CLI and the simulation comes through here, and here alpha must
+    also be a normal double: a subnormal one makes critical values that
+    round to 0.0.
+    """
     procedure = resolve(name)
+    if 0.0 < alpha < sys.float_info.min:
+        raise ValueError(f"alpha must be a normal double, got {alpha!r}")
     if model is None and procedure.needs_model:
         raise ValueError(f"procedure {name!r} requires an FkModel")
     return procedure.build(n, k, alpha, model)

@@ -192,6 +192,20 @@ def test_counterexample_csv(capsys):
         # alpha * F_k(b_i) is normal but the division by D' gives a subnormal.
         (["schedule", "--procedure", "rescaled_const:0.5", "--n", 1030, "--k", 480],
          "F-target underflows double precision"),
+        # A subnormal alpha would print critical values of 0.0.
+        *(
+            (["schedule", "--procedure", name, "--n", 5, "--k", 2, "--alpha", 5e-324],
+             "alpha must be a normal double, got 5e-324")
+            for name in ("gen_bh", "gen_by", "gen_holm", "gen_simes", "gen_hochberg", "bh",
+                         "lehmann_romano")
+        ),
+        # A normal alpha times a tiny ratio rounds to 0: the targets would be 0.0.
+        (["schedule", "--procedure", "gen_bh", "--n", 1000, "--k", 100, "--alpha", 1e-300],
+         "F-target underflows double precision"),
+        (["schedule", "--procedure", "gen_by", "--n", 1000, "--k", 100, "--alpha", 1e-300],
+         "F-target underflows double precision"),
+        (["simulate", "--n", 10, "--n0-grid", 5, "--iterations", 2, "--alpha", 5e-324],
+         "alpha must be a normal double"),
     ],
 )
 def test_validation_errors_exit_one(argv, message, capsys):
@@ -620,7 +634,7 @@ def test_split_map_kills_children_when_the_writer_fails(monkeypatch):
     monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
     forks = _use_cpus(monkeypatch, 2)
     with pytest.raises(BrokenPipeError):
-        cli._write_table(BrokenPipeOut(), [], "{}\n".format, np.arange(9.0))
+        cli._write_table(BrokenPipeOut(), [], np.linspace(0.0, 1.0, 9))
     assert forks == [1, 1]
     _assert_no_child_left()
 

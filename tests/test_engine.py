@@ -138,3 +138,45 @@ class TestPValueSample:
         schedule = CriticalValueSchedule((0.1, 0.2), 1, "grid", 0.2, STEPUP)
         with pytest.raises(ValueError, match="does not match"):
             decide(sample_from([0.5]), schedule)
+
+
+def _orders(values):
+    """decide's order and count next to those of a stable sort."""
+    values = np.array(values, dtype=np.float64)
+    n = values.size
+    schedule = CriticalValueSchedule(
+        alphas=np.linspace(0.25, 0.75, n), k=1, procedure="grid", alpha_level=0.75,
+        direction=STEPUP,
+    )
+    outcome = decide(sample_from(values), schedule)
+    stable = np.argsort(values, kind="stable")
+    r = int(rejection_count(values[stable][None], schedule.alphas, STEPUP)[0])
+    return (outcome.order.tolist(), outcome.r), (stable.tolist(), r)
+
+
+class TestDecideOrder:
+    @given(st.lists(st.sampled_from((-0.0, 0.0, 0.25, 0.5, 1.0)), min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_many_ties_and_signed_zeros(self, values):
+        got, stable = _orders(values)
+        assert got == stable
+
+    @given(st.floats(-0.0, 1.0), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_all_equal(self, value, n):
+        got, stable = _orders([value] * n)
+        assert got == stable and got[0] == list(range(n))
+
+    @given(st.lists(st.floats(-0.0, 1.0), min_size=1, max_size=60, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_values(self, values):
+        got, stable = _orders(values)
+        assert got == stable
+
+    def test_large_input_with_and_without_ties(self):
+        values = np.random.default_rng(9).random(100_000)
+        assert _orders(values)[0] == _orders(values)[1]
+        values[::7] = values[3]
+        values[1::9] = -0.0
+        values[2::9] = 0.0
+        assert _orders(values)[0] == _orders(values)[1]
