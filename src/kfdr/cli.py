@@ -5,7 +5,8 @@ Subcommands: ``adjust`` (apply a procedure to a CSV of p-values),
 and ``counterexample`` (closed-form 2-FDR violation bound). All outputs are
 CSV with '#'-prefixed metadata comment lines and a mandatory header row.
 Exit codes: 0 success, 1 validation error (an ``adjust`` input with no
-p-value rows among them), 2 runtime/numerical failure.
+p-value rows among them), 2 runtime/numerical failure. ``--model`` is read
+and validated for every procedure, bh and lehmann_romano included.
 
 ``adjust`` stays in float64 arrays from input to output: the input is read
 in pieces of about ``_LINES_PER_WRITE`` lines, never as one whole-file
@@ -78,18 +79,23 @@ def _parse_model(spec: str, k: int) -> FkModel:
 
 
 def _build_schedule(args: argparse.Namespace, n: int) -> CriticalValueSchedule:
-    model = _parse_model(args.model, args.k) if resolve(args.procedure).needs_model else None
+    # An unknown name is named before the model is read.
+    resolve(args.procedure)
+    model = _parse_model(args.model, args.k)
     return make_schedule(args.procedure, n=n, k=args.k, alpha=args.alpha, model=model)
 
 
 def _schedule_comments(schedule: CriticalValueSchedule, args: argparse.Namespace) -> list[str]:
+    """The '#' lines above a table of ``schedule``. ``# model=`` is printed
+    exactly when the schedule has F-targets, the mark of one built through
+    F_k: a marginal schedule such as bh's does not depend on the model."""
     lines = [
         f"# procedure={args.procedure}",
         f"# k={schedule.k}",
         f"# alpha={schedule.alpha_level}",
         f"# direction={schedule.direction}",
     ]
-    if resolve(args.procedure).needs_model:
+    if schedule.f_targets is not None:
         lines.append(f"# model={args.model}")
     if schedule.warning is not None:
         lines.append(f"# warning={schedule.warning}")
@@ -208,8 +214,9 @@ def _write_table(out: IO[str], head: Sequence[str], *columns: np.ndarray | None)
     RuntimeError. ``_split_map`` renders the _LINES_PER_WRITE blocks with
     ``render.rows_text``, and each is written in one call; only this
     process writes."""
-    # Imported here: compiling the module adds milliseconds to a fresh
-    # kfdr, which a call that prints no table should not pay.
+    # Imported here: compiling the module and building its tables adds
+    # milliseconds to a fresh kfdr, which a call that prints no table should
+    # not pay. The writers fork after it, so they inherit its tables.
     from . import render
 
     render.check_columns(columns)

@@ -24,7 +24,6 @@ then dropped from the whole matrix in one ``bytes.translate``.
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 import numpy as np
@@ -44,18 +43,16 @@ _FIELD = _PREFIX + _DIGITS + _SUFFIX
 # The prefix by form: 1.0, a point 0 to 3 places left of the first digit D,
 # or an exponent after one digit or more.
 _PREFIX_FORMS = (",D.0", ",0.D", ",0.0D", ",0.00D", ",0.000D", ",D", ",D.")
-# Offsets into the quads table of _layout_tables.
+# Offsets into _QUADS.
 _NO_TRAILING, _NO_LEADING = 10000, 20000
 
 
-@functools.cache
 def _exponent_tables() -> tuple[np.ndarray, ...]:
     """Schubfach's constants by 2 * biased exponent + (significand bits all
     zero): the scale k, the shift h, and the four 32-bit limbs, lowest
     first, of g(-k) = floor(10^-k 2^(127 - floor(-k log2 10))) + 1, an
     integer in (2^127, 2^128), from exact Python ints, for the biased
-    exponents of [0, 1]. Built on first use, so that a run printing no
-    table does not pay for it."""
+    exponents of [0, 1]."""
     biased, empty = np.divmod(np.arange(2 * 1024, dtype=np.int64), 2)
     q = np.maximum(biased, 1) - 1075
     # floor(log10(2^q)), or floor(log10(3/4 2^q)) where the lower neighbour
@@ -69,14 +66,7 @@ def _exponent_tables() -> tuple[np.ndarray, ...]:
         g.append(numerator // (10 ** max(-big, 0) << max(-shift, 0)) + 1)
     rows = k.max() - k
     limbs = [np.array([(v >> s) & 0xFFFFFFFF for v in g], np.uint64)[rows] for s in (0, 32, 64, 96)]
-    return _frozen(k, h.astype(np.uint64), *limbs)
-
-
-def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``arrays``, made read-only: a cached table is shared by every caller."""
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    return (k, h.astype(np.uint64), *limbs)
 
 
 def _mul_hi(a0: np.ndarray, a1: np.ndarray, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
@@ -130,7 +120,6 @@ def _scaled(x: np.ndarray) -> tuple[np.ndarray, ...]:
     rounding bounds in units of 10^k, each rounded to odd, with the bounds
     moved in by one where c is odd, so that they exclude the midpoints to
     the neighbouring floats there."""
-    k_table, h_table, *g_table = _exponent_tables()
     bits = x.view(np.uint64)
     biased = bits >> _U64(52)
     c = bits & _U64(2**52 - 1)
@@ -140,17 +129,16 @@ def _scaled(x: np.ndarray) -> tuple[np.ndarray, ...]:
     # exponent.
     lower = _U64(2) - (empty & (biased > _U64(1))).astype(np.uint64)
     c |= (biased != _U64(0)).astype(np.uint64) << _U64(52)
-    g = [limb[code] for limb in g_table]
-    h = h_table[code]
+    g = [limb[code] for limb in _G_TABLE]
+    h = _H_TABLE[code]
     odd = c & _U64(1)
     cb = c << _U64(2)
     vb = _round_to_odd(g, cb << h)
     vbl = _round_to_odd(g, (cb - lower) << h) + odd
     vbr = _round_to_odd(g, (cb + _U64(2)) << h) - odd
-    return k_table[code], vb, vbl, vbr
+    return _K_TABLE[code], vb, vbl, vbr
 
 
-@functools.cache
 def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The layout's byte patterns:
 
@@ -173,11 +161,17 @@ def _layout_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for form in _PREFIX_FORMS for sign in (0, 1) for lead in range(10)
     ]
     suffixes = [f"e-{e:02d}" if e >= 5 else "" for e in range(325)]
-    return _frozen(
+    return (
         quads.view(np.uint32).ravel(),
         np.array([p.rjust(8, "\0").encode() for p in prefixes], "S8").view(np.uint64),
         np.array([s.rjust(_SUFFIX, "\0").encode() for s in suffixes], "S8").view(np.uint64),
     )
+
+
+# Built once, at import: ``cli`` imports this module before it forks its
+# writers, so they inherit the tables instead of each building them.
+_K_TABLE, _H_TABLE, *_G_TABLE = _exponent_tables()
+_QUADS, _PREFIXES, _SUFFIXES = _layout_tables()
 
 
 def check_columns(columns: Sequence[np.ndarray | None]) -> None:
@@ -221,12 +215,11 @@ def _matrix_text(first: int, columns: Sequence[np.ndarray | None]) -> str:
     text[:, -1] = ord("\n")
 
     # The index, four digits at a time, with its leading zeros NUL.
-    quads = _layout_tables()[0]
     index = np.arange(first, first + rows, dtype=np.int64)
     leading = np.full(rows, _NO_LEADING)
     for group in range(groups):
         quad = index // 10 ** (4 * (groups - 1 - group)) % 10000
-        text[:, 4 * group : 4 * group + 4] = quads[leading + quad, None].view(np.uint8)
+        text[:, 4 * group : 4 * group + 4] = _QUADS[leading + quad, None].view(np.uint8)
         leading *= quad == 0
     if floats:
         fields = text[:, start:stop].reshape(rows, len(floats), _FIELD)
@@ -241,7 +234,6 @@ def _float_fields(values: np.ndarray, text: np.ndarray) -> None:
     """Write the ``repr`` of each entry of ``values``, shape [rows,
     fields], into ``text``, shape [rows, fields, _FIELD], with NUL in every
     column the number does not use."""
-    quads, prefixes, suffixes = _layout_tables()
     positive = values > 0.0
     d, e = _shortest(np.where(positive, values, 1.0))
     # Zero prints as 0.0: one digit 0, with the point just before it.
@@ -257,7 +249,7 @@ def _float_fields(values: np.ndarray, text: np.ndarray) -> None:
     exponent = 1 - point
     form = np.minimum(exponent, 5) + ((exponent > 4) & (rest != 0))
     code = (form * 2 + np.signbit(values)) * 10 + lead.astype(np.int64)
-    text[..., :_PREFIX] = prefixes[code, None].view(np.uint8)
+    text[..., :_PREFIX] = _PREFIXES[code, None].view(np.uint8)
 
     high = rest // 10**8
     low = rest - high * 10**8
@@ -272,5 +264,5 @@ def _float_fields(values: np.ndarray, text: np.ndarray) -> None:
     digits[..., 2] += _NO_TRAILING * (digits[..., 3] == _NO_TRAILING)
     digits[..., 1] += _NO_TRAILING * (low == 0)
     digits[..., 0] += _NO_TRAILING * ((low == 0) & (digits[..., 1] == _NO_TRAILING))
-    text[..., _PREFIX : _PREFIX + _DIGITS] = quads[digits].view(np.uint8)
-    text[..., _PREFIX + _DIGITS :] = suffixes[exponent, None].view(np.uint8)[..., :_SUFFIX]
+    text[..., _PREFIX : _PREFIX + _DIGITS] = _QUADS[digits].view(np.uint8)
+    text[..., _PREFIX + _DIGITS :] = _SUFFIXES[exponent, None].view(np.uint8)[..., :_SUFFIX]

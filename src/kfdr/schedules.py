@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -102,12 +102,24 @@ class CriticalValueSchedule:
         return self.alphas.size
 
 
-def _validate_inputs(n: int, k: int, alpha: float, model: FkModel | None) -> None:
+def _validate_inputs(n: int, k: int, alpha: float) -> None:
+    """Raise ValueError unless 1 <= k <= n and alpha is a normal double in
+    (0, 1): a subnormal alpha makes critical values that round to 0.0."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if model is not None and model.k != k:
+    if alpha < sys.float_info.min:
+        raise ValueError(f"alpha must be a normal double, got {alpha!r}")
+
+
+def _validate_fk_inputs(procedure: str, n: int, k: int, alpha: float, model: FkModel | None):
+    """``_validate_inputs``, and that ``model`` is an FkModel of order k: the
+    check of every builder that goes through F_k, before any target."""
+    _validate_inputs(n, k, alpha)
+    if model is None:
+        raise ValueError(f"procedure {procedure!r} requires an FkModel")
+    if model.k != k:
         raise ValueError(f"model order {model.k} does not match schedule order {k}")
 
 
@@ -214,7 +226,7 @@ def gen_bh(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedul
     Since k C(m,k) = m C(m-1,k-1), both are alpha * j/(n C(n+k-1-j, k-1))
     with j = max(i,k), whose smaller integers divide faster.
     """
-    _validate_inputs(n, k, alpha, model)
+    _validate_fk_inputs("gen_bh", n, k, alpha, model)
     targets = _block_targets(
         n, k, lambda j: _f_targets(alpha, j, _combs(n + k - 1 - j, k - 1, scale=n))
     )
@@ -239,7 +251,7 @@ def gen_by(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedul
     the bracket is c H, so c = alpha/(k C(n,k) H) gives k-FDR <= alpha. The
     i = n target n c <= alpha because k C(n,k) = n C(n-1,k-1) >= n and H >= 1.
     """
-    _validate_inputs(n, k, alpha, model)
+    _validate_fk_inputs("gen_by", n, k, alpha, model)
     harmonic = 1.0 + math.fsum(1.0 / np.arange(k + 1, n + 1))
     den = k * math.comb(n, k)
     targets = _block_targets(n, k, lambda j: _f_targets(alpha / harmonic, j, den))
@@ -255,7 +267,7 @@ def gen_holm_stepdown(n: int, k: int, alpha: float, model: FkModel) -> CriticalV
 
     Controls the k-FWER under arbitrary dependence.
     """
-    _validate_inputs(n, k, alpha, model)
+    _validate_fk_inputs("gen_holm", n, k, alpha, model)
     return _invert_targets(_holm_targets(n, k, alpha), model, k, "gen_holm", alpha, STEPDOWN)
 
 
@@ -263,13 +275,13 @@ def gen_hochberg_stepup(n: int, k: int, alpha: float, model: FkModel) -> Critica
     """Generalized Hochberg stepup schedule: same constants as generalized
     Holm, applied stepup. k-FWER control requires positive dependence (MTP2).
     """
-    _validate_inputs(n, k, alpha, model)
+    _validate_fk_inputs("gen_hochberg", n, k, alpha, model)
     return _invert_targets(_holm_targets(n, k, alpha), model, k, "gen_hochberg", alpha, STEPUP)
 
 
 def lehmann_romano_stepdown(n: int, k: int, alpha: float) -> CriticalValueSchedule:
     """Marginal k-FWER stepdown schedule alpha_i = k*alpha/(n+k-max(i,k))."""
-    _validate_inputs(n, k, alpha, None)
+    _validate_inputs(n, k, alpha)
     return CriticalValueSchedule(
         alphas=k * alpha / (n + k - _indices(n, k)),
         k=k,
@@ -291,7 +303,7 @@ def gen_simes(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSche
     Provided for study only; the returned schedule carries a warning flag
     because these constants can fail to control the k-FDR.
     """
-    _validate_inputs(n, k, alpha, model)
+    _validate_fk_inputs("gen_simes", n, k, alpha, model)
     den = math.comb(n, k)
     targets = _block_targets(n, k, lambda j: _f_targets(alpha, _combs(j, k), den))
     return _invert_targets(targets, model, k, "gen_simes", alpha, STEPUP, warning=SIMES_WARNING)
@@ -299,7 +311,7 @@ def gen_simes(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSche
 
 def bh_classic(n: int, alpha: float) -> CriticalValueSchedule:
     """Original Benjamini-Hochberg stepup schedule alpha_i = i*alpha/n."""
-    _validate_inputs(n, 1, alpha, None)
+    _validate_inputs(n, 1, alpha)
     return CriticalValueSchedule(
         alphas=np.arange(1, n + 1) * alpha / n,
         k=1,
@@ -356,7 +368,7 @@ def rescaled_stepup(
     F_k(b_i) > 0 but alpha * F_k(b_i) or the target is subnormal or 0, the
     target has lost its precision and a ValueError is raised.
     """
-    _validate_inputs(n, k, alpha, model)
+    _validate_fk_inputs("rescaled_stepup", n, k, alpha, model)
     base = _check_base(n, base)
     f_base = fk_eval(model, base)
     d_prime = max(_s_primes(n, k, range(k, n + 1), f_base))
@@ -370,18 +382,15 @@ def rescaled_stepup(
     return _invert_targets(targets, model, k, "rescaled_stepup", alpha, STEPUP)
 
 
-class Procedure(NamedTuple):
-    """A procedure as ``resolve`` returns it: ``build(n, k, alpha, model)``
-    and whether it needs an FkModel (model-free builders ignore ``model``)."""
-
-    build: Callable[[int, int, float, FkModel | None], CriticalValueSchedule]
-    needs_model: bool
+# A procedure: ``builder(n, k, alpha, model)`` gives its schedule. A builder
+# that goes through F_k raises ValueError where ``model`` is None.
+Builder = Callable[[int, int, float, FkModel | None], CriticalValueSchedule]
 
 
 def _bh(n: int, k: int, alpha: float, model: FkModel | None) -> CriticalValueSchedule:
     # Classic BH has k = 1 whatever k a caller runs it next to, but the k it
     # is given must still be a valid order for n hypotheses.
-    _validate_inputs(n, k, alpha, None)
+    _validate_inputs(n, k, alpha)
     return bh_classic(n, alpha)
 
 
@@ -390,24 +399,22 @@ def _rescaled_hochberg(n: int, k: int, alpha: float, model: FkModel) -> Critical
     return rescaled_stepup(n, k, alpha, hochberg.alphas, model)
 
 
-PROCEDURES: dict[str, Procedure] = {
-    "bh": Procedure(_bh, False),
-    "gen_bh": Procedure(gen_bh, True),
-    "gen_by": Procedure(gen_by, True),
-    "gen_holm": Procedure(gen_holm_stepdown, True),
-    "gen_hochberg": Procedure(gen_hochberg_stepup, True),
-    "gen_simes": Procedure(gen_simes, True),
-    "lehmann_romano": Procedure(
-        lambda n, k, alpha, model: lehmann_romano_stepdown(n, k, alpha), False
-    ),
-    "rescaled_hochberg": Procedure(_rescaled_hochberg, True),
+PROCEDURES: dict[str, Builder] = {
+    "bh": _bh,
+    "gen_bh": gen_bh,
+    "gen_by": gen_by,
+    "gen_holm": gen_holm_stepdown,
+    "gen_hochberg": gen_hochberg_stepup,
+    "gen_simes": gen_simes,
+    "lehmann_romano": lambda n, k, alpha, model: lehmann_romano_stepdown(n, k, alpha),
+    "rescaled_hochberg": _rescaled_hochberg,
 }
 
 
-def resolve(name: str) -> Procedure:
-    """The procedure called ``name``: its ``PROCEDURES`` entry, or for the
-    form rescaled_const:C, ``rescaled_stepup`` on the constant base C in
-    [0, 1]. Every other name raises ValueError."""
+def resolve(name: str) -> Builder:
+    """The builder of the procedure called ``name``: its ``PROCEDURES``
+    entry, or for the form rescaled_const:C, ``rescaled_stepup`` on the
+    constant base C in [0, 1]. Every other name raises ValueError."""
     if name in PROCEDURES:
         return PROCEDURES[name]
     if not name.startswith("rescaled_const:"):
@@ -423,24 +430,14 @@ def resolve(name: str) -> Procedure:
             f"procedure {name!r}: the constant C of rescaled_const:C must be a number "
             f"in [0, 1], got {text!r}"
         )
-    return Procedure(
-        lambda n, k, alpha, model: rescaled_stepup(n, k, alpha, np.full(n, c), model), True
-    )
+    return lambda n, k, alpha, model: rescaled_stepup(n, k, alpha, np.full(n, c), model)
 
 
 def make_schedule(
     name: str, n: int, k: int, alpha: float, model: FkModel | None = None
 ) -> CriticalValueSchedule:
-    """Build the schedule of the procedure ``resolve(name)`` returns.
-
-    The builders compute their formulas for any alpha in (0, 1). Every call
-    of the CLI and the simulation comes through here, and here alpha must
-    also be a normal double: a subnormal one makes critical values that
-    round to 0.0.
-    """
-    procedure = resolve(name)
-    if 0.0 < alpha < sys.float_info.min:
-        raise ValueError(f"alpha must be a normal double, got {alpha!r}")
-    if model is None and procedure.needs_model:
-        raise ValueError(f"procedure {name!r} requires an FkModel")
-    return procedure.build(n, k, alpha, model)
+    """The schedule of procedure ``name``: ``resolve(name)(n, k, alpha,
+    model)``. The name is looked up first, so an unknown one is named before
+    any input is checked; the builder then checks its own inputs, the model
+    included where it goes through F_k."""
+    return resolve(name)(n, k, alpha, model)

@@ -169,13 +169,14 @@ def draw_sample(config: SimulationConfig, iteration_index: int) -> engine.PValue
 
 
 def _build_schedules(config: SimulationConfig) -> list[CriticalValueSchedule]:
-    # Every name is looked up before any model or schedule is built.
-    model = None
-    if any([resolve(name).needs_model for name in config.procedures]):
-        if config.rho == 0.0:
-            model = independent_fk(config.k)
-        else:
-            model = equicorrelated_fk(config.k, config.rho)
+    # Every name is looked up before any schedule is built. The model-free
+    # builders ignore the model, which cannot fail once k and rho are checked.
+    for name in config.procedures:
+        resolve(name)
+    if config.rho == 0.0:
+        model = independent_fk(config.k)
+    else:
+        model = equicorrelated_fk(config.k, config.rho)
     return [
         make_schedule(name, n=config.n, k=config.k, alpha=config.alpha, model=model)
         for name in config.procedures

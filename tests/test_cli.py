@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 from itertools import islice
@@ -116,11 +118,45 @@ def test_failing_adjust_keeps_existing_output(flags, ties_csv, tmp_path, capsys)
     assert dest.read_bytes() == before
 
 
-@pytest.mark.parametrize("k", [0, 4])
-def test_bh_rejects_invalid_k(k, capsys):
+@pytest.mark.parametrize(
+    "k, message",
+    # k = 0 is no order for the model, which is read for bh too.
+    [(0, "order k must be >= 1, got 0"), (4, "need 1 <= k <= n, got k=4, n=3")],
+    ids=["0", "4"],
+)
+def test_bh_rejects_invalid_k(k, message, capsys):
     code, out, err = run(["schedule", "--procedure", "bh", "--n", 3, "--k", k], capsys)
     assert code == 1 and out == ""
-    assert f"need 1 <= k <= n, got k={k}, n=3" in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [("bogus", "--model must be"), ("equicorrelated:7", r"\[0, 1\]"),
+     ("empirical:/no/such/file", "cannot read empirical model")],
+)
+@pytest.mark.parametrize("name", [*schedules.PROCEDURES, "rescaled_const:0.5"])
+@pytest.mark.parametrize("sub", ["schedule", "adjust"])
+def test_a_bad_model_exits_one_for_every_procedure(sub, name, spec, message, ties_csv, capsys):
+    where = ["--n", 5] if sub == "schedule" else [ties_csv]
+    argv = [sub, *where, "--procedure", name, "--k", 2, "--model", spec]
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and re.search(message, err)
+
+
+@pytest.mark.parametrize("spec", ["independent", "equicorrelated:0.5"])
+@pytest.mark.parametrize("name", [*schedules.PROCEDURES, "rescaled_const:0.5"])
+def test_the_model_line_marks_a_schedule_with_f_targets(name, spec, capsys):
+    code, out, _ = run(["schedule", "--procedure", name, "--n", 50, "--k", 2, "--model", spec],
+                       capsys)
+    assert code == 0
+    lines = out.splitlines()
+    rows = lines[lines.index("index,f_target,alpha") + 1 :]
+    filled = {row.split(",")[1] != "" for row in rows}
+    assert len(rows) == 50 and len(filled) == 1
+    assert (f"# model={spec}" in lines) == filled.pop()
+    assert sum(line.startswith("# model=") for line in lines) <= 1
 
 
 def test_bh_runs_beside_higher_order_procedures(capsys):
@@ -437,7 +473,7 @@ def test_runtime_failure_exits_two(monkeypatch, capsys):
     def boom(n, k, alpha, model):
         raise RuntimeError("quadrature diverged")
 
-    monkeypatch.setitem(schedules.PROCEDURES, "bh", schedules.Procedure(boom, False))
+    monkeypatch.setitem(schedules.PROCEDURES, "bh", boom)
     code, _, err = run(["schedule", "--procedure", "bh", "--n", 5], capsys)
     assert code == 2
     assert err == "failure: quadrature diverged\n"
@@ -448,6 +484,17 @@ def test_help_lists_registry(sub, capsys):
     code, out, _ = run([sub, "--help"], capsys)
     assert code == 0
     assert ", ".join(schedules.PROCEDURES) in " ".join(out.split())
+
+
+def test_help_does_not_import_the_renderer():
+    # render builds its tables at import, which a call printing no table
+    # should not pay; a fresh interpreter, since this one has imported it.
+    code = ("import sys, contextlib, io, kfdr.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert kfdr.cli.main(['adjust', '--help']) == 0\n"
+            "assert 'kfdr.render' not in sys.modules\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_sweep_matches_golden(tmp_path, capsys):

@@ -84,7 +84,7 @@ def exact_floor_log10(x):
 
 
 def test_exponent_tables_are_exact():
-    k, h, *limbs = render._exponent_tables()
+    k, h, limbs = render._K_TABLE, render._H_TABLE, render._G_TABLE
     g = sum(limb.astype(object) << s for limb, s in zip(limbs, (0, 32, 64, 96)))
     assert len(k) == 2 * 1024
     for code in range(2, len(k)):
@@ -175,7 +175,7 @@ def test_an_unprintable_schedule_exits_two_with_no_output(monkeypatch, capsys):
             direction=schedules.STEPUP, f_targets=np.full(n, np.nan),
         )
 
-    monkeypatch.setitem(schedules.PROCEDURES, "bh", schedules.Procedure(nan_targets, False))
+    monkeypatch.setitem(schedules.PROCEDURES, "bh", nan_targets)
     code = cli.main(["schedule", "--procedure", "bh", "--n", "3"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")

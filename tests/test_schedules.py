@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -26,8 +27,12 @@ from kfdr.schedules import (
 
 IND1 = independent_fk(1)
 IND2 = independent_fk(2)
+# The registry names whose builders go through F_k; bh and lehmann_romano
+# are marginal and ignore the model.
+FK_NAMES = [name for name in PROCEDURES if name not in ("bh", "lehmann_romano")]
 
-# (n, k, alpha) for the array-built marginal schedules, subnormal alphas too.
+# (n, k, alpha) for the array-built marginal schedules. At the subnormal
+# alpha the builders must raise instead of giving the formula's values.
 MARGINAL_CASES = [
     (n, k, alpha)
     for n in (1, 2, 7, 1000, 65537)
@@ -195,6 +200,10 @@ class TestLehmannRomano:
 
     @pytest.mark.parametrize("n, k, alpha", MARGINAL_CASES)
     def test_equals_the_python_formula(self, n, k, alpha):
+        if alpha < sys.float_info.min:
+            with pytest.raises(ValueError, match="alpha must be a normal double, got 5e-321"):
+                lehmann_romano_stepdown(n, k, alpha)
+            return
         expected = [k * alpha / (n + k - max(i, k)) for i in range(1, n + 1)]
         assert lehmann_romano_stepdown(n, k, alpha).alphas.tolist() == expected
 
@@ -229,6 +238,10 @@ class TestBhClassic:
 
     @pytest.mark.parametrize("n, alpha", sorted({(n, a) for n, _, a in MARGINAL_CASES}))
     def test_equals_the_python_formula(self, n, alpha):
+        if alpha < sys.float_info.min:
+            with pytest.raises(ValueError, match="alpha must be a normal double, got 5e-321"):
+                bh_classic(n, alpha)
+            return
         expected = [i * alpha / n for i in range(1, n + 1)]
         assert bh_classic(n, alpha).alphas.tolist() == expected
 
@@ -502,6 +515,28 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             gen_bh(3, 4, 0.05, independent_fk(4))
 
+    @pytest.mark.parametrize(
+        "build",
+        [gen_bh, gen_by, gen_holm_stepdown, gen_hochberg_stepup, gen_simes,
+         lambda n, k, alpha, model: rescaled_stepup(n, k, alpha, [0.5] * n, model)],
+        ids=["gen_bh", "gen_by", "gen_holm", "gen_hochberg", "gen_simes", "rescaled_stepup"],
+    )
+    def test_rejects_a_subnormal_alpha(self, build, monkeypatch):
+        # The check comes before any target is built or inverted.
+        monkeypatch.setattr(schedules, "fk_eval", None)
+        monkeypatch.setattr(schedules, "fk_invert", None)
+        with pytest.raises(ValueError, match="alpha must be a normal double, got 5e-321"):
+            build(5, 2, 5e-321, IND2)
+
+    @pytest.mark.parametrize("name", [*FK_NAMES, "rescaled_const:0.5"])
+    def test_an_fk_builder_checks_its_model_first(self, name, monkeypatch):
+        monkeypatch.setattr(schedules, "fk_eval", None)
+        monkeypatch.setattr(schedules, "fk_invert", None)
+        with pytest.raises(ValueError, match="requires an FkModel"):
+            resolve(name)(6, 2, 0.05, None)
+        with pytest.raises(ValueError, match="model order 3 does not match schedule order 2"):
+            resolve(name)(6, 2, 0.05, independent_fk(3))
+
     def test_rejects_underflowing_targets(self):
         # 1/C(2000, 1000) is below the smallest double
         for construct in (gen_bh, gen_by, gen_holm_stepdown, gen_simes):
@@ -646,17 +681,21 @@ class TestMakeSchedule:
         assert const.alphas.tolist() == expected.alphas.tolist()
         assert const.f_targets.tolist() == expected.f_targets.tolist()
 
-    def test_registry_needs_model(self):
-        for name, entry in PROCEDURES.items():
-            assert make_schedule(name, n=6, k=2, alpha=0.05, model=IND2).n == 6
-            if entry.needs_model:
+    def test_registry_builders_need_a_model_exactly_for_f_targets(self):
+        for name in [*PROCEDURES, "rescaled_const:0.5"]:
+            build = resolve(name)
+            assert callable(build)
+            s = build(6, 2, 0.05, IND2)
+            assert s.n == 6
+            if name in FK_NAMES or name.startswith("rescaled_const:"):
+                assert s.f_targets is not None
                 with pytest.raises(ValueError, match="requires an FkModel"):
                     make_schedule(name, n=6, k=2, alpha=0.05)
             else:
-                assert make_schedule(name, n=6, k=2, alpha=0.05).n == 6
-        assert resolve("rescaled_const:0.5").needs_model
-        with pytest.raises(ValueError, match="requires an FkModel"):
-            make_schedule("rescaled_const:0.5", n=6, k=2, alpha=0.05)
+                assert s.f_targets is None
+                assert make_schedule(name, n=6, k=2, alpha=0.05).alphas.tolist() == (
+                    s.alphas.tolist()
+                )
 
     def test_resolve_returns_registry_entries(self):
         for name, entry in PROCEDURES.items():
@@ -664,7 +703,7 @@ class TestMakeSchedule:
 
     @pytest.mark.parametrize("model", [IND2, equicorrelated_fk(2, 0.5)])
     def test_resolve_rescaled_const(self, model):
-        got = resolve("rescaled_const:0.5").build(7, 2, 0.05, model)
+        got = resolve("rescaled_const:0.5")(7, 2, 0.05, model)
         expected = rescaled_stepup(7, 2, 0.05, [0.5] * 7, model)
         assert got.alphas.tolist() == expected.alphas.tolist()
         assert got.f_targets.tolist() == expected.f_targets.tolist()
