@@ -37,8 +37,8 @@ import math
 import os
 import sys
 from collections import deque
-from itertools import islice
-from typing import IO, Any, Callable, Iterator, Sequence
+from itertools import chain, islice
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -123,8 +123,8 @@ def _read_pvalues(path: str) -> np.ndarray:
     pieces' rows are the file's rows, and only the first piece can hold the
     header. No more than one piece's row strings are held at a time. On any
     ValueError, dead worker or failed range check the row loop
-    (``_parse_rows``) runs over the joined pieces instead, and words the
-    error with its row number.
+    (``_parse_rows``) runs over the pieces' rows instead, one piece at a
+    time, and words the error with its row number.
     """
     try:
         pieces = _read_pieces(path)
@@ -142,7 +142,7 @@ def _read_pvalues(path: str) -> np.ndarray:
         values = None
     # NaN fails both comparisons, so it takes the row loop too.
     if values is None or not ((values >= 0.0) & (values <= 1.0)).all():
-        values = _parse_rows(path, "".join(pieces).splitlines())
+        values = _parse_rows(path, chain.from_iterable(piece.splitlines() for piece in pieces))
     values.flags.writeable = False
     return values
 
@@ -155,14 +155,14 @@ def _read_pieces(path: str) -> list[str]:
     but the last ends on a line break, and a read that stops inside \\r\\n
     is completed by the \\n. At least one piece, empty for an empty file."""
     with open(path, newline="") as fh:
-        pieces = ["".join(fh.readline() for _ in range(_LINES_PER_WRITE))]
+        pieces = ["".join(islice(iter(fh.readline, ""), _LINES_PER_WRITE))]
         size = max(1, len(pieces[0]))
         while piece := fh.read(size):
             pieces.append(piece + fh.readline())
     return pieces
 
 
-def _parse_rows(path: str, lines: list[str]) -> np.ndarray:
+def _parse_rows(path: str, lines: Iterable[str]) -> np.ndarray:
     """The p-values of the rows of ``path``, one row at a time."""
     values: list[float] = []
     for lineno, line in enumerate(lines, start=1):

@@ -7,17 +7,19 @@ identical across k-subsets (exchangeability). Three kinds are supported:
 - ``equicorrelated_normal_one_sided``: p-values are one-sided tails of
   equicorrelated standard normals (P = 1 - Phi(X)), so F_k(x) =
   S_k(-Phi^-1(x)), the orthant survivor probability of
-  ``numerics.equicorrelated_min_survivor``. Its relative error is below 1e-12
-  for rho in [0, 0.999], k <= 10 and x in [1e-13, 0.999].
+  ``numerics.equicorrelated_min_survivor``.
 - ``empirical``: a monotone piecewise-linear grid fitted from simulated
   null draws, for dependence structures with no closed form.
 
+F_k is exactly x^p where ``_exact_power`` finds p: k for the independent
+kind and for the equicorrelated one at rho = 0, 1 (the uniform marginal)
+for the equicorrelated one at k = 1 or rho = 1. There ``fk_eval`` and
+``fk_invert`` are x^p and x^(1/p) in Python float arithmetic. Only the
+equicorrelated kind with k >= 2 and 0 < rho < 1 reaches the quadrature
+kernel, whose accuracy ``numerics`` states, and its batched Newton inverse.
 ``fk_eval`` and ``fk_invert`` take a scalar or a whole array, so a schedule
-is evaluated or inverted in one call. The independent and empirical kinds
-use the same per-value arithmetic either way. The equicorrelated inverse is
-``numerics.invert_min_survivor``, a batched Newton iteration that stops at a
-relative residual of ``numerics._REL_TOL_INVERT``. Models are immutable;
-evaluation and inversion are pure functions.
+is evaluated or inverted in one call. Models are immutable; evaluation and
+inversion are pure functions.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Callable
 
 import numpy as np
@@ -33,6 +34,7 @@ import numpy as np
 from .numerics import (
     equicorrelated_min_survivor,
     invert_min_survivor,
+    python_float_map,
     std_normal_quantile_array,
     std_normal_sf_array,
 )
@@ -42,10 +44,6 @@ EQUICORRELATED = "equicorrelated_normal_one_sided"
 EMPIRICAL = "empirical"
 
 _KINDS = (INDEPENDENT_UNIFORM, EQUICORRELATED, EMPIRICAL)
-
-# Entries per block that ``_python_power`` turns into Python floats at once,
-# and indices per block of the closed-form F-targets in ``schedules``.
-_POWER_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -99,22 +97,21 @@ def _like_input(values: float | np.ndarray, out: np.ndarray) -> float | np.ndarr
     return float(out) if np.ndim(values) == 0 else out
 
 
-def _python_power(arr: np.ndarray, exponent: float) -> np.ndarray:
-    # Python float arithmetic: np.power rounds differently for some values.
-    # The floats are made one block at a time, not as one list of arr.size.
-    # A 1-D result is not reshaped, so it owns its data (see _frozen_array).
-    flat = arr.ravel()
-    blocks = (flat[i : i + _POWER_BLOCK].tolist() for i in range(0, flat.size, _POWER_BLOCK))
-    values = chain.from_iterable(map(pow, block, repeat(exponent)) for block in blocks)
-    out = np.fromiter(values, np.float64, arr.size)
-    return out if arr.ndim == 1 else out.reshape(arr.shape)
+def _exact_power(model: FkModel) -> int | None:
+    """p with F_k(x) = x^p exactly, or None where F_k has no closed form."""
+    if model.kind == INDEPENDENT_UNIFORM or (model.kind == EQUICORRELATED and model.rho == 0.0):
+        return model.k
+    if model.kind == EQUICORRELATED and (model.k == 1 or model.rho == 1.0):
+        return 1
+    return None
 
 
 def fk_eval(model: FkModel, x: float | np.ndarray) -> float | np.ndarray:
     """Evaluate F_k at x in [0, 1]: a float for a scalar x, else an array."""
     arr = _as_unit_array(x, "argument")
-    if model.kind == INDEPENDENT_UNIFORM:
-        out = _python_power(arr, model.k)
+    power = _exact_power(model)
+    if power is not None:
+        out = python_float_map(pow, arr, power)
     elif model.kind == EMPIRICAL:
         xs, fs = _grid_arrays(model)
         out = np.interp(arr, xs, fs)
@@ -130,13 +127,16 @@ def fk_eval(model: FkModel, x: float | np.ndarray) -> float | np.ndarray:
 def fk_invert(model: FkModel, target: float | np.ndarray) -> float | np.ndarray:
     """Smallest x with F_k(x) = target, elementwise; a float for a scalar target."""
     arr = _as_unit_array(target, "target")
-    if model.kind == INDEPENDENT_UNIFORM:
-        out = _python_power(arr, 1.0 / model.k)
+    power = _exact_power(model)
+    if power is not None:
+        out = python_float_map(pow, arr, 1.0 / power)
     elif model.kind == EMPIRICAL:
         xs, fs = _grid_arrays(model)
-        # Leftmost preimage: drop repeated F-levels so interp sees a strict axis.
-        fs_unique, idx = np.unique(fs, return_index=True)
-        out = np.interp(arr, fs_unique, xs[idx])
+        # interp works from the last grid level at or below the target, so
+        # between levels it follows the rising segment, but on a flat level
+        # it would give the rightmost x; there the first x at the level wins.
+        first = np.searchsorted(fs, arr)
+        out = np.where(fs[first] == arr, xs[first], np.interp(arr, fs, xs))
     else:
         out = arr.copy()
         inner = (arr > 0.0) & (arr < 1.0)

@@ -28,7 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fk_models import _POWER_BLOCK, FkModel, fk_eval, fk_invert
+from .fk_models import FkModel, fk_eval, fk_invert
+from .numerics import _POWER_BLOCK
 
 STEPUP = "stepup"
 STEPDOWN = "stepdown"

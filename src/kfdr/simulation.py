@@ -43,7 +43,7 @@ from typing import IO, Sequence
 import numpy as np
 
 from . import engine
-from .fk_models import equicorrelated_fk, independent_fk
+from .fk_models import equicorrelated_fk
 from .numerics import std_normal_sf_array, std_normal_sf_thresholds
 from .schedules import STEPUP, CriticalValueSchedule, make_schedule, resolve
 
@@ -173,10 +173,7 @@ def _build_schedules(config: SimulationConfig) -> list[CriticalValueSchedule]:
     # builders ignore the model, which cannot fail once k and rho are checked.
     for name in config.procedures:
         resolve(name)
-    if config.rho == 0.0:
-        model = independent_fk(config.k)
-    else:
-        model = equicorrelated_fk(config.k, config.rho)
+    model = equicorrelated_fk(config.k, config.rho)
     return [
         make_schedule(name, n=config.n, k=config.k, alpha=config.alpha, model=model)
         for name in config.procedures

@@ -88,22 +88,25 @@ def test_adjust_output_may_name_its_input(monkeypatch, tmp_path, capsys):
 def test_adjust_peak_memory_per_row(monkeypatch, tmp_path):
     # tracemalloc counts numpy's buffers as well as Python's objects, and
     # not what the C allocator keeps, so the bound holds on any allocator.
+    # A # row after the header sends the parse down the row loop.
     rows = 2**18
     path = tmp_path / "p.csv"
     p = np.random.default_rng(11).random(rows).tolist()
-    path.write_text("p\n" + "\n".join(map(repr, p)) + "\n")
+    body = "\n".join(map(repr, p)) + "\n"
     del p
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
     argv = ["adjust", str(path), "--procedure", "gen_bh", "--k", "2",
             "--output", str(tmp_path / "out.csv")]
-    tracemalloc.start()
-    try:
-        code = cli.main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak / rows <= 75
+    for head in ("p\n", "p\n# a comment row\n"):
+        path.write_text(head + body)
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak / rows <= 75, head
 
 
 @pytest.mark.parametrize(
@@ -157,6 +160,46 @@ def test_the_model_line_marks_a_schedule_with_f_targets(name, spec, capsys):
     assert len(rows) == 50 and len(filled) == 1
     assert (f"# model={spec}" in lines) == filled.pop()
     assert sum(line.startswith("# model=") for line in lines) <= 1
+
+
+def _table(out):
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    return [line.split(",") for line in lines[1:]]
+
+
+@pytest.mark.parametrize("k, rho", [(1, "0.3"), (1, "0.9"), (1, "0"), (2, "0"), (3, "0")])
+@pytest.mark.parametrize("sub", ["schedule", "adjust"])
+def test_exact_equicorrelated_cases_print_the_independent_rows(sub, k, rho, tmp_path, capsys):
+    # F_1 is the uniform marginal at every rho, and F_k is x^k at rho = 0.
+    path = tmp_path / "p.csv"
+    path.write_text("p\n" + "\n".join(map(repr, np.geomspace(1e-6, 0.9, 40).tolist())) + "\n")
+    size = [path] if sub == "adjust" else ["--n", 40]
+    for name in [*schedules.PROCEDURES, "rescaled_const:0.5"]:
+        argv = [sub, *size, "--procedure", name, "--k", k]
+        code, independent, _ = run(argv, capsys)
+        assert code == 0
+        code, out, _ = run([*argv, "--model", f"equicorrelated:{rho}"], capsys)
+        assert code == 0
+        assert _data_rows(out) == _data_rows(independent), name
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_perfectly_correlated_schedules_are_their_targets(k, capsys):
+    # At rho = 1, F_k(x) = x: every alpha is its F-target and none exceeds --alpha.
+    marginal = set()
+    for name in [*schedules.PROCEDURES, "rescaled_const:0.5"]:
+        argv = ["schedule", "--procedure", name, "--n", 40, "--k", k, "--alpha", 0.05,
+                "--model", "equicorrelated:1"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        rows = _table(out)
+        assert len(rows) == 40
+        if rows[0][1] == "":
+            marginal.add(name)
+            continue
+        assert all(alpha == target for _, target, alpha in rows), name
+        assert max(float(alpha) for _, _, alpha in rows) <= 0.05, name
+    assert marginal == {"bh", "lehmann_romano"}
 
 
 def test_bh_runs_beside_higher_order_procedures(capsys):

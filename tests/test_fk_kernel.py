@@ -28,7 +28,8 @@ from kfdr.schedules import (
     rescaled_stepup,
 )
 
-RHOS = (0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0)
+# rho = 0, rho = 1 and k = 1 are fk_models' closed forms; the rest is the kernel.
+RHOS = (0.0, 1e-6, 0.01, 0.1, 0.5, 0.9, 0.99, 0.9999, 1.0)
 ORDERS = (1, 2, 5, 10)
 XS = np.concatenate([np.geomspace(1e-13, 0.5, 27), [0.7, 0.9, 0.99, 0.999]])
 

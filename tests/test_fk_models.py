@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfdr import fk_models
 from kfdr.fk_models import (
     EMPIRICAL,
     FkModel,
@@ -25,13 +26,11 @@ class TestEval:
         assert fk_eval(independent_fk(3), 0.5) == pytest.approx(0.125, abs=1e-15)
 
     def test_equicorrelated_zero_rho_reduces_to_independence(self):
-        assert fk_eval(equicorrelated_fk(2, 0.0), 0.5) == pytest.approx(0.25, abs=1e-10)
+        assert fk_eval(equicorrelated_fk(2, 0.0), 0.5) == 0.25
         ind = independent_fk(2)
         eq0 = equicorrelated_fk(2, 0.0)
         for x in np.linspace(0.0, 1.0, 100):
-            assert fk_eval(eq0, float(x)) == pytest.approx(
-                fk_eval(ind, float(x)), abs=1e-8
-            )
+            assert fk_eval(eq0, float(x)) == fk_eval(ind, float(x))
 
     def test_equicorrelated_against_monte_carlo(self):
         # two one-sided p-values from correlated normals, 10^7 draws
@@ -76,6 +75,29 @@ class TestInvert:
             assert fk_invert(model, 0.0) == 0.0
             assert fk_invert(model, 1.0) == 1.0
 
+    def test_rejects_out_of_range(self):
+        for model in (independent_fk(2), equicorrelated_fk(2, 0.5)):
+            for bad in (-0.1, 1.5, math.nan):
+                with pytest.raises(ValueError, match="target must lie in"):
+                    fk_invert(model, np.array([0.2, bad]))
+
+    def test_empirical_flat_level(self):
+        # F is 0.5 on [0.2, 0.4]: a target of 0.5 is first reached at 0.2,
+        # and 0.65 lies on the rising segment from (0.4, 0.5) to (0.6, 0.8).
+        model = FkModel(
+            kind=EMPIRICAL, k=2,
+            grid=((0.0, 0.0), (0.2, 0.5), (0.4, 0.5), (0.6, 0.8), (1.0, 1.0)),
+        )
+        assert fk_invert(model, 0.65) == pytest.approx(0.5, abs=1e-15)
+        assert fk_invert(model, 0.5) == 0.2
+        targets = np.array([0.0, 0.25, 0.5, 0.65, 0.8, 1.0])
+        np.testing.assert_allclose(
+            fk_invert(model, targets), [0.0, 0.1, 0.2, 0.5, 0.6, 1.0], rtol=0, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            fk_eval(model, fk_invert(model, targets)), targets, rtol=0, atol=1e-15
+        )
+
     def test_equicorrelated_round_trip_example(self):
         model = equicorrelated_fk(2, 0.10)
         x = fk_invert(model, 0.0005)
@@ -97,6 +119,53 @@ class TestInvert:
             for t in targets[:20]:
                 t = float(t)
                 assert fk_eval(model, fk_invert(model, t)) == pytest.approx(t, abs=1e-9)
+
+
+XS = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-13, 0.5, 27), [0.7, 0.999, 1.0]])
+
+
+class TestExactForms:
+    """F_k is x^p where it has a closed form, with the bytes of Python's pow."""
+
+    @staticmethod
+    def assert_power(model, p):
+        assert fk_eval(model, XS).tolist() == [x**p for x in XS.tolist()]
+        assert fk_invert(model, XS).tolist() == [x ** (1.0 / p) for x in XS.tolist()]
+
+    def test_perfect_correlation_limit(self):
+        for k in (1, 3, 5):
+            model = equicorrelated_fk(k, 1.0)
+            assert fk_eval(model, XS).tolist() == XS.tolist()
+            assert fk_invert(model, XS).tolist() == XS.tolist()
+
+    def test_reduces_to_power_at_rho_zero(self):
+        for k in (1, 2, 5):
+            self.assert_power(equicorrelated_fk(k, 0.0), k)
+            self.assert_power(independent_fk(k), k)
+
+    def test_first_order_is_the_uniform_marginal(self):
+        for rho in (0.3, 0.9):
+            model = equicorrelated_fk(1, rho)
+            self.assert_power(model, 1)
+            assert fk_invert(model, 0.05) == 0.05
+
+    def test_exact_cases_skip_the_kernel(self, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("quadrature kernel called")
+
+        monkeypatch.setattr(fk_models, "equicorrelated_min_survivor", kernel)
+        monkeypatch.setattr(fk_models, "invert_min_survivor", kernel)
+        for k, rho in ((1, 0.5), (3, 0.0), (3, 1.0)):
+            fk_eval(equicorrelated_fk(k, rho), XS)
+            fk_invert(equicorrelated_fk(k, rho), XS)
+        with pytest.raises(AssertionError, match="kernel called"):
+            fk_eval(equicorrelated_fk(2, 0.5), XS)
+
+    def test_empirical_model_keeps_its_grid_at_first_order(self):
+        grid = ((0.0, 0.0), (0.5, 0.2), (1.0, 1.0))
+        model = FkModel(kind=EMPIRICAL, k=1, grid=grid)
+        assert fk_eval(model, 0.5) == 0.2
+        assert fk_invert(model, 0.2) == 0.5
 
 
 class TestEmpirical:
@@ -191,6 +260,15 @@ class TestModelValidation:
             FkModel(kind="equicorrelated_normal_one_sided", k=2)
         with pytest.raises(ValueError):
             equicorrelated_fk(2, -0.3)
+
+    def test_rejects_bad_correlation(self):
+        for bad in (-0.1, 1.2, math.nan):
+            with pytest.raises(ValueError, match="rho must be in"):
+                equicorrelated_fk(2, bad)
+        with pytest.raises(ValueError, match="argument must lie in"):
+            fk_eval(equicorrelated_fk(2, 0.3), math.inf)
+        with pytest.raises(ValueError, match="order k must be >= 1"):
+            equicorrelated_fk(0, 0.3)
 
     def test_empirical_grid_must_be_pinned(self):
         with pytest.raises(ValueError):

@@ -116,42 +116,39 @@ class TestStdNormalQuantile:
 
 
 class TestEquicorrelatedMinSurvivor:
+    # The kernel takes 1-D arrays and 0 < rho < 1; fk_models owns the exact
+    # cases rho = 0, rho = 1 and k = 1 (see test_fk_models.TestExactForms).
     def test_independent_symmetric_pair(self):
-        assert equicorrelated_min_survivor(0.0, 0.0, 2) == pytest.approx(0.25, abs=1e-12)
-
-    def test_perfect_correlation_limit(self):
-        for t in (-1.3, 0.0, 0.8, 2.5):
-            for k in (1, 3, 5):
-                assert equicorrelated_min_survivor(t, 1.0, k) == sf(t)
+        # Near independence the kernel meets the arcsine formula
+        # 1/4 + arcsin(rho)/(2 pi), whose limit at rho = 0 is 1/4.
+        for rho in (1e-12, 1e-6):
+            (got,) = equicorrelated_min_survivor(np.array([0.0]), rho, 2)
+            assert got == pytest.approx(0.25 + math.asin(rho) / (2 * math.pi), rel=1e-12)
 
     def test_arcsine_identity(self):
         # Pr{X1 >= 0, X2 >= 0} = 1/4 + arcsin(rho)/(2 pi); at rho = 1/2 that is 1/3.
-        assert equicorrelated_min_survivor(0.0, 0.5, 2) == pytest.approx(1 / 3, abs=1e-6)
+        (got,) = equicorrelated_min_survivor(np.array([0.0]), 0.5, 2)
+        assert got == pytest.approx(1 / 3, abs=1e-6)
 
     def test_high_precision_anchors(self):
-        assert equicorrelated_min_survivor(1.0, 0.30, 3) == pytest.approx(
-            SURV_1_030_3, abs=1e-9
-        )
-        assert equicorrelated_min_survivor(-0.7, 0.20, 4) == pytest.approx(
-            SURV_M07_020_4, abs=1e-9
-        )
-
-    def test_reduces_to_power_at_rho_zero(self):
-        for t in np.linspace(-3, 3, 13):
-            for k in (1, 2, 5):
-                expected = sf(t) ** k
-                assert equicorrelated_min_survivor(t, 0.0, k) == pytest.approx(
-                    expected, abs=1e-8
-                )
+        got = [
+            equicorrelated_min_survivor(np.array([t]), rho, k)[0]
+            for t, rho, k in ((1.0, 0.30, 3), (-0.7, 0.20, 4))
+        ]
+        assert got == pytest.approx([SURV_1_030_3, SURV_M07_020_4], abs=1e-9)
 
     def test_monotone_in_t_and_rho(self):
         ts = np.linspace(-2.5, 2.5, 21)
         for k in (1, 2, 4):
-            vals = [equicorrelated_min_survivor(t, 0.3, k) for t in ts]
-            assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-        # more correlation makes the joint survival of the min larger at t > 0
+            vals = equicorrelated_min_survivor(ts, 0.3, k)
+            assert np.all(np.diff(vals) <= 1e-12)
+        # more correlation makes the joint survival of the min larger at t > 0;
+        # sf(t)^3 is the value at rho = 0
         for t in (0.5, 1.0, 2.0):
-            vals = [equicorrelated_min_survivor(t, r, 3) for r in np.linspace(0, 0.9, 10)]
+            vals = [sf(t) ** 3] + [
+                equicorrelated_min_survivor(np.array([t]), r, 3)[0]
+                for r in np.linspace(0, 0.9, 10)[1:]
+            ]
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_node_doubling_agreement(self, monkeypatch):
@@ -174,18 +171,19 @@ class TestEquicorrelatedMinSurvivor:
         assert node_count_used
 
     def test_batched_matches_scalar(self):
+        # One call over 600 thresholds, in blocks of 256, against one-element calls.
         ts = np.linspace(-3.0, 6.0, 600)
         batched = equicorrelated_min_survivor(ts, 0.4, 3)
         assert batched.shape == ts.shape
         for i in (0, 255, 256, 599):
             assert batched[i] == pytest.approx(
-                equicorrelated_min_survivor(float(ts[i]), 0.4, 3), rel=1e-14
+                equicorrelated_min_survivor(ts[i : i + 1], 0.4, 3)[0], rel=1e-14
             )
 
     def test_relative_accuracy_deep_tail(self):
         # k = 1 is the normal tail itself, down to 1e-300
         ts = np.array([5.0, 10.0, 20.0, 37.0])
-        for rho in (0.0, 0.5, 0.9):
+        for rho in (0.01, 0.5, 0.9):
             got = equicorrelated_min_survivor(ts, rho, 1)
             np.testing.assert_allclose(got, [sf(t) for t in ts], rtol=1e-12)
 
@@ -203,39 +201,26 @@ class TestEquicorrelatedMinSurvivor:
             hits = np.all(x >= t, axis=1)
             p_hat = hits.mean()
             se = math.sqrt(max(p_hat * (1 - p_hat), 1e-12) / m)
-            quad = equicorrelated_min_survivor(t, rho, k)
+            (quad,) = equicorrelated_min_survivor(np.array([t]), rho, k)
             assert abs(quad - p_hat) <= 4 * se, (t, rho, k, quad, p_hat, se)
-
-    def test_rejects_bad_correlation(self):
-        for bad in (-0.1, 1.2):
-            with pytest.raises(ValueError):
-                equicorrelated_min_survivor(0.0, bad, 2)
-        with pytest.raises(ValueError):
-            equicorrelated_min_survivor(math.inf, 0.3, 2)
-        with pytest.raises(ValueError):
-            equicorrelated_min_survivor(0.0, 0.3, 0)
 
 
 class TestInvertMonotone:
     # S_k(t) is decreasing in t; the inverse returns t with S_k(t) = target.
     def test_identity(self):
         # F_1(x) = x for every rho: the threshold is the normal quantile
-        for rho in (0.0, 0.3, 0.9, 1.0):
-            (t,) = invert_min_survivor([0.3], rho, 1)
+        for rho in (0.01, 0.3, 0.9, 0.99):
+            (t,) = invert_min_survivor(np.array([0.3]), rho, 1)
             assert sf(t) == pytest.approx(0.3, rel=1e-14)
 
+    # Near rho = 0 the inverse meets the roots of F_k(x) = x^k.
     def test_square(self):
-        (t,) = invert_min_survivor([1e-4], 0.0, 2)
+        (t,) = invert_min_survivor(np.array([1e-4]), 1e-15, 2)
         assert sf(t) == pytest.approx(1e-2, rel=1e-12)
 
     def test_cube(self):
-        (t,) = invert_min_survivor([0.027], 0.0, 3)
+        (t,) = invert_min_survivor(np.array([0.027]), 1e-15, 3)
         assert sf(t) == pytest.approx(0.3, rel=1e-12)
-
-    def test_out_of_range_target(self):
-        for bad in (0.0, 1.0, -0.1, 1.5, math.nan):
-            with pytest.raises(ValueError):
-                invert_min_survivor([0.2, bad], 0.5, 2)
 
     def test_respects_custom_tolerance(self, monkeypatch):
         assert numerics._REL_TOL_INVERT == 1e-12
