@@ -33,7 +33,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import math
 import os
 import sys
 from collections import deque
@@ -354,7 +353,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         seed=args.seed,
         procedures=procedures,
-        mu_alt=math.inf if args.force_nonnull_zero else args.mu_alt,
+        mu_alt=args.mu_alt,
     )
     _check_output_dir(args.output)
     summaries = figure_sweep(base, grid)
@@ -418,12 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--seed", type=int, default=20070523)
     p_sim.add_argument("--mu-alt", dest="mu_alt", type=float, default=2.0)
-    p_sim.add_argument(
-        "--force-nonnull-zero",
-        dest="force_nonnull_zero",
-        action="store_true",
-        help="same as --mu-alt inf: set nonnull p-values to exactly zero (violation study mode)",
-    )
     p_sim.add_argument("--output", default=None)
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -3,19 +3,21 @@
 Every generalized procedure is defined through the k-th order joint null
 distribution F_k: the construction fixes a target value for F_k(alpha_i) at
 each index and the schedule materializes alpha_i by inverting the model.
-Closed-form targets are alpha * (num / den) with exact integer num and den:
-Python's int/int division is correctly rounded, so equal rationals give equal
-targets and integer inequalities between ratios carry over to the floats.
-The targets are computed as arrays, one ``_POWER_BLOCK`` of indices at a
-time into one preallocated float64 array (``_block_targets``), so no
-n-element integer or quotient temporaries are made. In each block,
-binomials are built in int64 where one ``math.comb`` at the block's largest
-index shows they cannot overflow (``_combs``), and where num and den are
-below 2^53 they are divided as float64, which rounds the same
-(``_f_targets``); elsewhere the integer loop runs per row. Every path gives
-the same correctly rounded target, so the blocks change no bit. Each
-schedule is inverted with one batched ``fk_invert`` call. Schedules hold
-the inverted alphas and their F-targets as read-only float64 arrays, so
+Every closed-form value, an F-target or a marginal critical value, is formed
+by one rule, ``_f_targets``: alpha * (num / den) with exact integers num and
+den, the ratio rounded once. Python's int/int division is correctly rounded,
+so equal rationals give equal values and integer inequalities between ratios
+carry over to the floats; a ratio <= 1 gives a value <= alpha, and a ratio
+of 1 gives alpha exactly. The values are computed as arrays, one
+``_POWER_BLOCK`` of indices at a time into one preallocated float64 array
+(``_block_targets``), so no n-element integer or quotient temporaries are
+made. In each block, binomials are built in int64 where one ``math.comb`` at
+the block's largest index shows they cannot overflow (``_combs``), and where
+num and den are below 2^53 they are divided as float64, which rounds the
+same; elsewhere the ratios are divided per row as Python ints. Every path
+gives the same correctly rounded value, so the blocks change no bit. Each
+schedule is inverted with one batched ``fk_invert`` call. Schedules hold the
+inverted alphas and their F-targets as read-only float64 arrays, so
 downstream checks can compare targets without re-inversion noise.
 """
 
@@ -127,14 +129,6 @@ def _validate_fk_inputs(procedure: str, n: int, k: int, alpha: float, model: FkM
 _UNDERFLOW = "an F-target underflows double precision: alpha / C(n, k) is too small"
 
 
-def _f_target(alpha: float, num: int, den: int) -> float:
-    """alpha * num/den with the ratio rounded once, from exact integers."""
-    target = alpha * (num / den)
-    if target == 0.0:
-        raise ValueError(_UNDERFLOW)
-    return target
-
-
 def _indices(stop: int, k: int, start: int = 0) -> np.ndarray:
     """max(i, k) for i = start + 1..stop, as int64."""
     return np.maximum(np.arange(start + 1, stop + 1, dtype=np.int64), k)
@@ -172,14 +166,14 @@ def _combs(m: np.ndarray, r: int, scale: int = 1) -> np.ndarray:
 
 
 def _f_targets(alpha: float, num: np.ndarray | int, den: np.ndarray | int) -> np.ndarray:
-    """``_f_target`` per entry of exact integers num and den (int64 or object
-    arrays, or Python ints, broadcast together), as a float64 array.
+    """alpha * (num / den) per entry of exact integers num and den (int64 or
+    object arrays, or Python ints, broadcast together), the ratio rounded
+    once, as a float64 array: the one rule of every closed-form value.
 
     Where every num and den is an int64 below 2^53 they convert to float64
     exactly, so one IEEE division rounds each ratio as Python's int/int
-    does, and ``alpha * ratio`` is the same multiply; with num >= 1, as in
-    every builder, such a ratio is at least 2^-53, but alpha times it may
-    still be 0. Elsewhere the integer loop runs. A target of 0 raises the
+    does, and with num >= 1, as in every builder, a ratio is at least 2^-53;
+    elsewhere Python's int/int divides per entry. A target of 0 raises the
     underflow ValueError either way.
     """
     num, den = np.broadcast_arrays(np.asarray(num), np.asarray(den))
@@ -188,11 +182,13 @@ def _f_targets(alpha: float, num: np.ndarray | int, den: np.ndarray | int) -> np
         and num.max() < _EXACT_INT
         and den.max() < _EXACT_INT
     ):
-        targets = alpha * (num.astype(np.float64) / den.astype(np.float64))
-        if not targets.all():
-            raise ValueError(_UNDERFLOW)
-        return targets
-    return np.array([_f_target(alpha, a, b) for a, b in zip(num.tolist(), den.tolist())])
+        ratios = num.astype(np.float64) / den.astype(np.float64)
+    else:
+        ratios = np.array([a / b for a, b in zip(num.tolist(), den.tolist())])
+    targets = alpha * ratios
+    if not targets.all():
+        raise ValueError(_UNDERFLOW)
+    return targets
 
 
 def _invert_targets(
@@ -281,10 +277,11 @@ def gen_hochberg_stepup(n: int, k: int, alpha: float, model: FkModel) -> Critica
 
 
 def lehmann_romano_stepdown(n: int, k: int, alpha: float) -> CriticalValueSchedule:
-    """Marginal k-FWER stepdown schedule alpha_i = k*alpha/(n+k-max(i,k))."""
+    """Marginal k-FWER stepdown schedule alpha_i = alpha * (k/(n+k-max(i,k))),
+    whose last value is alpha; at k = 1 these are gen_holm's F-targets."""
     _validate_inputs(n, k, alpha)
     return CriticalValueSchedule(
-        alphas=k * alpha / (n + k - _indices(n, k)),
+        alphas=_block_targets(n, k, lambda j: _f_targets(alpha, k, n + k - j)),
         k=k,
         procedure="lehmann_romano",
         alpha_level=alpha,
@@ -311,10 +308,11 @@ def gen_simes(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSche
 
 
 def bh_classic(n: int, alpha: float) -> CriticalValueSchedule:
-    """Original Benjamini-Hochberg stepup schedule alpha_i = i*alpha/n."""
+    """Original Benjamini-Hochberg stepup schedule alpha_i = alpha * (i/n),
+    gen_bh's F-targets at k = 1, whose last value is alpha."""
     _validate_inputs(n, 1, alpha)
     return CriticalValueSchedule(
-        alphas=np.arange(1, n + 1) * alpha / n,
+        alphas=_block_targets(n, 1, lambda j: _f_targets(alpha, j, n)),
         k=1,
         procedure="bh",
         alpha_level=alpha,
@@ -364,10 +362,11 @@ def rescaled_stepup(
     """k-FWER stepup schedule from an arbitrary nondecreasing base sequence.
 
     The base constants are rescaled by D' = max_{k<=n0<=n} S'(n0), giving
-    F-targets alpha * F_k(b_{max(i,k)}) / D'. Valid under arbitrary
-    dependence; all targets are <= alpha because D' >= F_k(b_n). Where
-    F_k(b_i) > 0 but alpha * F_k(b_i) or the target is subnormal or 0, the
-    target has lost its precision and a ValueError is raised.
+    F-targets alpha * (F_k(b_{max(i,k)}) / D'), the ratio formed first.
+    Valid under arbitrary dependence. S'(k) is F_k(b_n) exactly, so in floats
+    too D' >= every F_k(b_i), each ratio is at most 1 and each target at
+    most alpha. Where F_k(b_i) > 0 but F_k(b_i) or the target is subnormal
+    or 0, the target has lost its precision and a ValueError is raised.
     """
     _validate_fk_inputs("rescaled_stepup", n, k, alpha, model)
     base = _check_base(n, base)
@@ -376,10 +375,11 @@ def rescaled_stepup(
     if d_prime <= 0.0:
         raise ValueError("base sequence gives a degenerate rescaling constant")
     f = f_base[_indices(n, k) - 1]
-    scaled = alpha * f
-    targets = scaled / d_prime
-    if ((f > 0.0) & ((scaled < sys.float_info.min) | (targets < sys.float_info.min))).any():
-        raise ValueError("an F-target underflows double precision: alpha * F_k(b_i) is too small")
+    targets = alpha * (f / d_prime)
+    if ((f > 0.0) & (np.minimum(f, targets) < sys.float_info.min)).any():
+        raise ValueError(
+            "an F-target underflows double precision: F_k(b_i) or its rescaling is too small"
+        )
     return _invert_targets(targets, model, k, "rescaled_stepup", alpha, STEPUP)
 
 

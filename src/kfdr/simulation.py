@@ -12,11 +12,10 @@ A sweep over n0 is one grid-major pass. Iterations run in blocks of about
 to fill the block's normals, which are drawn once per sweep, and every grid
 point adds its means to the same common and idiosyncratic terms, then sorts
 and counts (``engine.rejection_count``) its [m, n] block of statistics x as
-whole arrays; a grid value or procedure name that repeats is scored once.
-The rejections and false rejections of every iteration are kept as int32
-counts, grid x procedures x iterations x 8 bytes in all (0.6 MB for 5
-points, 3 procedures and 5000 iterations), and the measures are formed
-from them at the end. ``run_experiment`` is the one-point case.
+whole arrays. The rejections and false rejections of every iteration are
+kept as int32 counts, grid x procedures x iterations x 8 bytes in all (0.6
+MB for 5 points, 3 procedures and 5000 iterations), and the measures are
+formed from them at the end. ``run_experiment`` is the one-point case.
 
 The sweep never computes p-values. p = 1 - Phi(x) is nonincreasing in x, so
 a stepwise decision depends only on the order of the x and on where each
@@ -296,27 +295,17 @@ def figure_sweep(
 ) -> list[SimulationSummary]:
     """Run the experiment across a grid of true-null counts in one pass of
     the sweep kernel: the schedules and their thresholds are built once, and
-    every distinct grid point and procedure name is scored once on the same
-    block of draws, so the results, returned in grid and procedure order,
-    equal those of ``run_experiment`` per point. The kernel keeps distinct
-    n0 x distinct procedures x iterations x 8 bytes of counts."""
+    every grid point is scored on the same block of draws, so the results,
+    returned in grid order, equal those of ``run_experiment`` per point. The
+    kernel keeps grid points x procedures x iterations x 8 bytes of counts."""
     for n0 in n0_grid:
         if not base_config.k <= n0 <= base_config.n:
             raise ValueError(
                 f"n0 grid values must lie in [k, n], got n0={n0} with "
                 f"k={base_config.k}, n={base_config.n}"
             )
-    names = tuple(dict.fromkeys(base_config.procedures))
-    scored = dataclasses.replace(base_config, procedures=names)
-    rules = _statistic_rules(_build_schedules(scored))
-    distinct = dict.fromkeys(int(n0) for n0 in n0_grid)
-    configs = [dataclasses.replace(scored, n0=n0) for n0 in distinct]
-    by_n0 = {}
-    for n0, summary in zip(distinct, _sweep(configs, rules)):
-        by_name = dict(zip(names, summary.results))
-        results = tuple(by_name[name] for name in base_config.procedures)
-        by_n0[n0] = SimulationSummary(dataclasses.replace(base_config, n0=n0), results)
-    return [by_n0[int(n0)] for n0 in n0_grid]
+    rules = _statistic_rules(_build_schedules(base_config))
+    return _sweep([dataclasses.replace(base_config, n0=n0) for n0 in n0_grid], rules)
 
 
 # The sweep CSV's estimate columns: the ProcedureEstimates fields in order.
@@ -342,9 +331,12 @@ def counterexample_bound(n0: int, n1: int, alpha: float) -> tuple[float, float]:
     when the n1 nonnull p-values are always rejected first.
 
     With i.i.d. uniform null p-values and k = 2, the (n1+2)-th critical
-    value is c = sqrt((n1+2)(n1+1) alpha / (n(n-1))) and the bound is
-    (2/(n1+2)) * Pr{at least 2 of n0 uniforms <= c}. The bound can exceed
-    alpha, demonstrating non-control.
+    value is c = sqrt(alpha (n1+2)(n1+1) / (n(n-1))), formed as gen_simes
+    forms its alpha_(n1+2) under independence, bit for bit: the ratio
+    rounded once, then ``** 0.5``. The bound is (2/(n1+2)) * Pr{at least 2 of
+    n0 uniforms <= c}, and can exceed alpha, demonstrating non-control. That
+    probability is the sum of its binomial terms where n0 c < 1, else one
+    minus Pr{at most 1} through ``log1p``/``expm1``, so neither form cancels.
     """
     if n0 < 2:
         raise ValueError(f"need n0 >= 2 for a second-order bound, got {n0!r}")
@@ -355,7 +347,16 @@ def counterexample_bound(n0: int, n1: int, alpha: float) -> tuple[float, float]:
     if alpha == 0.0:
         return 0.0, 0.0
     n = n0 + n1
-    c = math.sqrt((n1 + 2) * (n1 + 1) * alpha / (n * (n - 1)))
-    at_least_two = 1.0 - (1.0 - c) ** n0 - n0 * c * (1.0 - c) ** (n0 - 1)
-    bound = 2.0 / (n1 + 2) * at_least_two
-    return c, bound
+    c = (alpha * ((n1 + 2) * (n1 + 1) / (n * (n - 1)))) ** 0.5
+    if n0 * c < 1.0:
+        # Each term is below 2/(j+1) times the last, since c < 1/2.
+        term = n0 * c * ((n0 - 1) * c) / 2.0 * math.exp((n0 - 2) * math.log1p(-c))
+        at_least_two, j = 0.0, 2
+        while at_least_two + term != at_least_two:
+            at_least_two += term
+            term *= (n0 - j) / (j + 1) * (c / (1.0 - c))
+            j += 1
+    else:
+        # Pr{at most 1} = (1-c)^(n0-1) (1 + (n0-1) c).
+        at_least_two = -math.expm1((n0 - 1) * math.log1p(-c) + math.log1p((n0 - 1) * c))
+    return c, 2.0 / (n1 + 2) * at_least_two

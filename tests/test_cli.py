@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kfdr import cli, schedules, simulation
+from kfdr import cli, schedules
 from kfdr.simulation import counterexample_bound
 
 GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "bench/golden/sweep_seed20070523.csv"
@@ -249,15 +249,15 @@ def test_counterexample_csv(capsys):
          "rescaling weight overflows double precision"),
         (["simulate", "--n", 1035, "--k", 488, "--n0-grid", 1035, "--iterations", 2,
           "--procedures", "rescaled_hochberg"], "rescaling weight overflows double precision"),
-        # alpha * F_k(b_i) underflows to 0 (1e-300) or to a subnormal (1e-160).
-        (["schedule", "--procedure", "rescaled_hochberg", "--n", 4, "--k", 2, "--alpha", 1e-300],
+        # F_k(b_i) = 1e-320 is subnormal.
+        (["schedule", "--procedure", "rescaled_const:1e-160", "--n", 4, "--k", 2],
          "F-target underflows double precision"),
-        (["schedule", "--procedure", "rescaled_hochberg", "--n", 4, "--k", 2, "--alpha", 1e-300,
-          "--model", "equicorrelated:0.5"], "F-target underflows double precision"),
-        (["schedule", "--procedure", "rescaled_hochberg", "--n", 4, "--k", 2, "--alpha", 1e-160],
-         "F-target underflows double precision"),
-        (["schedule", "--procedure", "rescaled_hochberg", "--n", 4, "--k", 2, "--alpha", 1e-160,
-          "--model", "equicorrelated:0.5"], "F-target underflows double precision"),
+        # alpha / C(1000, 100) rounds to 0 on the per-row path.
+        *(
+            (["schedule", "--procedure", name, "--n", 1000, "--k", 100, "--alpha", 1e-300],
+             "F-target underflows double precision")
+            for name in ("gen_holm", "gen_hochberg", "gen_simes")
+        ),
         # alpha * F_k(b_i) is normal but the division by D' ~ 1e306 gives 0.
         (["schedule", "--procedure", "rescaled_const:0.5", "--n", 1030, "--k", 480,
           "--alpha", 1e-20], "F-target underflows double precision"),
@@ -292,6 +292,31 @@ def test_validation_errors_exit_one(argv, message, capsys):
     assert code == 1
     assert err.startswith("error: ")
     assert re.search(message, err)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-160])
+@pytest.mark.parametrize("model", ["independent", "equicorrelated:0.5"])
+def test_rescaled_targets_at_a_tiny_alpha_are_normal(alpha, model, capsys):
+    # F_k(b_i) / D' is formed first, so no alpha * F_k(b_i) can underflow.
+    argv = ["schedule", "--procedure", "rescaled_hochberg", "--n", 4, "--k", 2,
+            "--alpha", alpha, "--model", model]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    f_targets = [float(line.split(",")[1]) for line in _data_rows(out)[1:]]
+    assert len(f_targets) == 4
+    assert all(sys.float_info.min <= f <= alpha for f in f_targets), f_targets
+
+
+def test_bh_rejects_no_p_value_above_alpha(tmp_path, capsys):
+    path = tmp_path / "p.csv"
+    path.write_text("p\n0.01\n0.02\n0.05000000000000001\n")
+    code, out, _ = run(["adjust", path, "--procedure", "bh"], capsys)
+    assert code == 0
+    assert _data_rows(out)[1:] == [
+        "1,0.01,0.016666666666666666,true",
+        "2,0.02,0.03333333333333333,true",
+        "3,0.05000000000000001,0.05,false",
+    ]
 
 
 @pytest.mark.parametrize("sub", ["adjust", "schedule", "simulate"])
@@ -335,7 +360,7 @@ def test_failing_simulate_keeps_existing_output(flags, tmp_path, capsys):
     assert dest.read_bytes() == before
 
 
-@pytest.mark.parametrize("flags", [[], ["--force-nonnull-zero"]])
+@pytest.mark.parametrize("flags", [[], ["--mu-alt", "inf"]])
 def test_sweep_rows_are_the_single_point_rows_in_grid_order(flags, capsys):
     argv = ["simulate", "--n", 12, "--k", 3, "--rho", 0.5, "--iterations", 61,
             "--procedures", "gen_bh,gen_holm,bh", *flags]
@@ -348,26 +373,6 @@ def test_sweep_rows_are_the_single_point_rows_in_grid_order(flags, capsys):
     singles = [row for n0 in ("3", "12", "7") for row in data_rows(n0)]
     assert len(singles) == 9
     assert data_rows("3,12,7") == singles
-
-
-def test_force_nonnull_zero_is_mu_alt_inf(tmp_path, capsys):
-    argv = ["simulate", "--n", 12, "--k", 2, "--rho", 0.5, "--n0-grid", "3,12",
-            "--iterations", 50, "--procedures", "gen_bh,gen_simes"]
-    outputs = {}
-    for name, flags in [
-        ("inf", ["--mu-alt", "inf"]),
-        ("force", ["--force-nonnull-zero"]),
-        ("force-over-3", ["--force-nonnull-zero", "--mu-alt", 3]),
-        ("3", ["--mu-alt", 3]),
-    ]:
-        dest = tmp_path / f"{name}.csv"
-        assert run([*argv, *flags, "--output", dest], capsys)[0] == 0
-        outputs[name] = dest.read_bytes()
-    assert outputs["force"] == outputs["inf"]
-    assert outputs["force-over-3"] == outputs["inf"] != outputs["3"]
-    code, out, _ = run(["simulate", "--help"], capsys)
-    assert code == 0
-    assert "--force-nonnull-zero same as --mu-alt inf:" in " ".join(out.split())
 
 
 @pytest.mark.parametrize(
@@ -555,17 +560,12 @@ def _data_rows(text):
     return [line for line in text.splitlines() if not line.startswith("#")]
 
 
-def test_repeated_procedure_is_built_and_scored_once(monkeypatch, tmp_path, capsys):
+def test_repeated_procedure_repeats_its_rows(tmp_path, capsys):
     argv = ["simulate", "--n", 12, "--k", 2, "--rho", 0.5, "--n0-grid", "3,12",
             "--iterations", 61]
     once, repeated = tmp_path / "once.csv", tmp_path / "repeated.csv"
     assert run([*argv, "--procedures", "gen_bh,bh", "--output", once], capsys)[0] == 0
-    built = []
-    make = simulation.make_schedule
-    monkeypatch.setattr(simulation, "make_schedule", lambda name, **kw: built.append(name)
-                        or make(name, **kw))
     assert run([*argv, "--procedures", "gen_bh,bh,gen_bh", "--output", repeated], capsys)[0] == 0
-    assert built == ["gen_bh", "bh"]
     head, *rows = once.read_bytes().splitlines(keepends=True)
     # Per n0: the gen_bh row, the bh row, then the gen_bh row again.
     expected = [head, *(row for n0 in (rows[0:2], rows[2:4]) for row in (*n0, n0[0]))]

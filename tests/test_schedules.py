@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +32,10 @@ IND2 = independent_fk(2)
 # The registry names whose builders go through F_k; bh and lehmann_romano
 # are marginal and ignore the model.
 FK_NAMES = [name for name in PROCEDURES if name not in ("bh", "lehmann_romano")]
+
+# Levels for the closed-form rule: round ones, one just below 1 and a tiny
+# normal double.
+ALPHA_GRID = (0.01, 0.05, 0.1, 0.2, 0.7, 0.999999, 1e-300)
 
 # (n, k, alpha) for the array-built marginal schedules. At the subnormal
 # alpha the builders must raise instead of giving the formula's values.
@@ -191,12 +197,16 @@ class TestLehmannRomano:
 
     def test_last_value_is_alpha(self):
         for n, k in ((7, 2), (9, 4), (3, 1)):
-            assert lehmann_romano_stepdown(n, k, 0.11).alphas[-1] == pytest.approx(
-                0.11, abs=1e-15
-            )
+            assert lehmann_romano_stepdown(n, k, 0.11).alphas[-1] == 0.11
 
     def test_no_f_targets(self):
         assert lehmann_romano_stepdown(5, 2, 0.05).f_targets is None
+
+    def test_equals_gen_holm_k1(self):
+        for n, alpha in [(n, a) for n in (1, 2, 3, 7, 60, 1000) for a in ALPHA_GRID]:
+            ref = gen_holm_stepdown(n, 1, alpha, IND1)
+            got = lehmann_romano_stepdown(n, 1, alpha).alphas.tobytes()
+            assert got == ref.alphas.tobytes() == ref.f_targets.tobytes(), (n, alpha)
 
     @pytest.mark.parametrize("n, k, alpha", MARGINAL_CASES)
     def test_equals_the_python_formula(self, n, k, alpha):
@@ -204,7 +214,7 @@ class TestLehmannRomano:
             with pytest.raises(ValueError, match="alpha must be a normal double, got 5e-321"):
                 lehmann_romano_stepdown(n, k, alpha)
             return
-        expected = [k * alpha / (n + k - max(i, k)) for i in range(1, n + 1)]
+        expected = [alpha * float(Fraction(k, n + k - max(i, k))) for i in range(1, n + 1)]
         assert lehmann_romano_stepdown(n, k, alpha).alphas.tolist() == expected
 
 
@@ -242,16 +252,14 @@ class TestBhClassic:
             with pytest.raises(ValueError, match="alpha must be a normal double, got 5e-321"):
                 bh_classic(n, alpha)
             return
-        expected = [i * alpha / n for i in range(1, n + 1)]
+        expected = [alpha * float(Fraction(i, n)) for i in range(1, n + 1)]
         assert bh_classic(n, alpha).alphas.tolist() == expected
 
     def test_equals_gen_bh_k1(self):
-        for n in (1, 2, 7, 20):
-            np.testing.assert_allclose(
-                bh_classic(n, 0.05).alphas,
-                gen_bh(n, 1, 0.05, IND1).alphas,
-                atol=1e-15,
-            )
+        for n, alpha in [(n, a) for n in (1, 2, 3, 7, 20, 60, 1000) for a in ALPHA_GRID]:
+            ref = gen_bh(n, 1, alpha, IND1)
+            got = bh_classic(n, alpha).alphas.tobytes()
+            assert got == ref.alphas.tobytes() == ref.f_targets.tobytes(), (n, alpha)
 
 
 def s_prime(n, k, n0, base, model):
@@ -545,9 +553,13 @@ class TestScheduleValidation:
 
 
 def loop_targets(name, n, k, alpha):
-    """A closed-form builder's F-targets from one ``_f_target`` per row on
+    """A closed-form builder's F-targets, alpha * (num / den) per row on
     exact Python ints, the reference for the array form."""
-    f, js = schedules._f_target, [max(i, k) for i in range(1, n + 1)]
+    js = [max(i, k) for i in range(1, n + 1)]
+
+    def f(alpha, num, den):
+        return alpha * (num / den)
+
     if name == "gen_bh":
         return [f(alpha, j, n * math.comb(n + k - 1 - j, k - 1)) for j in js]
     if name == "gen_by":
@@ -559,6 +571,22 @@ def loop_targets(name, n, k, alpha):
 
 
 CLOSED_FORM = ("gen_bh", "gen_by", "gen_holm", "gen_hochberg", "gen_simes")
+
+
+def spy_row_divisions(monkeypatch):
+    """The entries that ``_f_targets`` divides per row as Python ints, those
+    of a call whose num or den is not int64 below 2^53, as they are made."""
+    rows = []
+    f_targets = schedules._f_targets
+
+    def spy(alpha, num, den):
+        both = np.broadcast_arrays(np.asarray(num), np.asarray(den))
+        if not all(a.dtype.kind == "i" and a.max() < 2**53 for a in both):
+            rows.extend(both[0].tolist())
+        return f_targets(alpha, num, den)
+
+    monkeypatch.setattr(schedules, "_f_targets", spy)
+    return rows
 
 
 class TestVectorisedTargets:
@@ -589,11 +617,7 @@ class TestVectorisedTargets:
     def test_exact_float_boundary(self, names, n, k, fast, monkeypatch):
         largest = k * math.comb(n, k) if "gen_bh" in names else math.comb(n, k)
         assert (largest < 2**53) == fast
-        rows = []
-        row_target = schedules._f_target
-        monkeypatch.setattr(
-            schedules, "_f_target", lambda *a: rows.append(a) or row_target(*a)
-        )
+        rows = spy_row_divisions(monkeypatch)
         for name in names:
             expected = loop_targets(name, n, k, 0.05)
             rows.clear()
@@ -628,9 +652,7 @@ class TestVectorisedTargets:
         self, name, n, k, block, mixed, monkeypatch
     ):
         whole = make_schedule(name, n, k, 0.05, independent_fk(k)).f_targets
-        rows, kinds = [], set()
-        row_target, combs = schedules._f_target, schedules._combs
-        monkeypatch.setattr(schedules, "_f_target", lambda *a: rows.append(a) or row_target(*a))
+        rows, kinds, combs = spy_row_divisions(monkeypatch), set(), schedules._combs
         monkeypatch.setattr(
             schedules, "_combs", lambda *a, **kw: kinds.add((c := combs(*a, **kw)).dtype.kind) or c
         )
@@ -723,3 +745,52 @@ class TestMakeSchedule:
     def test_model_required(self):
         with pytest.raises(ValueError):
             make_schedule("gen_bh", n=5, k=2, alpha=0.05)
+
+
+MARGINAL = ("bh", "lehmann_romano")
+
+
+def assert_at_most_alpha(name, n, k, alpha, model):
+    """Every F-target of ``name`` is at most alpha, and a marginal schedule
+    has every alpha_i at most alpha and alpha_n == alpha. Only a build
+    through F_k may instead fail for leaving double precision, F_k(b_i) = 0
+    for a whole rescaled base included."""
+    try:
+        s = make_schedule(name, n, k, alpha, model)
+    except ValueError as exc:
+        assert name not in MARGINAL and re.search("underflows|overflows|degenerate", str(exc)), exc
+        return
+    if name in MARGINAL:
+        assert s.alphas.max() <= alpha and s.alphas[-1] == alpha, (name, n, k, alpha)
+    else:
+        assert s.f_targets.max() <= alpha, (name, n, k, alpha)
+
+
+class TestAtMostAlpha:
+    NAMES = [*PROCEDURES, "rescaled_const:0.5"]
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    @pytest.mark.parametrize("name", NAMES)
+    def test_every_k_at_small_n(self, name, alpha):
+        for n in (1, 2, 3, 4, 5, 8, 13, 60):
+            for k in range(1, n + 1):
+                assert_at_most_alpha(name, n, k, alpha, independent_fk(k))
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    @pytest.mark.parametrize("name", NAMES)
+    def test_equicorrelated(self, name, alpha):
+        for n in (1, 2, 3, 5):
+            for k in range(1, n + 1):
+                assert_at_most_alpha(name, n, k, alpha, equicorrelated_fk(k, 0.5))
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        data=st.data(),
+        alpha=st.sampled_from(ALPHA_GRID)
+        | st.floats(sys.float_info.min, 1.0, exclude_max=True),
+    )
+    def test_any_k_up_to_n_2000(self, data, alpha):
+        n = data.draw(st.integers(1, 2000), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        for name in self.NAMES:
+            assert_at_most_alpha(name, n, k, alpha, independent_fk(k))

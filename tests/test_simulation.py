@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from kfdr import simulation
 from kfdr.engine import decide, k_fdp
+from kfdr.fk_models import independent_fk
 from kfdr.numerics import std_normal_sf_array, std_normal_sf_thresholds
-from kfdr.schedules import STEPDOWN, STEPUP, CriticalValueSchedule
+from kfdr.schedules import STEPDOWN, STEPUP, CriticalValueSchedule, gen_simes
 from kfdr.simulation import SimulationConfig, counterexample_bound, draw_sample, run_experiment
 
 
@@ -164,16 +166,6 @@ def test_sweep_equals_one_run_per_grid_point(mu_alt, rho, rows, monkeypatch):
     assert simulation.figure_sweep(base, ()) == []
 
 
-def test_sweep_scores_each_distinct_n0_once(monkeypatch):
-    base = config(n=12, n0=3, k=3, rho=0.5, iterations=11, procedures=PANEL)
-    per_point = [run_experiment(dataclasses.replace(base, n0=n0)) for n0 in (12, 3, 12, 7)]
-    calls = []
-    sweep = simulation._sweep
-    monkeypatch.setattr(simulation, "_sweep", lambda c, r: calls.append(c) or sweep(c, r))
-    assert simulation.figure_sweep(base, (12, 3, 12, 7)) == per_point
-    assert [[c.n0 for c in configs] for configs in calls] == [[12, 3, 7]]
-
-
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_rekeyed_stream_equals_fresh_philox(seed):
     rng, state = simulation._streams(seed)
@@ -208,6 +200,31 @@ def test_counterexample_bound_exceeds_alpha():
     _, bound = counterexample_bound(50, 10, 0.05)
     assert bound == pytest.approx(0.1069, abs=1e-4)
     assert bound > 0.05
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2, 0.999999])
+def test_counterexample_critical_value_is_gen_simes(alpha):
+    # Every split of n = n0 + n1 with 2 <= n0 < 60 and n1 < 60.
+    for n in range(2, 119):
+        alphas = gen_simes(n, 2, alpha, independent_fk(2)).alphas.tolist()
+        for n1 in range(max(0, n - 59), min(59, n - 2) + 1):
+            assert counterexample_bound(n - n1, n1, alpha)[0] == alphas[n1 + 1], (n, n1)
+
+
+@pytest.mark.parametrize("n0", [2, 3, 10, 1000, 10**6])
+def test_counterexample_bound_relative_accuracy(n0):
+    # Pr{Binomial(n0, c) >= 2} from scipy, at levels where the difference
+    # 1 - Pr{0} - Pr{1} would cancel and where it would not.
+    for n1 in (0, 1, 10, 1000):
+        for alpha in np.logspace(-20, math.log10(0.5), 25):
+            c, bound = counterexample_bound(n0, n1, float(alpha))
+            expected = 2.0 / (n1 + 2) * stats.binom.sf(1, n0, c)
+            assert bound == pytest.approx(expected, rel=1e-10, abs=0.0), (n1, alpha)
+
+
+def test_counterexample_bound_at_a_tiny_alpha():
+    # c = 1e-10, and both nulls fall below it with probability c^2.
+    assert counterexample_bound(2, 0, 1e-20) == (1e-10, pytest.approx(1e-20, rel=1e-15))
 
 
 def test_simulation_reproduces_simes_violation():
