@@ -7,7 +7,9 @@ stable ascending sort ``order`` of the p-values and the rejection count
 i (``order[i]``) is compared with the critical value ``alphas[i]``. With
 ground truth it also holds the false-rejection count V and the k-FDP. Ties
 among equal p-values are broken by original index, so results are
-deterministic. A p-value exactly equal to its critical value counts as
+deterministic. Both directions use one rule: p_(i) <= alpha_i is a hit and
+p_(i) > alpha_i a miss. Stepup rejects up to its last hit and stepdown up to
+its first miss, so a p-value exactly equal to its critical value counts as
 rejected.
 
 The counting kernel, ``rejection_count``, takes an [m, n] block of sorted
@@ -96,9 +98,9 @@ def stepup_count(sorted_p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
 
 def stepdown_count(sorted_p: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Rejections of a stepdown rule in each row of a sorted [m, n] block:
-    one less than the smallest i with p_(i) >= alpha_i, or n when every
-    ordered p-value is strictly below its critical value."""
-    misses = sorted_p >= alphas
+    one less than the smallest i with p_(i) > alpha_i, or n when every
+    ordered p-value is at most its critical value."""
+    misses = sorted_p > alphas
     first = np.argmax(misses, axis=1)
     return np.where(misses.any(axis=1), first, misses.shape[1])
 

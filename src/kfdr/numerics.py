@@ -84,10 +84,9 @@ def _ordered_key_flip(bits: np.ndarray) -> np.ndarray:
 
 
 def std_normal_sf_thresholds(alphas: np.ndarray) -> np.ndarray:
-    """For each alpha, the smallest double t with ``std_normal_sf_array(t)
-    <= alpha``, so that sf(x) <= alpha exactly when x >= t. Where no double
-    has it (alpha < 0), the result is -inf. For ``sf < alpha`` pass
-    ``np.nextafter(alpha, -np.inf)``: on doubles the two predicates agree.
+    """For each alpha in [0, 1], the smallest double t with
+    ``std_normal_sf_array(t) <= alpha``, so that sf(x) <= alpha exactly when
+    x >= t. sf(+inf) = 0 meets every such alpha, so t always exists.
 
     Bisects the ordered int64 keys of the doubles in [-inf, +inf], about 64
     vectorised passes of the exact float predicate. This relies on the
@@ -96,24 +95,23 @@ def std_normal_sf_thresholds(alphas: np.ndarray) -> np.ndarray:
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     ends = _ordered_key_flip(np.array([-np.inf, np.inf]).view(np.int64))
-    # lo never meets the predicate and hi always does; both start one key
-    # outside the doubles, so hi left at its start means no double qualifies.
+    # lo never meets the predicate: it starts one key below -inf. hi always
+    # does: it starts at +inf.
     lo = np.full(alphas.shape, ends[0] - 1)
-    hi = np.full(alphas.shape, ends[1] + 1)
+    hi = np.full(alphas.shape, ends[1])
     # hi - lo overflows int64 across the whole range, hence this loop test
     # and a midpoint built from halves.
     active = lo + 1 < hi
     while active.any():
         mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
-        # Settled entries may sit at an outside key, a NaN; clip them to a double.
+        # Settled entries may sit at the key below -inf, a NaN; clip them to a double.
         x = _ordered_key_flip(np.clip(mid, ends[0], ends[1])).view(np.float64)
         sf = std_normal_sf_array(x)
         met = sf <= alphas
         hi = np.where(active & met, mid, hi)
         lo = np.where(active & ~met, mid, lo)
         active = lo + 1 < hi
-    tau = _ordered_key_flip(hi).view(np.float64)
-    return np.where(hi > ends[1], -np.inf, tau)
+    return _ordered_key_flip(hi).view(np.float64)
 
 
 # Cody (1969) rational approximations, as in the CALERF routine of SPECFUN:

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fk_models import FkModel, fk_eval, fk_invert
+from .fk_models import EMPIRICAL, FkModel, fk_eval, fk_invert
 from .numerics import _POWER_BLOCK
 
 STEPUP = "stepup"
@@ -138,11 +138,13 @@ def _block_targets(n: int, k: int, targets: Callable[[np.ndarray], np.ndarray]) 
     """``targets(j)`` for j = max(i, k), i = 1..n, filled into one float64
     array one ``_POWER_BLOCK`` of indices at a time, so every temporary is
     block-sized. Each block picks its own paths in ``_combs`` and
-    ``_f_targets``, which give the same targets and underflow error."""
+    ``_f_targets``, which give the same targets and underflow error. The
+    array is returned read-only, so a schedule keeps it without a copy."""
     out = np.empty(n)
     for start in range(0, n, _POWER_BLOCK):
         stop = min(n, start + _POWER_BLOCK)
         out[start:stop] = targets(_indices(stop, k, start))
+    out.flags.writeable = False
     return out
 
 
@@ -333,8 +335,8 @@ def _check_base(n: int, base: Sequence[float]) -> np.ndarray:
     return base
 
 
-def _s_primes(n: int, k: int, n0s: Sequence[int], f_base: np.ndarray) -> list[float]:
-    """S'(n0) for each n0, from F_k at the base sequence:
+def _s_primes(n: int, k: int, f_base: np.ndarray) -> list[float]:
+    """S'(n0) for n0 = k..n, from F_k at the base sequence:
     C(n0,k) * [F(b_{n-n0+k}) + sum_{i=k+1}^{n0} (F(b_{n-n0+i}) - F(b_{n-n0+i-1})) / C(i,k)].
     """
     diffs = np.diff(f_base)
@@ -348,7 +350,7 @@ def _s_primes(n: int, k: int, n0s: Sequence[int], f_base: np.ndarray) -> list[fl
     return [
         math.comb(n0, k)
         * (float(f_base[n - n0 + k - 1]) + math.fsum(diffs[n - n0 + k - 1 :] / combs[: n0 - k]))
-        for n0 in n0s
+        for n0 in range(k, n + 1)
     ]
 
 
@@ -366,17 +368,22 @@ def rescaled_stepup(
     Valid under arbitrary dependence. S'(k) is F_k(b_n) exactly, so in floats
     too D' >= every F_k(b_i), each ratio is at most 1 and each target at
     most alpha. Where F_k(b_i) > 0 but F_k(b_i) or the target is subnormal
-    or 0, the target has lost its precision and a ValueError is raised.
+    or 0, the target has lost its precision and a ValueError is raised, as
+    where F_k(b_n) underflows to 0. A base where F_k is exactly 0 has no
+    rescaling constant and is rejected as degenerate.
     """
     _validate_fk_inputs("rescaled_stepup", n, k, alpha, model)
     base = _check_base(n, base)
     f_base = fk_eval(model, base)
-    d_prime = max(_s_primes(n, k, range(k, n + 1), f_base))
-    if d_prime <= 0.0:
+    d_prime = max(_s_primes(n, k, f_base))
+    # D' >= F_k(b_n) >= every f. F_k is exactly 0 at b_n > 0 only on an
+    # empirical grid's level at 0; elsewhere a D' of 0 is an F_k(b_n) that
+    # underflowed, and every f and target is 0 with it.
+    if d_prime == 0.0 and (base[-1] == 0.0 or model.kind == EMPIRICAL):
         raise ValueError("base sequence gives a degenerate rescaling constant")
     f = f_base[_indices(n, k) - 1]
-    targets = alpha * (f / d_prime)
-    if ((f > 0.0) & (np.minimum(f, targets) < sys.float_info.min)).any():
+    targets = alpha * (f / d_prime) if d_prime > 0.0 else f
+    if d_prime == 0.0 or ((f > 0.0) & (np.minimum(f, targets) < sys.float_info.min)).any():
         raise ValueError(
             "an F-target underflows double precision: F_k(b_i) or its rescaling is too small"
         )
@@ -415,7 +422,11 @@ PROCEDURES: dict[str, Builder] = {
 def resolve(name: str) -> Builder:
     """The builder of the procedure called ``name``: its ``PROCEDURES``
     entry, or for the form rescaled_const:C, ``rescaled_stepup`` on the
-    constant base C in [0, 1]. Every other name raises ValueError."""
+    constant base C in [0, 1]. Every other name raises ValueError.
+
+    rescaled_const:C does not depend on C: a constant base has no
+    F-differences, so D' = C(n, k) F_k(C) and every F-target is
+    alpha / C(n, k), the single-step rule, to within rounding."""
     if name in PROCEDURES:
         return PROCEDURES[name]
     if not name.startswith("rescaled_const:"):

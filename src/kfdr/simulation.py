@@ -44,7 +44,7 @@ import numpy as np
 from . import engine
 from .fk_models import equicorrelated_fk
 from .numerics import std_normal_sf_array, std_normal_sf_thresholds
-from .schedules import STEPUP, CriticalValueSchedule, make_schedule, resolve
+from .schedules import CriticalValueSchedule, make_schedule, resolve
 
 # Monte Carlo iterations run in blocks of about this many statistics
 # (max(1, _BLOCK_VALUES // n) iterations), which bounds the block's
@@ -182,25 +182,9 @@ def _build_schedules(config: SimulationConfig) -> list[CriticalValueSchedule]:
 def _statistic_rules(
     schedules: Sequence[CriticalValueSchedule],
 ) -> list[tuple[str, np.ndarray]]:
-    """Each schedule's direction and its critical values moved to the scale
-    of s, the ascending sorted -x, for ``engine.rejection_count``.
-
-    s_i carries the i-th smallest p-value, sf(-s_i). A stepup hit p_(i) <=
-    alpha_i is x >= tau_i, i.e. s_i <= -tau_i. A stepdown miss p_(i) >=
-    alpha_i is x < tau'_i, where tau'_i is the threshold of the double
-    below alpha_i (p < alpha_i exactly when p <= that double), i.e. s_i >=
-    nextafter(-tau'_i, +inf), except that an alpha_i of 0, which has no
-    tau' (-inf), always misses and gets the bound -inf.
-    """
-    rules = []
-    for schedule in schedules:
-        if schedule.direction == STEPUP:
-            bounds = -std_normal_sf_thresholds(schedule.alphas)
-        else:
-            tau = std_normal_sf_thresholds(np.nextafter(schedule.alphas, -np.inf))
-            bounds = np.where(tau == -np.inf, -np.inf, np.nextafter(-tau, np.inf))
-        rules.append((schedule.direction, bounds))
-    return rules
+    """(direction, -tau) per schedule, tau the thresholds of its alphas: on
+    s, the ascending sorted -x, p_(i) <= alpha_i exactly when s_i <= -tau_i."""
+    return [(s.direction, -std_normal_sf_thresholds(s.alphas)) for s in schedules]
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -278,12 +262,11 @@ def run_experiment(
     Counting on sorted -x gives the r and V of the p-value procedure even
     where p-values tie, for instance at 1.0 for distinct very negative x,
     because with nondecreasing alphas a stepwise rule rejects a group of
-    tied p-values whole: at a stepup count r, p_(r) = p_(r+1) would make rank
-    r + 1 a hit too (p_(r+1) <= alpha_r <= alpha_(r+1)), and at a stepdown
-    count r it would keep rank r + 1 from missing (p_(r+1) < alpha_r <=
-    alpha_(r+1)). So the rejected set is every hypothesis with p <= p_(r),
-    which is every one with -x <= s_r, whatever order a sort gives tied
-    values.
+    tied p-values whole: at a count r of either direction, p_(r) = p_(r+1)
+    would make rank r + 1 a hit too (p_(r+1) = p_(r) <= alpha_r <=
+    alpha_(r+1)), so neither count could end at r. So the rejected set is
+    every hypothesis with p <= p_(r), which is every one with -x <= s_r,
+    whatever order a sort gives tied values.
     """
     if rules is None:
         rules = _statistic_rules(_build_schedules(config))

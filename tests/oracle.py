@@ -58,11 +58,11 @@ def brute_force_stepup(values: Sequence[float], alphas: Sequence[float]) -> set[
 
 def brute_force_stepdown(values: Sequence[float], alphas: Sequence[float]) -> set[int]:
     """Rejected indices by a literal scan of the stepdown definition: the
-    i-1 smallest p-values for the first i with p_(i) >= alpha_i (all if none)."""
+    i-1 smallest p-values for the first i with p_(i) > alpha_i (all if none)."""
     ranked = _ranked(values)
     j_sd = None
     for i in range(1, len(values) + 1):
-        if values[ranked[i - 1]] >= alphas[i - 1]:
+        if values[ranked[i - 1]] > alphas[i - 1]:
             j_sd = i
             break
     count = len(values) if j_sd is None else j_sd - 1

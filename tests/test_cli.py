@@ -285,6 +285,11 @@ def test_counterexample_csv(capsys):
          "F-target underflows double precision"),
         (["simulate", "--n", 10, "--n0-grid", 5, "--iterations", 2, "--alpha", 5e-324],
          "alpha must be a normal double"),
+        # F_k(0.5) = 2^-1075 rounds to 0: an underflow, not a degenerate base.
+        (["schedule", "--procedure", "rescaled_const:0.5", "--n", 1075, "--k", 1075],
+         r"^error: an F-target underflows double precision: F_k\(b_i\) or its rescaling"),
+        (["schedule", "--procedure", "rescaled_const:0", "--n", 5, "--k", 2],
+         "^error: base sequence gives a degenerate rescaling constant"),
     ],
 )
 def test_validation_errors_exit_one(argv, message, capsys):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfdr.engine import PValueSample, decide, rejection_count, sample_from
-from kfdr.schedules import STEPDOWN, STEPUP, CriticalValueSchedule
+from kfdr.fk_models import equicorrelated_fk, independent_fk
+from kfdr.schedules import PROCEDURES, STEPDOWN, STEPUP, CriticalValueSchedule, make_schedule
 from oracle import brute_force_stepdown, brute_force_stepup
 
 # p-values and critical values share this grid, so ties among p-values and
@@ -47,7 +48,8 @@ class TestAgainstOracle:
         assert outcome.k_fdp == (v / len(expected) if v >= schedule.k else 0.0)
 
     def test_tie_at_critical_value(self):
-        # p_(3) == alpha_3 is rejected by stepup; p_(1) == alpha_1 stops stepdown.
+        # p_(1) == alpha_1 and p_(3) == alpha_3 are hits in both directions;
+        # one double above alpha_1, p_(1) stops stepdown.
         values = (0.3, 0.1, 0.3, 0.9, 0.1)
         alphas = (0.1, 0.2, 0.3, 0.4, 0.5)
         up = CriticalValueSchedule(alphas, 1, "grid", 0.5, STEPUP)
@@ -55,7 +57,41 @@ class TestAgainstOracle:
         outcome = decide(sample_from(values), up)
         assert outcome.order.tolist() == [1, 4, 0, 2, 3]
         assert outcome.r == 4 and outcome.v is None and outcome.k_fdp is None
-        assert decide(sample_from(values), down).r == 0
+        assert decide(sample_from(values), down).r == 4
+        above = (0.3, np.nextafter(0.1, 1.0), 0.3, 0.9, np.nextafter(0.1, 1.0))
+        assert decide(sample_from(above), up).r == 4
+        assert decide(sample_from(above), down).r == 0
+
+
+class TestOneRuleBothDirections:
+    # p_(i) <= alpha_i is a hit for stepup and stepdown alike.
+    @pytest.mark.parametrize(
+        "n, rho", [*((n, None) for n in (1, 5, 60, 300)), *((n, 0.5) for n in (1, 5, 60))]
+    )
+    def test_every_schedule_rejects_its_own_alphas(self, n, rho):
+        rng = np.random.default_rng(n)
+        for k in sorted({1, 2, 3, n} & set(range(1, n + 1))):
+            model = independent_fk(k) if rho is None else equicorrelated_fk(k, rho)
+            for name in [*PROCEDURES, "rescaled_const:0.5"]:
+                schedule = make_schedule(name, n, k, 0.05, model)
+                outcome = decide(sample_from(rng.permutation(schedule.alphas)), schedule)
+                assert outcome.r == n, (name, n, k, rho)
+
+    @given(st.integers(1, 40), st.sampled_from([1, 2]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_holm_and_hochberg_agree_when_every_p_hits(self, n, k, data):
+        # Each p_i is alpha_i or below it, so every p_(i) <= alpha_i, ties
+        # at equality included.
+        k = min(k, n)
+        holm, hochberg = (
+            make_schedule(name, n, k, 0.05, independent_fk(k))
+            for name in ("gen_holm", "gen_hochberg")
+        )
+        assert holm.alphas.tolist() == hochberg.alphas.tolist()
+        scale = data.draw(st.lists(st.sampled_from((1.0, 0.5, 0.0)), min_size=n, max_size=n))
+        sample = sample_from(data.draw(st.permutations(holm.alphas * np.array(scale))))
+        outcomes = [decide(sample, s) for s in (holm, hochberg)]
+        assert [set(o.order[: o.r].tolist()) for o in outcomes] == [set(range(n))] * 2
 
 
 class TestRejectionCount:

@@ -180,7 +180,7 @@ def test_rescaling_sum_matches_loop():
         model = independent_fk(k)
         f_base = [b**k for b in base]
         loop = [_s_prime_loop(n, k, n0, f_base) for n0 in range(k, n + 1)]
-        assert schedules._s_primes(n, k, range(k, n + 1), fk_eval(model, base)) == loop
+        assert schedules._s_primes(n, k, fk_eval(model, base)) == loop
         alpha = 0.05
         expected = [alpha * (f_base[max(i, k) - 1] / max(loop)) for i in range(1, n + 1)]
         assert rescaled_stepup(n, k, alpha, base, model).f_targets.tolist() == expected

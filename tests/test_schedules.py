@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfdr import schedules
-from kfdr.fk_models import equicorrelated_fk, fk_eval, independent_fk
+from kfdr.fk_models import EMPIRICAL, FkModel, equicorrelated_fk, fk_eval, independent_fk
 from kfdr.schedules import (
     STEPDOWN,
     STEPUP,
@@ -264,8 +265,7 @@ class TestBhClassic:
 
 def s_prime(n, k, n0, base, model):
     """S'(n0) of rescaled_stepup's rescaling constant D' = max S'(n0)."""
-    (value,) = schedules._s_primes(n, k, [n0], fk_eval(model, base))
-    return value
+    return schedules._s_primes(n, k, fk_eval(model, base))[n0 - k]
 
 
 class TestSPrime:
@@ -306,6 +306,34 @@ class TestRescaledStepup:
     def test_base_messages(self, base, message):
         with pytest.raises(ValueError, match=message):
             rescaled_stepup(3, 1, 0.05, base, IND1)
+
+    @pytest.mark.parametrize(
+        "n, base, grid, message",
+        [
+            # F_k(0.5) is 2^-1075, which rounds to 0 as D' does, and 2^-1074, subnormal.
+            (1075, 0.5, None, r"underflows double precision: F_k\(b_i\) or its rescaling"),
+            (1074, 0.5, None, r"underflows double precision: F_k\(b_i\) or its rescaling"),
+            (5, 0.0, None, "degenerate rescaling constant"),
+            # This empirical F_k is exactly 0 on [0, 0.3].
+            (5, 0.2, ((0.0, 0.0), (0.3, 0.0), (1.0, 1.0)), "degenerate rescaling constant"),
+        ],
+    )
+    def test_a_zero_or_underflowed_f_k(self, n, base, grid, message):
+        model = independent_fk(n) if grid is None else FkModel(kind=EMPIRICAL, k=n, grid=grid)
+        with pytest.raises(ValueError, match=message):
+            rescaled_stepup(n, n, 0.05, np.full(n, base), model)
+
+    @pytest.mark.parametrize("rho", [None, 0.5])
+    @pytest.mark.parametrize("n, k", [(50, 2), (200, 5), (1000, 3)])
+    def test_rescaled_const_does_not_depend_on_its_constant(self, n, k, rho):
+        # A constant base has no F-differences, so D' = C(n, k) F_k(C) and
+        # every F-target is alpha / C(n, k), whatever C is, to within 1 ulp.
+        model = independent_fk(k) if rho is None else equicorrelated_fk(k, rho)
+        single_step = schedules._f_targets(0.05, 1, math.comb(n, k))
+        for c in (1e-3, 0.05, 0.3, 0.5, 1.0):
+            s = make_schedule(f"rescaled_const:{c}", n, k, 0.05, model)
+            assert (np.abs(s.f_targets - single_step) <= np.spacing(single_step)).all(), c
+            assert (s.alphas == s.alphas[0]).all(), c
 
     def test_hand_evaluated_example(self):
         s = rescaled_stepup(2, 1, 0.05, (0.5, 1.0), IND1)
@@ -512,6 +540,20 @@ class TestScheduleValidation:
         s = make_schedule(name, 7, 2, 0.05, IND2)
         assert np.shares_memory(s.alphas, made[-1]) and s.alphas.flags.owndata
         assert s.f_targets.flags.owndata and not s.f_targets.flags.writeable
+
+    @pytest.mark.parametrize("name", ["bh", "lehmann_romano"])
+    def test_a_marginal_schedule_keeps_the_array_it_made(self, name):
+        # The alphas are the one n-element array the builder fills, so the
+        # peak is 8n bytes and block-sized temporaries; a copy would add 8n.
+        n = 2**20
+        tracemalloc.start()
+        try:
+            s = make_schedule(name, n, 3, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.alphas.flags.owndata and not s.alphas.flags.writeable
+        assert peak <= 1.5 * 8 * n
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -129,18 +129,14 @@ def test_batched_matches_per_iteration_reference(overrides, schedules):
 @pytest.mark.parametrize("schedule", HAND, ids=lambda s: s.direction)
 def test_statistic_rules_decide_as_p_values_at_the_thresholds(schedule):
     # Statistics at, just below and just above each threshold, and at +inf:
-    # comparing -x with the rule's bounds gives the p-value hit or miss.
+    # in both directions -x <= bound is the p-value hit p <= alpha.
     ((direction, bounds),) = simulation._statistic_rules([schedule])
+    assert direction == schedule.direction
     alphas = schedule.alphas
-    tau = std_normal_sf_thresholds(
-        np.nextafter(alphas, -np.inf) if direction == STEPDOWN else alphas
-    )
+    tau = std_normal_sf_thresholds(alphas)
     for x in (tau, np.nextafter(tau, -np.inf), np.nextafter(tau, np.inf), np.full(12, np.inf)):
         p = std_normal_sf_array(x)
-        if direction == STEPUP:
-            assert ((-x <= bounds) == (p <= alphas)).all()
-        else:
-            assert ((-x >= bounds) == (p >= alphas)).all()
+        assert ((-x <= bounds) == (p <= alphas)).all()
 
 
 @pytest.mark.parametrize("rows", [1, 3])
