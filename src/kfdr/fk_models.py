@@ -46,14 +46,18 @@ EMPIRICAL = "empirical"
 _KINDS = (INDEPENDENT_UNIFORM, EQUICORRELATED, EMPIRICAL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FkModel:
-    """Distribution of the maximum of k exchangeable null p-values."""
+    """Distribution of the maximum of k exchangeable null p-values.
+
+    An empirical model's ``grid`` is a read-only [m, 2] float64 array of
+    (x, F_k(x)) rows; any other sequence of pairs is copied into one.
+    """
 
     kind: str
     k: int
     rho: float | None = None
-    grid: tuple[tuple[float, float], ...] | None = None
+    grid: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -66,9 +70,14 @@ class FkModel:
             if not 0.0 <= self.rho <= 1.0:
                 raise ValueError(f"rho must be in [0, 1], got {self.rho!r}")
         if self.kind == EMPIRICAL:
-            if not self.grid:
+            if self.grid is None:
                 raise ValueError("empirical model requires a grid")
-            xs, fs = _grid_arrays(self)
+            grid = np.array(self.grid, dtype=np.float64)
+            grid.flags.writeable = False
+            object.__setattr__(self, "grid", grid)
+            if grid.ndim != 2 or grid.shape[1] != 2 or not grid.size:
+                raise ValueError(f"an empirical grid is an [m, 2] array, got shape {grid.shape}")
+            xs, fs = grid.T
             if not (np.isfinite(xs).all() and np.isfinite(fs).all()):
                 raise ValueError("empirical grid values must be finite")
             if (xs[0], fs[0]) != (0.0, 0.0) or (xs[-1], fs[-1]) != (1.0, 1.0):
@@ -113,7 +122,7 @@ def fk_eval(model: FkModel, x: float | np.ndarray) -> float | np.ndarray:
     if power is not None:
         out = python_float_map(pow, arr, power)
     elif model.kind == EMPIRICAL:
-        xs, fs = _grid_arrays(model)
+        xs, fs = model.grid.T
         out = np.interp(arr, xs, fs)
     else:
         # {P <= x} = {X >= Phi^-1(1-x)}; -quantile(x) keeps small-x precision.
@@ -131,7 +140,7 @@ def fk_invert(model: FkModel, target: float | np.ndarray) -> float | np.ndarray:
     if power is not None:
         out = python_float_map(pow, arr, 1.0 / power)
     elif model.kind == EMPIRICAL:
-        xs, fs = _grid_arrays(model)
+        xs, fs = model.grid.T
         # interp works from the last grid level at or below the target, so
         # between levels it follows the rising segment, but on a flat level
         # it would give the rightmost x; there the first x at the level wins.
@@ -174,10 +183,8 @@ def fit_empirical_fk(
     levels = np.arange(1, grid_size) / grid_size
     xs = np.quantile(maxima, levels)
     xs = np.maximum.accumulate(xs)
-    grid = [(0.0, 0.0)]
-    grid += [(float(x), float(f)) for x, f in zip(xs, levels)]
-    grid.append((1.0, 1.0))
-    return FkModel(kind=EMPIRICAL, k=k, grid=tuple(grid))
+    grid = np.column_stack((np.r_[0.0, xs, 1.0], np.r_[0.0, levels, 1.0]))
+    return FkModel(kind=EMPIRICAL, k=k, grid=grid)
 
 
 def save_empirical_csv(model: FkModel, path: str) -> None:
@@ -187,7 +194,7 @@ def save_empirical_csv(model: FkModel, path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "fk"])
-        for x, f in model.grid or ():
+        for x, f in model.grid.tolist():
             writer.writerow([repr(x), repr(f)])
 
 
@@ -209,9 +216,4 @@ def load_empirical_csv(path: str, k: int) -> FkModel:
             if not (math.isfinite(x) and math.isfinite(f)):
                 raise ValueError(f"{path}: non-finite value in row {reader.line_num}: {row!r}")
             grid.append((x, f))
-    return FkModel(kind=EMPIRICAL, k=k, grid=tuple(grid))
-
-
-def _grid_arrays(model: FkModel) -> tuple[np.ndarray, np.ndarray]:
-    grid = np.asarray(model.grid, dtype=np.float64)
-    return grid[:, 0], grid[:, 1]
+    return FkModel(kind=EMPIRICAL, k=k, grid=grid)

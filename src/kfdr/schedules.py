@@ -186,7 +186,8 @@ def _f_targets(alpha: float, num: np.ndarray | int, den: np.ndarray | int) -> np
     ):
         ratios = num.astype(np.float64) / den.astype(np.float64)
     else:
-        ratios = np.array([a / b for a, b in zip(num.tolist(), den.tolist())])
+        pairs = zip(num.ravel().tolist(), den.ravel().tolist())
+        ratios = np.array([a / b for a, b in pairs]).reshape(num.shape)
     targets = alpha * ratios
     if not targets.all():
         raise ValueError(_UNDERFLOW)
@@ -370,7 +371,9 @@ def rescaled_stepup(
     most alpha. Where F_k(b_i) > 0 but F_k(b_i) or the target is subnormal
     or 0, the target has lost its precision and a ValueError is raised, as
     where F_k(b_n) underflows to 0. A base where F_k is exactly 0 has no
-    rescaling constant and is rejected as degenerate.
+    rescaling constant and is rejected as degenerate. A constant base C has
+    D' = C(n, k) F_k(C), so every target is alpha / C(n, k) to within
+    rounding: the single-step rule, which rescaled_const forms exactly.
     """
     _validate_fk_inputs("rescaled_stepup", n, k, alpha, model)
     base = _check_base(n, base)
@@ -407,6 +410,26 @@ def _rescaled_hochberg(n: int, k: int, alpha: float, model: FkModel) -> Critical
     return rescaled_stepup(n, k, alpha, hochberg.alphas, model)
 
 
+def _rescaled_const(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
+    """``rescaled_stepup`` on a constant base, in closed form: every F-target
+    is alpha / C(n, k), gen_holm's first bit for bit, inverted once. A target
+    that is not a normal double raises, as in ``rescaled_stepup``."""
+    _validate_fk_inputs("rescaled_const", n, k, alpha, model)
+    target = float(_f_targets(alpha, 1, math.comb(n, k)))
+    if target < sys.float_info.min:
+        raise ValueError(_UNDERFLOW)
+    targets, alphas = np.full(n, target), np.full(n, fk_invert(model, target))
+    alphas.flags.writeable = targets.flags.writeable = False
+    return CriticalValueSchedule(
+        alphas=alphas,
+        k=k,
+        procedure="rescaled_const",
+        alpha_level=alpha,
+        direction=STEPUP,
+        f_targets=targets,
+    )
+
+
 PROCEDURES: dict[str, Builder] = {
     "bh": _bh,
     "gen_bh": gen_bh,
@@ -415,34 +438,17 @@ PROCEDURES: dict[str, Builder] = {
     "gen_hochberg": gen_hochberg_stepup,
     "gen_simes": gen_simes,
     "lehmann_romano": lambda n, k, alpha, model: lehmann_romano_stepdown(n, k, alpha),
+    "rescaled_const": _rescaled_const,
     "rescaled_hochberg": _rescaled_hochberg,
 }
 
 
 def resolve(name: str) -> Builder:
-    """The builder of the procedure called ``name``: its ``PROCEDURES``
-    entry, or for the form rescaled_const:C, ``rescaled_stepup`` on the
-    constant base C in [0, 1]. Every other name raises ValueError.
-
-    rescaled_const:C does not depend on C: a constant base has no
-    F-differences, so D' = C(n, k) F_k(C) and every F-target is
-    alpha / C(n, k), the single-step rule, to within rounding."""
-    if name in PROCEDURES:
-        return PROCEDURES[name]
-    if not name.startswith("rescaled_const:"):
-        raise ValueError(f"unknown procedure {name!r}")
-    text = name.split(":", 1)[1]
+    """The ``PROCEDURES`` entry of ``name``; an unknown name raises ValueError."""
     try:
-        c = float(text)
-    except ValueError:
-        c = math.nan
-    # NaN fails this test too.
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(
-            f"procedure {name!r}: the constant C of rescaled_const:C must be a number "
-            f"in [0, 1], got {text!r}"
-        )
-    return lambda n, k, alpha, model: rescaled_stepup(n, k, alpha, np.full(n, c), model)
+        return PROCEDURES[name]
+    except KeyError:
+        raise ValueError(f"unknown procedure {name!r}") from None
 
 
 def make_schedule(

@@ -244,9 +244,7 @@ def _sweep(
     return summaries
 
 
-def run_experiment(
-    config: SimulationConfig, rules: Sequence[tuple[str, np.ndarray]] | None = None
-) -> SimulationSummary:
+def run_experiment(config: SimulationConfig) -> SimulationSummary:
     """Estimate error rates and power for every configured procedure: the
     one-point case of the sweep kernel, which keeps procedures x iterations
     x 8 bytes of counts.
@@ -254,10 +252,7 @@ def run_experiment(
     Per iteration and procedure the k-FDP (at the config's k), the indicator
     of at least k false rejections, the FDP and the rejected fraction of
     false nulls are recorded; means and standard errors are taken over the
-    fixed per-iteration arrays, so reruns are bit-identical. ``rules``, one
-    (direction, bounds) pair per configured procedure from
-    ``_statistic_rules``, are built from the config when not given; they do
-    not depend on n0.
+    fixed per-iteration arrays, so reruns are bit-identical.
 
     Counting on sorted -x gives the r and V of the p-value procedure even
     where p-values tie, for instance at 1.0 for distinct very negative x,
@@ -268,9 +263,7 @@ def run_experiment(
     every hypothesis with p <= p_(r), which is every one with -x <= s_r,
     whatever order a sort gives tied values.
     """
-    if rules is None:
-        rules = _statistic_rules(_build_schedules(config))
-    return _sweep([config], rules)[0]
+    return _sweep([config], _statistic_rules(_build_schedules(config)))[0]
 
 
 def figure_sweep(

@@ -138,7 +138,7 @@ def test_bh_rejects_invalid_k(k, message, capsys):
     [("bogus", "--model must be"), ("equicorrelated:7", r"\[0, 1\]"),
      ("empirical:/no/such/file", "cannot read empirical model")],
 )
-@pytest.mark.parametrize("name", [*schedules.PROCEDURES, "rescaled_const:0.5"])
+@pytest.mark.parametrize("name", schedules.PROCEDURES)
 @pytest.mark.parametrize("sub", ["schedule", "adjust"])
 def test_a_bad_model_exits_one_for_every_procedure(sub, name, spec, message, ties_csv, capsys):
     where = ["--n", 5] if sub == "schedule" else [ties_csv]
@@ -149,7 +149,7 @@ def test_a_bad_model_exits_one_for_every_procedure(sub, name, spec, message, tie
 
 
 @pytest.mark.parametrize("spec", ["independent", "equicorrelated:0.5"])
-@pytest.mark.parametrize("name", [*schedules.PROCEDURES, "rescaled_const:0.5"])
+@pytest.mark.parametrize("name", schedules.PROCEDURES)
 def test_the_model_line_marks_a_schedule_with_f_targets(name, spec, capsys):
     code, out, _ = run(["schedule", "--procedure", name, "--n", 50, "--k", 2, "--model", spec],
                        capsys)
@@ -174,7 +174,7 @@ def test_exact_equicorrelated_cases_print_the_independent_rows(sub, k, rho, tmp_
     path = tmp_path / "p.csv"
     path.write_text("p\n" + "\n".join(map(repr, np.geomspace(1e-6, 0.9, 40).tolist())) + "\n")
     size = [path] if sub == "adjust" else ["--n", 40]
-    for name in [*schedules.PROCEDURES, "rescaled_const:0.5"]:
+    for name in schedules.PROCEDURES:
         argv = [sub, *size, "--procedure", name, "--k", k]
         code, independent, _ = run(argv, capsys)
         assert code == 0
@@ -187,7 +187,7 @@ def test_exact_equicorrelated_cases_print_the_independent_rows(sub, k, rho, tmp_
 def test_perfectly_correlated_schedules_are_their_targets(k, capsys):
     # At rho = 1, F_k(x) = x: every alpha is its F-target and none exceeds --alpha.
     marginal = set()
-    for name in [*schedules.PROCEDURES, "rescaled_const:0.5"]:
+    for name in schedules.PROCEDURES:
         argv = ["schedule", "--procedure", name, "--n", 40, "--k", k, "--alpha", 0.05,
                 "--model", "equicorrelated:1"]
         code, out, _ = run(argv, capsys)
@@ -237,20 +237,22 @@ def test_counterexample_csv(capsys):
         (["simulate", "--n", 10, "--n0-grid", 11], r"got n0=11\b"),
         (["simulate", "--n", 10, "--k", 2, "--n0-grid", 5, "--iterations", 20, "--mu-alt", "nan"],
          "mu_alt must be a number, got nan"),
+        # rescaled_const takes no constant.
         (["schedule", "--procedure", "rescaled_const:abc", "--n", 5],
-         "procedure 'rescaled_const:abc': .* got 'abc'"),
+         "unknown procedure 'rescaled_const:abc'"),
         (["simulate", "--n", 10, "--n0-grid", 10, "--procedures", "gen_bh,rescaled_const:abc"],
-         "procedure 'rescaled_const:abc': .* got 'abc'"),
-        (["schedule", "--procedure", "rescaled_const:2", "--n", 5],
-         r"procedure 'rescaled_const:2': .* in \[0, 1\], got '2'"),
+         "unknown procedure 'rescaled_const:abc'"),
+        (["schedule", "--procedure", "rescaled_const:0.5", "--n", 5],
+         "unknown procedure 'rescaled_const:0.5'"),
         (["schedule", "--procedure", "rescaled_hochberg", "--n", 1035, "--k", 488],
          "rescaling weight overflows double precision"),
-        (["schedule", "--procedure", "rescaled_const:0.01", "--n", 1035, "--k", 488],
-         "rescaling weight overflows double precision"),
+        # The weights C(i, k) overflow under every model.
+        (["schedule", "--procedure", "rescaled_hochberg", "--n", 1035, "--k", 488,
+          "--model", "equicorrelated:1"], "rescaling weight overflows double precision"),
         (["simulate", "--n", 1035, "--k", 488, "--n0-grid", 1035, "--iterations", 2,
           "--procedures", "rescaled_hochberg"], "rescaling weight overflows double precision"),
-        # F_k(b_i) = 1e-320 is subnormal.
-        (["schedule", "--procedure", "rescaled_const:1e-160", "--n", 4, "--k", 2],
+        # alpha / C(1035, 488) is subnormal.
+        (["schedule", "--procedure", "rescaled_const", "--n", 1035, "--k", 488],
          "F-target underflows double precision"),
         # alpha / C(1000, 100) rounds to 0 on the per-row path.
         *(
@@ -258,8 +260,8 @@ def test_counterexample_csv(capsys):
              "F-target underflows double precision")
             for name in ("gen_holm", "gen_hochberg", "gen_simes")
         ),
-        # alpha * F_k(b_i) is normal but the division by D' ~ 1e306 gives 0.
-        (["schedule", "--procedure", "rescaled_const:0.5", "--n", 1030, "--k", 480,
+        # alpha / C(1030, 480), with C(1030, 480) ~ 2.6e307, is 0.
+        (["schedule", "--procedure", "rescaled_const", "--n", 1030, "--k", 480,
           "--alpha", 1e-20], "F-target underflows double precision"),
         # An unknown name is reported before the model is read.
         (["schedule", "--procedure", "nope", "--n", 3, "--model", "bogus"],
@@ -268,8 +270,8 @@ def test_counterexample_csv(capsys):
          "unknown procedure 'nope'"),
         (["simulate", "--n", 10, "--n0-grid", 10, "--rho", 0.5, "--procedures", "gen_bh,nope"],
          "unknown procedure 'nope'"),
-        # alpha * F_k(b_i) is normal but the division by D' gives a subnormal.
-        (["schedule", "--procedure", "rescaled_const:0.5", "--n", 1030, "--k", 480],
+        # alpha / C(1030, 480) is subnormal.
+        (["schedule", "--procedure", "rescaled_const", "--n", 1030, "--k", 480],
          "F-target underflows double precision"),
         # A subnormal alpha would print critical values of 0.0.
         *(
@@ -285,11 +287,10 @@ def test_counterexample_csv(capsys):
          "F-target underflows double precision"),
         (["simulate", "--n", 10, "--n0-grid", 5, "--iterations", 2, "--alpha", 5e-324],
          "alpha must be a normal double"),
-        # F_k(0.5) = 2^-1075 rounds to 0: an underflow, not a degenerate base.
-        (["schedule", "--procedure", "rescaled_const:0.5", "--n", 1075, "--k", 1075],
-         r"^error: an F-target underflows double precision: F_k\(b_i\) or its rescaling"),
-        (["schedule", "--procedure", "rescaled_const:0", "--n", 5, "--k", 2],
-         "^error: base sequence gives a degenerate rescaling constant"),
+        # The closed-form target fails before any model is evaluated.
+        (["schedule", "--procedure", "rescaled_const", "--n", 1030, "--k", 480,
+          "--model", "equicorrelated:0.5"],
+         r"^error: an F-target underflows double precision: alpha / C\(n, k\) is too small"),
     ],
 )
 def test_validation_errors_exit_one(argv, message, capsys):
@@ -297,6 +298,23 @@ def test_validation_errors_exit_one(argv, message, capsys):
     assert code == 1
     assert err.startswith("error: ")
     assert re.search(message, err)
+
+
+def test_an_empty_procedure_list_exits_one_with_the_config_message(capsys):
+    code, out, err = run(["simulate", "--n", 5, "--n0-grid", 5, "--procedures", ","], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: at least one procedure is required\n"
+
+
+@pytest.mark.parametrize("n, k", [(1075, 1075), (40, 3)])
+def test_rescaled_const_prints_gen_holms_first_row_on_every_row(n, k, capsys):
+    # alpha / C(n, k) is normal even where F_k at a constant base is not.
+    rows = {}
+    for name in ("rescaled_const", "gen_holm"):
+        code, out, _ = run(["schedule", "--procedure", name, "--n", n, "--k", k], capsys)
+        assert code == 0
+        rows[name] = [row[1:] for row in _table(out)]
+    assert rows["rescaled_const"] == [rows["gen_holm"][0]] * n
 
 
 @pytest.mark.parametrize("alpha", [1e-300, 1e-160])
@@ -792,7 +810,7 @@ def test_a_file_that_is_not_utf8_names_the_file(argv, message, tmp_path, capsys)
     assert err.startswith("error: " + message.format(str(path))) and "decode" in err
 
 
-@pytest.mark.parametrize("name", [*schedules.PROCEDURES, "rescaled_const:0.5"])
+@pytest.mark.parametrize("name", schedules.PROCEDURES)
 def test_procedure_line_is_the_name_given(name, tmp_path, capsys):
     path = tmp_path / "p.csv"
     path.write_text("p\n0.01\n0.2\n0.5\n0.04\n0.9\n")

@@ -72,7 +72,7 @@ class TestOneRuleBothDirections:
         rng = np.random.default_rng(n)
         for k in sorted({1, 2, 3, n} & set(range(1, n + 1))):
             model = independent_fk(k) if rho is None else equicorrelated_fk(k, rho)
-            for name in [*PROCEDURES, "rescaled_const:0.5"]:
+            for name in PROCEDURES:
                 schedule = make_schedule(name, n, k, 0.05, model)
                 outcome = decide(sample_from(rng.permutation(schedule.alphas)), schedule)
                 assert outcome.r == n, (name, n, k, rho)

@@ -194,11 +194,8 @@ class TestEmpirical:
             return np.clip(u, 0.0, 1.0)
 
         model = fit_empirical_fk(lumpy, draws=50_000, grid_size=128)
-        xs = [p[0] for p in model.grid]
-        fs = [p[1] for p in model.grid]
-        assert all(b >= a for a, b in zip(xs, xs[1:]))
-        assert all(b >= a for a, b in zip(fs, fs[1:]))
-        assert model.grid[0] == (0.0, 0.0) and model.grid[-1] == (1.0, 1.0)
+        assert (np.diff(model.grid, axis=0) >= 0.0).all()
+        assert model.grid[[0, -1]].tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
     def test_degenerate_sampler_flagged(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -216,7 +213,7 @@ class TestEmpirical:
         header = path.read_text().splitlines()[0]
         assert header == "x,fk"
         loaded = load_empirical_csv(str(path), k=2)
-        assert loaded.grid == model.grid
+        assert loaded.grid.tolist() == model.grid.tolist()
         for x in (0.05, 0.3, 0.9):
             assert fk_eval(loaded, x) == fk_eval(model, x)
 
@@ -279,6 +276,20 @@ class TestModelValidation:
         for point in ((0.5, bad), (bad, 0.5)):
             with pytest.raises(ValueError, match="finite"):
                 FkModel(kind=EMPIRICAL, k=1, grid=((0.0, 0.0), point, (1.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "grid", [(), (0.0, 1.0), ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)), np.zeros((2, 2, 2))]
+    )
+    def test_empirical_grid_must_be_m_by_2(self, grid):
+        with pytest.raises(ValueError, match=r"an empirical grid is an \[m, 2\] array"):
+            FkModel(kind=EMPIRICAL, k=1, grid=grid)
+
+    def test_empirical_grid_is_a_read_only_copy(self):
+        source = np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]])
+        model = FkModel(kind=EMPIRICAL, k=1, grid=source)
+        source[1] = 0.9
+        assert model.grid.dtype == np.float64 and not model.grid.flags.writeable
+        assert model.grid.tolist() == [[0.0, 0.0], [0.5, 0.2], [1.0, 1.0]]
 
     def test_empirical_grid_must_be_monotone(self):
         with pytest.raises(ValueError):

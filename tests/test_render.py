@@ -127,7 +127,7 @@ def test_adjust_rows_are_the_old_rows(cpus, small_blocks, monkeypatch):
     assert got.splitlines()[2].endswith(",true") and got.endswith(",true\n")
 
 
-@pytest.mark.parametrize("name", [*schedules.PROCEDURES, "rescaled_const:0.5"])
+@pytest.mark.parametrize("name", schedules.PROCEDURES)
 def test_schedule_rows_are_the_old_rows(name, small_blocks):
     schedule = schedules.make_schedule(name, 12, 2, 0.05, independent_fk(2))
     if schedule.f_targets is None:

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kfdr import schedules
-from kfdr.fk_models import EMPIRICAL, FkModel, equicorrelated_fk, fk_eval, independent_fk
+from kfdr.fk_models import (
+    EMPIRICAL,
+    EQUICORRELATED,
+    FkModel,
+    equicorrelated_fk,
+    fk_eval,
+    fk_invert,
+    independent_fk,
+)
 from kfdr.schedules import (
     STEPDOWN,
     STEPUP,
@@ -327,13 +335,27 @@ class TestRescaledStepup:
     @pytest.mark.parametrize("n, k", [(50, 2), (200, 5), (1000, 3)])
     def test_rescaled_const_does_not_depend_on_its_constant(self, n, k, rho):
         # A constant base has no F-differences, so D' = C(n, k) F_k(C) and
-        # every F-target is alpha / C(n, k), whatever C is, to within 1 ulp.
+        # every F-target is alpha / C(n, k), whatever C is, to within 1 ulp:
+        # the closed form that the rescaled_const builder takes.
         model = independent_fk(k) if rho is None else equicorrelated_fk(k, rho)
-        single_step = schedules._f_targets(0.05, 1, math.comb(n, k))
+        single_step = make_schedule("rescaled_const", n, k, 0.05, model).f_targets
+        assert (single_step == schedules._f_targets(0.05, 1, math.comb(n, k))).all()
         for c in (1e-3, 0.05, 0.3, 0.5, 1.0):
-            s = make_schedule(f"rescaled_const:{c}", n, k, 0.05, model)
+            s = rescaled_stepup(n, k, 0.05, np.full(n, c), model)
             assert (np.abs(s.f_targets - single_step) <= np.spacing(single_step)).all(), c
             assert (s.alphas == s.alphas[0]).all(), c
+
+    @pytest.mark.parametrize(
+        "n, k, c, message",
+        [
+            # F_k(1e-160) = 1e-320 is subnormal.
+            (4, 2, 1e-160, r"underflows double precision: F_k\(b_i\) or its rescaling"),
+            (5, 2, 0.0, "degenerate rescaling constant"),
+        ],
+    )
+    def test_a_constant_base_that_leaves_the_normal_range(self, n, k, c, message):
+        with pytest.raises(ValueError, match=message):
+            rescaled_stepup(n, k, 0.05, np.full(n, c), independent_fk(k))
 
     def test_hand_evaluated_example(self):
         s = rescaled_stepup(2, 1, 0.05, (0.5, 1.0), IND1)
@@ -578,7 +600,7 @@ class TestScheduleValidation:
         with pytest.raises(ValueError, match="alpha must be a normal double, got 5e-321"):
             build(5, 2, 5e-321, IND2)
 
-    @pytest.mark.parametrize("name", [*FK_NAMES, "rescaled_const:0.5"])
+    @pytest.mark.parametrize("name", FK_NAMES)
     def test_an_fk_builder_checks_its_model_first(self, name, monkeypatch):
         monkeypatch.setattr(schedules, "fk_eval", None)
         monkeypatch.setattr(schedules, "fk_invert", None)
@@ -667,6 +689,10 @@ class TestVectorisedTargets:
             assert got.tolist() == expected
             assert len(rows) == (0 if fast else n)
 
+    @pytest.mark.parametrize("den", [10, 2**53 - 1, 2**53 + 1, math.comb(2000, 10)])
+    def test_a_scalar_ratio_on_either_path(self, den):
+        assert schedules._f_targets(0.05, 1, den).tolist() == 0.05 * (1 / den)
+
     # n = B - 1, B, B + 1 and 2B + 1 for a block of B = 3 indices: a last
     # block that is partial, full, a single index, and past two full ones.
     @pytest.mark.parametrize("name", CLOSED_FORM)
@@ -727,6 +753,12 @@ class TestVectorisedTargets:
         assert got.tolist() == loop_targets("gen_bh", n, 2, 0.05)
 
 
+def empirical_model(k):
+    # A piecewise-linear F_k with a flat level and a kink.
+    grid = ((0.0, 0.0), (1e-3, 1e-9), (0.01, 1e-9), (0.2, 1e-3), (0.6, 0.3), (1.0, 1.0))
+    return FkModel(kind=EMPIRICAL, k=k, grid=grid)
+
+
 class TestMakeSchedule:
     def test_registry_names(self):
         model = IND2
@@ -740,18 +772,19 @@ class TestMakeSchedule:
         model = IND2
         hoch = make_schedule("rescaled_hochberg", n=6, k=2, alpha=0.05, model=model)
         assert hoch.procedure == "rescaled_stepup"
-        const = make_schedule("rescaled_const:0.5", n=6, k=2, alpha=0.05, model=model)
+        const = make_schedule("rescaled_const", n=6, k=2, alpha=0.05, model=model)
         expected = rescaled_stepup(6, 2, 0.05, (0.5,) * 6, model)
-        assert const.alphas.tolist() == expected.alphas.tolist()
-        assert const.f_targets.tolist() == expected.f_targets.tolist()
+        assert const.procedure == "rescaled_const" and const.direction == STEPUP
+        np.testing.assert_allclose(const.f_targets, expected.f_targets, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(const.alphas, expected.alphas, rtol=1e-15, atol=0)
 
     def test_registry_builders_need_a_model_exactly_for_f_targets(self):
-        for name in [*PROCEDURES, "rescaled_const:0.5"]:
+        for name in PROCEDURES:
             build = resolve(name)
             assert callable(build)
             s = build(6, 2, 0.05, IND2)
             assert s.n == 6
-            if name in FK_NAMES or name.startswith("rescaled_const:"):
+            if name in FK_NAMES:
                 assert s.f_targets is not None
                 with pytest.raises(ValueError, match="requires an FkModel"):
                     make_schedule(name, n=6, k=2, alpha=0.05)
@@ -765,14 +798,40 @@ class TestMakeSchedule:
         for name, entry in PROCEDURES.items():
             assert resolve(name) is entry
 
-    @pytest.mark.parametrize("model", [IND2, equicorrelated_fk(2, 0.5)])
+    @pytest.mark.parametrize(
+        "model",
+        [IND2, equicorrelated_fk(2, 0.5), equicorrelated_fk(5, 0.9), empirical_model(3), IND1],
+    )
     def test_resolve_rescaled_const(self, model):
-        got = resolve("rescaled_const:0.5")(7, 2, 0.05, model)
-        expected = rescaled_stepup(7, 2, 0.05, [0.5] * 7, model)
-        assert got.alphas.tolist() == expected.alphas.tolist()
-        assert got.f_targets.tolist() == expected.f_targets.tolist()
+        # The single-step rule: every F-target is gen_holm's first, bit for bit.
+        k = model.k
+        for n in (k, 7, 40, 300, 2000):
+            const = resolve("rescaled_const")(n, k, 0.05, model)
+            holm = gen_holm_stepdown(n, k, 0.05, model)
+            assert (const.procedure, const.direction) == ("rescaled_const", STEPUP)
+            assert const.f_targets.tobytes() == np.full(n, holm.f_targets[0]).tobytes()
+            assert (const.alphas == const.alphas[0]).all()
+            if model.kind == EQUICORRELATED:
+                # gen_holm inverts n targets in one batch and rescaled_const
+                # one, so only the inversion's 1e-12 stop rule binds them.
+                np.testing.assert_allclose(const.alphas[0], holm.alphas[0], rtol=1e-12, atol=0)
+            else:
+                assert const.alphas[0] == holm.alphas[0], n
 
-    @pytest.mark.parametrize("name", ["rescaled", "rescaled_const", "fisher", "nope", ""])
+    def test_rescaled_const_inverts_one_target(self, monkeypatch):
+        sizes = []
+
+        def invert(model, target):
+            sizes.append(np.size(target))
+            return fk_invert(model, target)
+
+        monkeypatch.setattr(schedules, "fk_invert", invert)
+        make_schedule("rescaled_const", 1000, 2, 0.05, equicorrelated_fk(2, 0.5))
+        assert sizes == [1]
+
+    @pytest.mark.parametrize(
+        "name", ["rescaled", "rescaled_const:0.5", "fisher", "nope", "", "rescaled_const:abc"]
+    )
     def test_resolve_unknown_names(self, name):
         with pytest.raises(ValueError, match=f"unknown procedure {name!r}"):
             resolve(name)
@@ -792,13 +851,23 @@ class TestMakeSchedule:
 MARGINAL = ("bh", "lehmann_romano")
 
 
+# rescaled_stepup on the constant base 0.5, whose closed form is the
+# rescaled_const builder: the library construction keeps its checks too.
+CONST_BASE = {
+    "rescaled_const:0.5": lambda n, k, alpha, model: rescaled_stepup(
+        n, k, alpha, np.full(n, 0.5), model
+    )
+}
+
+
 def assert_at_most_alpha(name, n, k, alpha, model):
-    """Every F-target of ``name`` is at most alpha, and a marginal schedule
-    has every alpha_i at most alpha and alpha_n == alpha. Only a build
-    through F_k may instead fail for leaving double precision, F_k(b_i) = 0
-    for a whole rescaled base included."""
+    """Every F-target of ``name``, a registry name or a ``CONST_BASE`` key,
+    is at most alpha, and a marginal schedule has every alpha_i at most
+    alpha and alpha_n == alpha. Only a build through F_k may instead fail
+    for leaving double precision, F_k(b_i) = 0 for a whole rescaled base
+    included."""
     try:
-        s = make_schedule(name, n, k, alpha, model)
+        s = {**PROCEDURES, **CONST_BASE}[name](n, k, alpha, model)
     except ValueError as exc:
         assert name not in MARGINAL and re.search("underflows|overflows|degenerate", str(exc)), exc
         return
@@ -809,7 +878,7 @@ def assert_at_most_alpha(name, n, k, alpha, model):
 
 
 class TestAtMostAlpha:
-    NAMES = [*PROCEDURES, "rescaled_const:0.5"]
+    NAMES = [*PROCEDURES, *CONST_BASE]
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     @pytest.mark.parametrize("name", NAMES)

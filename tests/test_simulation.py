@@ -122,8 +122,11 @@ def test_batched_matches_per_iteration_reference(overrides, schedules):
     if schedules is not None:
         fields["procedures"] = tuple(f"hand-{s.direction}" for s in schedules)
     cfg = config(**{**fields, **overrides})
-    rules = None if schedules is None else simulation._statistic_rules(schedules)
-    assert estimates(run_experiment(cfg, rules)) == reference_experiment(cfg, schedules)
+    if schedules is None:
+        got = run_experiment(cfg)
+    else:
+        got = simulation._sweep([cfg], simulation._statistic_rules(schedules))[0]
+    assert estimates(got) == reference_experiment(cfg, schedules)
 
 
 @pytest.mark.parametrize("schedule", HAND, ids=lambda s: s.direction)
