@@ -17,7 +17,10 @@ integrand's step, and each piece gets ``_NODES``-point Gauss-Legendre.
 log Phi and the Mills ratio come from a numpy port of Cody's (1969)
 rational erfcx, so S_k keeps its relative accuracy however small it is; the
 same sums give d log S_k/dt for the Newton inverse, which stops at a
-relative residual of ``_REL_TOL_INVERT``.
+relative residual of ``_REL_TOL_INVERT``. A batch of more than
+``_CHEB_NODES`` distinct targets first fits log S_k at that many Chebyshev
+points, one kernel pass, and starts each Newton solve from the fit's root,
+which usually meets the stop rule at once.
 
 Domain: 1-D float64 arrays, k >= 1 and 0 < rho < 1, unchecked: the one
 caller, ``fk_models``, validates its inputs and takes the closed forms
@@ -50,6 +53,8 @@ _U_FLAT = 8.0  # beyond this u, Phi(u)^k is 1 to within k * 6.2e-16
 _MAX_NEWTON = 60
 _NODES = 20  # Gauss-Legendre nodes per piece of the integral
 _REL_TOL_INVERT = 1e-12  # inversion stops once |S_k(t) / target - 1| is at most this
+_CHEB_NODES = 32  # larger batches of distinct targets start from an interpolant
+_SQRT_EPS = 2.0**-26  # a Newton step this small leaves an error of order eps
 # Entries per block that ``python_float_map`` turns into Python floats at
 # once, and indices per block of the closed-form F-targets in ``schedules``.
 _POWER_BLOCK = 65536
@@ -317,15 +322,53 @@ def equicorrelated_min_survivor(t: np.ndarray, rho: float, k: int) -> np.ndarray
     return np.minimum(np.exp(log_s), 1.0)
 
 
+def _chebyshev_start(
+    log_level: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray, rho: float, k: int
+) -> np.ndarray:
+    """Per target, the root of a ``_CHEB_NODES``-point Chebyshev interpolant
+    of log S_k over [min t_lo, max t_hi] within the target's own bracket:
+    one kernel pass for the whole batch.
+
+    Newton from t_hi, clipped to the bracket. A row is frozen after a step
+    below sqrt(eps) (1 + |t|): Newton's error after such a step is of order
+    eps, and further steps would only chase rounding noise.
+    """
+    span = [t_lo.min(), t_hi.max()]
+    fit = np.polynomial.Chebyshev.interpolate(
+        lambda t: _log_survivor(t, rho, k)[0], _CHEB_NODES - 1, domain=span
+    )
+    slope_fit = fit.deriv()
+    t = t_hi.copy()
+    todo = np.arange(t.size)
+    for _ in range(_MAX_NEWTON):
+        now = t[todo]
+        step = (fit(now) - log_level[todo]) / slope_fit(now)
+        t[todo] = np.clip(now - step, t_lo[todo], t_hi[todo])
+        todo = todo[np.abs(step) > _SQRT_EPS * (1.0 + np.abs(now))]
+        if todo.size == 0:
+            break
+    return t
+
+
 def invert_min_survivor(targets: np.ndarray, rho: float, k: int) -> np.ndarray:
     """Thresholds t with S_k(t) = target, elementwise over the targets.
 
-    Newton's method in t on log S_k, which is concave, started from the
-    bracket end x = target (x = 1 - Phi(t) is the p-value scale, and
-    x^k <= F_k(x) <= x for rho >= 0, so the root lies in x in
-    [target, target^(1/k)]). Steps that leave the current bracket are
-    replaced by bisection. Each t stops once |S_k(t) / target - 1| is at
-    most ``_REL_TOL_INVERT`` or its bracket has shrunk to rounding level.
+    Newton's method in t on log S_k, which is concave. The root lies in
+    x in [target, target^(1/k)] (x = 1 - Phi(t) is the p-value scale, and
+    x^k <= F_k(x) <= x for rho >= 0). A batch of at most ``_CHEB_NODES``
+    distinct targets starts from the bracket end x = target. A larger one
+    starts from ``_chebyshev_start``: log S_k is smooth in t, and its
+    32-point interpolant came within 3.4e-13 of the kernel's log S_k on the
+    brackets of the rho = 0.5, k = 2 schedules up to n = 1e5, within 1.1e-12
+    at rho = 0.9, k = 5 over t in [-0.12, 7.26] and within 3.4e-12 at
+    rho = 0.1, k = 10 over [-0.65, 11.5] (largest gap at 4001 equispaced t).
+    Where the gap is below the stop rule a target is done at its first
+    kernel evaluation, and elsewhere one Newton step later. The start only
+    saves kernel passes: the stop rule is the kernel's own, as for the cold
+    start, so the interpolant's error never reaches a threshold. Steps that
+    leave the current bracket are replaced by bisection. Each t stops once
+    |S_k(t) / target - 1| is at most ``_REL_TOL_INVERT`` or its bracket has
+    shrunk to rounding level.
     Equal targets are solved once, so they get equal thresholds, and the
     result is nonincreasing in the target.
     """
@@ -333,7 +376,10 @@ def invert_min_survivor(targets: np.ndarray, rho: float, k: int) -> np.ndarray:
     t_hi = -std_normal_quantile_array(level)
     t_lo = -std_normal_quantile_array(np.minimum(level ** (1.0 / k), np.nextafter(1.0, 0.0)))
     log_level = np.log(level)
-    t = t_hi.copy()
+    if level.size > _CHEB_NODES:
+        t = _chebyshev_start(log_level, t_lo, t_hi, rho, k)
+    else:
+        t = t_hi.copy()
     todo = np.arange(level.size)
     for _ in range(_MAX_NEWTON):
         log_s, slope = _log_survivor(t[todo], rho, k)

@@ -336,9 +336,30 @@ def _check_base(n: int, base: Sequence[float]) -> np.ndarray:
     return base
 
 
-def _s_primes(n: int, k: int, f_base: np.ndarray) -> list[float]:
-    """S'(n0) for n0 = k..n, from F_k at the base sequence:
-    C(n0,k) * [F(b_{n-n0+k}) + sum_{i=k+1}^{n0} (F(b_{n-n0+i}) - F(b_{n-n0+i-1})) / C(i,k)].
+def _d_prime(n: int, k: int, f_base: np.ndarray) -> float:
+    """D' = max over n0 = k..n of the rows
+    S'(n0) = C(n0,k) * [F(b_{n-n0+k}) + sum_{i=k+1}^{n0} (F(b_{n-n0+i}) - F(b_{n-n0+i-1})) / C(i,k)],
+    each summed exactly by one ``math.fsum`` of its rounded terms.
+
+    Only a few rows are summed. The bracketed sums are one correlation
+    T[s] = sum_m d[s+m] w[m], s = n - n0 + k - 1, of the differences d with
+    w[m] = 1 / C(k+1+m, k), estimated for every n0 at once with real FFTs of
+    power-of-two length L. A radix-2 transform with twiddles correct to the
+    unit roundoff u is within eps_L of exact in the 2-norm, eps_L = log2(L)
+    eta / (1 - log2(L) eta) with eta = u + gamma_4 (sqrt(2) + u) (Higham
+    2002, Thm. 24.2); numpy's power-of-two transforms, radix-4 and radix-2
+    passes, are taken to meet it. With |X|_inf <= |x|_1 and |X|_2 =
+    sqrt(L) |x|_2 for a transform X of x, the two forward transforms, the
+    spectral product (sqrt(2) gamma_2) and the inverse transform give,
+    wherever eps_L sqrt(L) <= 1,
+        |T_est[s] - T[s]| <= (5 eps_L + 3 sqrt(2) gamma_2) ln(n) |d|_1,
+    whose first-order part is 4 eps_L + 2 sqrt(2) gamma_2, and where
+    ln n >= |w|_1 because C(i, k) >= i for i > k. Adding 16u (max F +
+    |d|_1), for the rounding of the weights and of an estimated and an exact
+    row, gives E with every exact row within C(n0, k) E of its estimate. A
+    row whose estimate plus that bound falls below another row's estimate
+    minus its bound cannot be the maximum; every other row is summed
+    exactly, so D' is the maximum of the exact rows, bit for bit.
     """
     diffs = np.diff(f_base)
     try:
@@ -348,11 +369,30 @@ def _s_primes(n: int, k: int, f_base: np.ndarray) -> list[float]:
         raise ValueError(
             "a rescaling weight overflows double precision: C(n, k) is too large"
         ) from exc
-    return [
-        math.comb(n0, k)
-        * (float(f_base[n - n0 + k - 1]) + math.fsum(diffs[n - n0 + k - 1 :] / combs[: n0 - k]))
-        for n0 in range(k, n + 1)
-    ]
+
+    def exact(n0: int) -> float:
+        s = n - n0 + k - 1
+        return math.comb(n0, k) * (float(f_base[s]) + math.fsum(diffs[s:] / combs[: n0 - k]))
+
+    if n == k:
+        return exact(k)
+    size = 1 << (2 * n - k - 2).bit_length()  # no cyclic wrap into s <= n - 2
+    spectrum = np.fft.rfft(diffs, size) * np.fft.rfft(1.0 / combs, size).conj()
+    sums = np.append(np.fft.irfft(spectrum, size)[: n - 1], 0.0)  # T[n - 1] is empty
+    rows = np.arange(k, n + 1)
+    weights = np.append(1.0, combs)  # C(n0, k) for n0 = k..n
+    starts = n - rows + k - 1
+    estimates = weights * (f_base[starts] + sums[starts])
+    u = 2.0**-53
+    gamma_2, gamma_4 = 2.0 * u / (1.0 - 2.0 * u), 4.0 * u / (1.0 - 4.0 * u)
+    eta = math.log2(size) * (u + gamma_4 * (math.sqrt(2.0) + u))
+    fft_eps = eta / (1.0 - eta)
+    d_sum = float(np.abs(diffs).sum()) * (1.0 + n * u)
+    error = (5.0 * fft_eps + 3.0 * math.sqrt(2.0) * gamma_2) * math.log(n) * d_sum
+    error += 16.0 * u * (float(f_base.max()) + d_sum)
+    bounds = weights * error
+    candidates = rows[estimates + bounds >= np.max(estimates - bounds)]
+    return max(exact(n0) for n0 in candidates.tolist())
 
 
 def rescaled_stepup(
@@ -378,7 +418,7 @@ def rescaled_stepup(
     _validate_fk_inputs("rescaled_stepup", n, k, alpha, model)
     base = _check_base(n, base)
     f_base = fk_eval(model, base)
-    d_prime = max(_s_primes(n, k, f_base))
+    d_prime = _d_prime(n, k, f_base)
     # D' >= F_k(b_n) >= every f. F_k is exactly 0 at b_n > 0 only on an
     # empirical grid's level at 0; elsewhere a D' of 0 is an F_k(b_n) that
     # underflowed, and every f and target is 0 with it.

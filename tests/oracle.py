@@ -3,7 +3,9 @@
 Naive stepwise procedures computed by literal definition scans, plus exact
 enumeration checks of the order-statistic probability inequalities that
 justify the schedule constructions. Everything enumerates small discrete
-instances on plain Python sequences; nothing here imports kfdr.
+instances on plain Python sequences; nothing here imports kfdr. The one
+exception to plain sequences is ``s_primes``, the O(n^2) row sums that
+``schedules._d_prime`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 _MAX_ENUM_N = 6
 
@@ -204,3 +208,17 @@ def lemma31_check(n: int, n0: int, k: int) -> bool:
             if (n - r + k) * v < n0 * k:
                 return False
     return True
+
+
+def s_primes(n: int, k: int, f_base: np.ndarray) -> list[float]:
+    """S'(n0) for n0 = k..n, from F_k at the base sequence, one exact
+    ``math.fsum`` per row:
+    C(n0,k) * [F(b_{n-n0+k}) + sum_{i=k+1}^{n0} (F(b_{n-n0+i}) - F(b_{n-n0+i-1})) / C(i,k)].
+    """
+    diffs = np.diff(f_base)
+    combs = np.array([float(math.comb(i, k)) for i in range(k + 1, n + 1)])
+    return [
+        math.comb(n0, k)
+        * (float(f_base[n - n0 + k - 1]) + math.fsum(diffs[n - n0 + k - 1 :] / combs[: n0 - k]))
+        for n0 in range(k, n + 1)
+    ]

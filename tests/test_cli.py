@@ -568,6 +568,32 @@ def test_help_does_not_import_the_renderer():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["schedule", "--procedure", "gen_holm", "--n", 40, "--k", 2, "--model", "equicorrelated:0.5"], 0),
+        (["adjust", "--help"], 0),
+        (["schedule", "--procedure", "gen_bh", "--n", 3, "--k", 5], 1),
+        (["schedule", "--bogus"], 1),
+        (["simulate", "--n", 10, "--n0-grid", 5, "--iterations", 10, "--output", "/dev/full"], 2),
+    ],
+)
+def test_module_entry_point_matches_main(argv, expected, capsys):
+    # ``python -m kfdr.cli`` exits through ``cli.run``, which freezes the
+    # collector after ``main``: same bytes, same exit code. /dev/full fails
+    # every write with ENOSPC, a runtime failure.
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    argv = [str(a) for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-m", "kfdr.cli", *argv], env=env, capture_output=True, timeout=60
+    )
+    code, out, _ = run(argv, capsys)
+    assert child.returncode == code == expected
+    assert child.stdout == out.encode()
+
+
 def test_sweep_matches_golden(tmp_path, capsys):
     dest = tmp_path / "sweep.csv"
     argv = [

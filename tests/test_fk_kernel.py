@@ -8,10 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from oracle import s_primes
 from scipy import integrate, special
 
-from kfdr import schedules
+from kfdr import numerics, schedules
 from kfdr.fk_models import (
+    EMPIRICAL,
+    FkModel,
     equicorrelated_fk,
     fit_empirical_fk,
     fk_eval,
@@ -78,6 +81,57 @@ def test_invert_residual(rho, k):
     assert np.all(np.diff(alphas) > 0.0)
     residual = np.array([fk_quad(float(a), k, rho) for a in alphas]) / targets - 1.0
     assert np.max(np.abs(residual)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", (0.05, 1e-200))
+@pytest.mark.parametrize("n", (33, 500, 2000))
+@pytest.mark.parametrize("k", (2, 5, 10, 50))
+@pytest.mark.parametrize("rho", (1e-6, 0.1, 0.5, 0.9, 0.9999))
+def test_invert_residual_from_the_interpolant_start(rho, k, n, alpha):
+    # More than 32 distinct targets start from the Chebyshev interpolant;
+    # every threshold still meets the kernel's own stop rule.
+    targets = np.geomspace(1e-13, 0.9, n) * (alpha / 0.05)
+    t = numerics.invert_min_survivor(targets, rho, k)
+    assert np.all(np.diff(t) < 0.0)
+    log_s, _ = numerics._log_survivor(t, rho, k)
+    assert np.max(np.abs(np.expm1(log_s - np.log(targets)))) <= numerics._REL_TOL_INVERT
+    if alpha == 0.05 and k <= 10:
+        rows = np.linspace(0, n - 1, 6).round().astype(int)
+        x = numerics.std_normal_sf_array(t[rows])
+        ref = np.array([fk_quad(float(v), k, rho) for v in x])
+        assert np.max(np.abs(ref / targets[rows] - 1.0)) <= 1e-10
+
+
+def test_interpolant_start_needs_about_one_kernel_evaluation_per_target(monkeypatch):
+    thresholds = []
+    real = numerics._log_survivor
+
+    def counting(t, rho, k):
+        thresholds.append(t.size)
+        return real(t, rho, k)
+
+    monkeypatch.setattr(numerics, "_log_survivor", counting)
+    s = gen_holm_stepdown(2000, 2, 0.05, equicorrelated_fk(2, 0.5))
+    distinct = np.unique(s.f_targets).size
+    assert distinct == 1999
+    assert sum(thresholds) <= numerics._CHEB_NODES + 1.1 * distinct
+
+
+@pytest.mark.parametrize(
+    "name, n, rho, rows, expected",
+    [
+        ("gen_holm", 5, 0.9, range(5), [0.00929030286772018, 0.00929030286772018,
+                                        0.01480558966883245, 0.02780693493063573,
+                                        0.07502866582778352]),
+        # 32 distinct targets, the largest batch that keeps the cold start.
+        ("gen_hochberg", 33, 0.5, (0, 16, 32), [0.0015006176497715342,
+                                                0.0036929816294059576,
+                                                0.13568419473649843]),
+    ],
+)
+def test_small_batches_keep_the_cold_start_alphas(name, n, rho, rows, expected):
+    s = make_schedule(name, n, 2, 0.05, equicorrelated_fk(2, rho))
+    assert s.alphas[list(rows)].tolist() == expected
 
 
 CONSTRUCTIONS = (gen_bh, gen_by, gen_holm_stepdown, gen_hochberg_stepup, gen_simes)
@@ -180,7 +234,43 @@ def test_rescaling_sum_matches_loop():
         model = independent_fk(k)
         f_base = [b**k for b in base]
         loop = [_s_prime_loop(n, k, n0, f_base) for n0 in range(k, n + 1)]
-        assert schedules._s_primes(n, k, fk_eval(model, base)) == loop
+        assert s_primes(n, k, fk_eval(model, base)) == loop
+        assert schedules._d_prime(n, k, fk_eval(model, base)) == max(loop)
         alpha = 0.05
         expected = [alpha * (f_base[max(i, k) - 1] / max(loop)) for i in range(1, n + 1)]
         assert rescaled_stepup(n, k, alpha, base, model).f_targets.tolist() == expected
+
+
+def _f_base(kind, n, k, base, rng):
+    if kind == "independent":
+        return fk_eval(independent_fk(k), base)
+    if kind == "equicorrelated":
+        return fk_eval(equicorrelated_fk(k, float(rng.uniform(0.01, 0.99))), base)
+    xs, fs = (np.r_[0.0, np.sort(rng.uniform(0.0, 1.0, 30)), 1.0] for _ in range(2))
+    return fk_eval(FkModel(kind=EMPIRICAL, k=k, grid=np.column_stack((xs, fs))), base)
+
+
+@pytest.mark.parametrize("kind", ("independent", "equicorrelated", "empirical"))
+def test_d_prime_is_the_largest_exact_row(kind):
+    # The FFT estimate only chooses which rows to sum exactly; D' must be
+    # the largest of the O(n^2) rows bit for bit, at every k.
+    rng = np.random.default_rng(25)
+    cases = [(n, k) for n in (1, 2, 3, 7, 60, 150) for k in range(1, n + 1)]
+    cases += [(400, k) for k in (1, 2, 3, 5, 10, 50, 200, 399, 400)]
+    cases += [(int(n), int(rng.integers(1, n + 1))) for n in rng.integers(1, 401, 30)]
+    for n, k in cases:
+        f_base = _f_base(kind, n, k, np.sort(rng.uniform(0.0, 1.0, n)), rng)
+        assert schedules._d_prime(n, k, f_base) == max(s_primes(n, k, f_base)), (n, k)
+
+
+@pytest.mark.parametrize("n", (2, 5, 60, 400))
+def test_d_prime_decides_near_ties_exactly(n):
+    # With F = 0 below b_n every S'(n0) is C(n0, k) * (F(b_n) / C(n0, k)),
+    # equal up to rounding, so every row is a candidate; tiny steps below
+    # b_n keep them within about 1e-13 of each other.
+    rng = np.random.default_rng(n)
+    for k in sorted({1, 2, max(1, n // 2), n}):
+        for scale in (0.0, 1e-13):
+            f_base = np.sort(rng.uniform(0.0, scale, n))
+            f_base[-1] = 0.5
+            assert schedules._d_prime(n, k, f_base) == max(s_primes(n, k, f_base)), (n, k, scale)

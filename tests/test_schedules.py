@@ -35,6 +35,7 @@ from kfdr.schedules import (
     rescaled_stepup,
     resolve,
 )
+from oracle import s_primes
 
 IND1 = independent_fk(1)
 IND2 = independent_fk(2)
@@ -273,7 +274,7 @@ class TestBhClassic:
 
 def s_prime(n, k, n0, base, model):
     """S'(n0) of rescaled_stepup's rescaling constant D' = max S'(n0)."""
-    return schedules._s_primes(n, k, fk_eval(model, base))[n0 - k]
+    return s_primes(n, k, fk_eval(model, base))[n0 - k]
 
 
 class TestSPrime:
