@@ -16,7 +16,7 @@ kind and for the equicorrelated one at rho = 0, 1 (the uniform marginal)
 for the equicorrelated one at k = 1 or rho = 1. There ``fk_eval`` and
 ``fk_invert`` are x^p and x^(1/p) in Python float arithmetic. Only the
 equicorrelated kind with k >= 2 and 0 < rho < 1 reaches the quadrature
-kernel, whose accuracy ``numerics`` states, and its batched Newton inverse.
+kernel, whose accuracy ``numerics`` states, and its elementwise Newton inverse.
 ``fk_eval`` and ``fk_invert`` take a scalar or a whole array, so a schedule
 is evaluated or inverted in one call. Models are immutable; evaluation and
 inversion are pure functions.

@@ -8,7 +8,7 @@ standard normals, in the one-factor form of Dunnett & Sobel (1955),
 
 evaluated for a whole array of thresholds t at once. The integrand is
 log-concave in z. Per threshold, Newton searches find its mode and, on each
-side, a point where it has fallen e^-36 to e^-40 below the peak; by
+side, a point where it has fallen e^-36 to e^-37 below the peak; by
 concavity the tail beyond such a point holds at most e^-36 = 2.3e-16 of that
 side's mass, and it is dropped. Where u > 8, Phi(u)^k is 1 to within
 k * 6.2e-16, so that part is the closed form Phi(-z) and the interval ends
@@ -17,10 +17,11 @@ integrand's step, and each piece gets ``_NODES``-point Gauss-Legendre.
 log Phi and the Mills ratio come from a numpy port of Cody's (1969)
 rational erfcx, so S_k keeps its relative accuracy however small it is; the
 same sums give d log S_k/dt for the Newton inverse, which stops at a
-relative residual of ``_REL_TOL_INVERT``. A batch of more than
-``_CHEB_NODES`` distinct targets first fits log S_k at that many Chebyshev
-points, one kernel pass, and starts each Newton solve from the fit's root,
-which usually meets the stop rule at once.
+relative residual of ``_REL_TOL_INVERT``. Every batch of targets starts
+from Chebyshev fits of log S_k at ``_CHEB_NODES`` points on the unit panels
+[j, j + 1) in t that its brackets meet, all fitted in one kernel pass: each
+Newton solve starts from the root of the fit on the panel that holds its
+iterate, which usually meets the stop rule at once.
 
 Domain: 1-D float64 arrays, k >= 1 and 0 < rho < 1, unchecked: the one
 caller, ``fk_models``, validates its inputs and takes the closed forms
@@ -30,7 +31,12 @@ of split adaptive quadrature (measured below 1e-12) for rho in [1e-6,
 0.9999], k in {2, 5, 10} and x in [1e-13, 0.999]; 20 nodes within 1e-12 of
 40 for rho in [0.05, 0.99] and k <= 10, with S_k down to 1e-60. Thresholds
 go in blocks of 256, which bounds the temporaries at 256 x 20 doubles.
-Everything here is a pure function of its inputs.
+Everything here is a pure function of its inputs, and elementwise: a
+threshold's S_k and a target's threshold have the same bits alone, in any
+batch and in any chunks of it, as the tests check, unless two targets lie
+within the stop rule of each other, where keeping thresholds nonincreasing
+can move one. This rests on numpy's ufuncs giving the same bits at any
+array position.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ _U_FLAT = 8.0  # beyond this u, Phi(u)^k is 1 to within k * 6.2e-16
 _MAX_NEWTON = 60
 _NODES = 20  # Gauss-Legendre nodes per piece of the integral
 _REL_TOL_INVERT = 1e-12  # inversion stops once |S_k(t) / target - 1| is at most this
-_CHEB_NODES = 32  # larger batches of distinct targets start from an interpolant
+_CHEB_NODES = 20  # Chebyshev points per unit panel of the inversion's start
 _SQRT_EPS = 2.0**-26  # a Newton step this small leaves an error of order eps
 # Entries per block that ``python_float_map`` turns into Python floats at
 # once, and indices per block of the closed-form F-targets in ``schedules``.
@@ -246,12 +252,13 @@ def _legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _log_survivor_block(
     t: np.ndarray, rho: float, k: int, nodes: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """log S_k(t) and d log S_k/dt for one block of thresholds, 0 < rho < 1."""
+    """log S_k(t) and d log S_k/dt for one block of thresholds, 0 < rho < 1.
+    Each Newton search stops on its own row's test, never on the block's."""
     a, s = math.sqrt(rho), math.sqrt(1.0 - rho)
     c = a / s
     t_s = t / s
 
-    def log_integrand(z):
+    def log_integrand(z, t_s):
         # log of phi(z) Phi(u)^k, its z-derivative and minus its second derivative
         u = c * z - t_s
         log_cdf, mills = _log_cdf_and_mills(u)
@@ -263,25 +270,32 @@ def _log_survivor_block(
     # of the Gaussian-tail approximation log Phi(u) ~ -u^2/2. The mode only
     # places a split point, so a thousandth of the peak's width is enough.
     z = k * a * t / (s * s + k * rho)
+    todo = np.arange(t.size)
     for _ in range(_MAX_NEWTON):
-        _, slope, curvature = log_integrand(z)
+        _, slope, curvature = log_integrand(z[todo], t_s[todo])
         step = slope / curvature
-        z = z + step
-        if np.all(np.abs(step) * np.sqrt(curvature) <= 1e-3):
+        z[todo] += step
+        todo = todo[np.abs(step) * np.sqrt(curvature) > 1e-3]
+        if todo.size == 0:
             break
-    peak, _, curvature = log_integrand(z)
+    peak, _, curvature = log_integrand(z, t_s)
 
     # Ends: Newton on g - peak + _DROP, for both sides at once, from points
     # past the e^-_DROP level: the curvature is at least 1 everywhere and
     # grows to the left of the mode. Concavity keeps the iterates outside, so
-    # the interval never loses mass; stop once the drop is at most _DROP + 4.
+    # the interval never loses mass. A row stops once the drop at both ends
+    # is at most _DROP + 1; at _DROP + 4 the wider interval took 20 nodes
+    # past 1e-12 of 40 (1.07e-12 at rho = 0.9, k = 3, t = 0).
     ends = np.stack([z - np.sqrt(2.0 * _DROP / curvature), z + math.sqrt(2.0 * _DROP)])
+    todo = np.arange(t.size)
     for _ in range(_MAX_NEWTON):
-        g, slope, _ = log_integrand(ends)
-        excess = g - peak + _DROP
-        if np.all(excess >= -4.0):
+        g, slope, _ = log_integrand(ends[:, todo], t_s[todo])
+        excess = g - peak[todo] + _DROP
+        wide = np.any(excess < -1.0, axis=0)
+        todo = todo[wide]
+        if todo.size == 0:
             break
-        ends = ends - excess / slope
+        ends[:, todo] -= excess[:, wide] / slope[:, wide]
     lo, hi = ends
     z_flat = (t + _U_FLAT * s) / a
     hi = np.maximum(lo, np.minimum(hi, z_flat))
@@ -322,27 +336,48 @@ def equicorrelated_min_survivor(t: np.ndarray, rho: float, k: int) -> np.ndarray
     return np.minimum(np.exp(log_s), 1.0)
 
 
+def _clenshaw(coef: np.ndarray, panel: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_m coef[m, panel] T_m(x), elementwise, gathering one row of
+    coefficients at a time."""
+    b1 = b2 = np.zeros_like(x)
+    for row in coef[:0:-1]:
+        b1, b2 = row[panel] + 2.0 * x * b1 - b2, b1
+    return coef[0, panel] + x * b1 - b2
+
+
 def _chebyshev_start(
     log_level: np.ndarray, t_lo: np.ndarray, t_hi: np.ndarray, rho: float, k: int
 ) -> np.ndarray:
-    """Per target, the root of a ``_CHEB_NODES``-point Chebyshev interpolant
-    of log S_k over [min t_lo, max t_hi] within the target's own bracket:
-    one kernel pass for the whole batch.
+    """Per target, the root of ``_CHEB_NODES``-point Chebyshev interpolants
+    of log S_k on the unit panels [j, j + 1) in t that meet its bracket.
 
-    Newton from t_hi, clipped to the bracket. A row is frozen after a step
+    Every panel that meets a bracket is fitted in one kernel pass, and its
+    fit depends on j alone. Newton from t_hi on the fit of the panel that
+    holds the iterate, clipped to the bracket. A row is frozen after a step
     below sqrt(eps) (1 + |t|): Newton's error after such a step is of order
     eps, and further steps would only chase rounding noise.
     """
-    span = [t_lo.min(), t_hi.max()]
-    fit = np.polynomial.Chebyshev.interpolate(
-        lambda t: _log_survivor(t, rho, k)[0], _CHEB_NODES - 1, domain=span
-    )
-    slope_fit = fit.deriv()
+    # Panel j meets a bracket where more brackets start at or below j than
+    # end below it; initial=0 keeps an empty batch valid.
+    first, last = np.floor(t_lo), np.floor(t_hi)
+    hull = np.arange(first.min(initial=0.0), last.max(initial=0.0) + 1.0)
+    started = np.searchsorted(np.sort(first), hull, "right")
+    panels = hull[started > np.searchsorted(np.sort(last), hull)]
+    points = np.polynomial.chebyshev.chebpts1(_CHEB_NODES)
+    log_s, _ = _log_survivor((panels + 0.5 * (points[:, None] + 1.0)).ravel(), rho, k)
+    # Coefficients summed point by point: one matrix product over all panels
+    # could round differently with their number.
+    vander = np.polynomial.chebyshev.chebvander(points, _CHEB_NODES - 1) * (2.0 / _CHEB_NODES)
+    vander[:, 0] *= 0.5
+    fit = sum(map(np.multiply.outer, vander, log_s.reshape(_CHEB_NODES, -1)))
+    slope_fit = np.polynomial.chebyshev.chebder(fit, scl=2.0)
     t = t_hi.copy()
     todo = np.arange(t.size)
     for _ in range(_MAX_NEWTON):
         now = t[todo]
-        step = (fit(now) - log_level[todo]) / slope_fit(now)
+        panel = np.searchsorted(panels, np.floor(now))
+        x = 2.0 * (now - panels[panel]) - 1.0  # [j, j + 1) onto [-1, 1)
+        step = (_clenshaw(fit, panel, x) - log_level[todo]) / _clenshaw(slope_fit, panel, x)
         t[todo] = np.clip(now - step, t_lo[todo], t_hi[todo])
         todo = todo[np.abs(step) > _SQRT_EPS * (1.0 + np.abs(now))]
         if todo.size == 0:
@@ -355,31 +390,32 @@ def invert_min_survivor(targets: np.ndarray, rho: float, k: int) -> np.ndarray:
 
     Newton's method in t on log S_k, which is concave. The root lies in
     x in [target, target^(1/k)] (x = 1 - Phi(t) is the p-value scale, and
-    x^k <= F_k(x) <= x for rho >= 0). A batch of at most ``_CHEB_NODES``
-    distinct targets starts from the bracket end x = target. A larger one
-    starts from ``_chebyshev_start``: log S_k is smooth in t, and its
-    32-point interpolant came within 3.4e-13 of the kernel's log S_k on the
-    brackets of the rho = 0.5, k = 2 schedules up to n = 1e5, within 1.1e-12
-    at rho = 0.9, k = 5 over t in [-0.12, 7.26] and within 3.4e-12 at
-    rho = 0.1, k = 10 over [-0.65, 11.5] (largest gap at 4001 equispaced t).
-    Where the gap is below the stop rule a target is done at its first
-    kernel evaluation, and elsewhere one Newton step later. The start only
-    saves kernel passes: the stop rule is the kernel's own, as for the cold
-    start, so the interpolant's error never reaches a threshold. Steps that
-    leave the current bracket are replaced by bisection. Each t stops once
-    |S_k(t) / target - 1| is at most ``_REL_TOL_INVERT`` or its bracket has
-    shrunk to rounding level.
+    x^k <= F_k(x) <= x for rho >= 0). Every batch, of any size, starts
+    from ``_chebyshev_start``: log S_k is smooth in t, and its 20-point
+    interpolants on the unit panels of t in [-3, 12] came within 9.9e-14 to
+    1.0e-12 of the kernel's log S_k at (rho, k) in {(0.5, 2), (0.9, 5),
+    (0.1, 10), (0.5, 50), (1e-6, 10), (0.9999, 3)}, and within 8.3e-12 at
+    (0.99, 200) (largest gap at 200 equispaced t per panel). 16, 24 and 32
+    points reached only 5.2e-12, 5.1e-12 and 5.9e-12 there: the kernel's
+    own jitter, not the degree, sets the floor. Where the gap is below the
+    stop rule a target is done at its first kernel evaluation, and
+    elsewhere one Newton step later: at 20 points every one of 114 000
+    targets (geomspace from 1e-13, 1e-8 and 1e-200 to 0.9, rho in {1e-6,
+    0.1, 0.5, 0.9, 0.9999}, k in {2, 5, 10, 50}) took one evaluation, and at
+    16 points 6.5 % took two. The start only saves kernel passes: the
+    stop rule is the kernel's own, so the interpolant's error never reaches
+    a threshold. Steps that leave the current bracket are replaced by
+    bisection. Each t stops once |S_k(t) / target - 1| is at most
+    ``_REL_TOL_INVERT`` or its bracket has shrunk to rounding level.
     Equal targets are solved once, so they get equal thresholds, and the
-    result is nonincreasing in the target.
+    result is nonincreasing in the target. Neither the start nor the solve
+    couples a target to the rest of its batch.
     """
     level, where = np.unique(targets, return_inverse=True)
     t_hi = -std_normal_quantile_array(level)
     t_lo = -std_normal_quantile_array(np.minimum(level ** (1.0 / k), np.nextafter(1.0, 0.0)))
     log_level = np.log(level)
-    if level.size > _CHEB_NODES:
-        t = _chebyshev_start(log_level, t_lo, t_hi, rho, k)
-    else:
-        t = t_hi.copy()
+    t = _chebyshev_start(log_level, t_lo, t_hi, rho, k)
     todo = np.arange(level.size)
     for _ in range(_MAX_NEWTON):
         log_s, slope = _log_survivor(t[todo], rho, k)

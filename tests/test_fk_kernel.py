@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle import s_primes
 from scipy import integrate, special
 
@@ -88,8 +90,8 @@ def test_invert_residual(rho, k):
 @pytest.mark.parametrize("k", (2, 5, 10, 50))
 @pytest.mark.parametrize("rho", (1e-6, 0.1, 0.5, 0.9, 0.9999))
 def test_invert_residual_from_the_interpolant_start(rho, k, n, alpha):
-    # More than 32 distinct targets start from the Chebyshev interpolant;
-    # every threshold still meets the kernel's own stop rule.
+    # Every batch starts from the panel interpolants; every threshold still
+    # meets the kernel's own stop rule.
     targets = np.geomspace(1e-13, 0.9, n) * (alpha / 0.05)
     t = numerics.invert_min_survivor(targets, rho, k)
     assert np.all(np.diff(t) < 0.0)
@@ -100,6 +102,13 @@ def test_invert_residual_from_the_interpolant_start(rho, k, n, alpha):
         x = numerics.std_normal_sf_array(t[rows])
         ref = np.array([fk_quad(float(v), k, rho) for v in x])
         assert np.max(np.abs(ref / targets[rows] - 1.0)) <= 1e-10
+
+
+def _panel_count(targets, k):
+    # Brackets [t(target^(1/k)), t(target)] that overlap meet every unit
+    # panel from the lowest bracket end to the highest.
+    top = math.floor(-special.ndtri(targets.min()))
+    return top - math.floor(-special.ndtri(targets.max() ** (1.0 / k))) + 1
 
 
 def test_interpolant_start_needs_about_one_kernel_evaluation_per_target(monkeypatch):
@@ -114,24 +123,55 @@ def test_interpolant_start_needs_about_one_kernel_evaluation_per_target(monkeypa
     s = gen_holm_stepdown(2000, 2, 0.05, equicorrelated_fk(2, 0.5))
     distinct = np.unique(s.f_targets).size
     assert distinct == 1999
-    assert sum(thresholds) <= numerics._CHEB_NODES + 1.1 * distinct
+    assert sum(thresholds) <= distinct + _panel_count(s.f_targets, 2) * numerics._CHEB_NODES
+    targets = np.geomspace(1e-13, 0.9, 2000)
+    for rho, k in ((1e-6, 10), (0.5, 50), (0.5, 2)):
+        thresholds.clear()
+        numerics.invert_min_survivor(targets, rho, k)
+        bound = targets.size + _panel_count(targets, k) * numerics._CHEB_NODES
+        assert sum(thresholds) <= bound, (rho, k)
 
 
-@pytest.mark.parametrize(
-    "name, n, rho, rows, expected",
-    [
-        ("gen_holm", 5, 0.9, range(5), [0.00929030286772018, 0.00929030286772018,
-                                        0.01480558966883245, 0.02780693493063573,
-                                        0.07502866582778352]),
-        # 32 distinct targets, the largest batch that keeps the cold start.
-        ("gen_hochberg", 33, 0.5, (0, 16, 32), [0.0015006176497715342,
-                                                0.0036929816294059576,
-                                                0.13568419473649843]),
-    ],
-)
-def test_small_batches_keep_the_cold_start_alphas(name, n, rho, rows, expected):
-    s = make_schedule(name, n, 2, 0.05, equicorrelated_fk(2, rho))
-    assert s.alphas[list(rows)].tolist() == expected
+@pytest.mark.parametrize("rho", (0.1, 0.5, 0.9))
+@pytest.mark.parametrize("n", (5, 33, 2000))
+@pytest.mark.parametrize("k", (2, 5))
+def test_gen_holms_first_alpha_is_rescaled_consts(rho, n, k):
+    # Both invert the one target alpha / C(n, k): gen_holm among its n
+    # targets, rescaled_const alone.
+    model = equicorrelated_fk(k, rho)
+    first = make_schedule("gen_holm", n, k, 0.05, model).alphas[0]
+    assert make_schedule("rescaled_const", n, k, 0.05, model).alphas.tolist() == [first] * n
+
+
+PURITY_CASES = ((0.5, 2), (0.9, 5), (0.1, 10), (0.5, 50))
+
+
+@pytest.mark.parametrize("rho, k", PURITY_CASES)
+@given(ts=st.lists(st.floats(-3.0, 12.0), min_size=2, max_size=64))
+@settings(max_examples=25, deadline=None)
+def test_every_threshold_of_a_block_is_its_lone_value(rho, k, ts):
+    t = np.array(ts)
+    log_s, slope = numerics._log_survivor(t, rho, k)
+    for i in range(t.size):
+        lone = numerics._log_survivor(t[i : i + 1], rho, k)
+        assert (lone[0][0], lone[1][0]) == (log_s[i], slope[i]), t[i]
+
+
+@pytest.mark.parametrize("rho, k", PURITY_CASES + ((1e-6, 10), (0.9999, 3)))
+def test_a_target_inverts_alike_alone_in_its_batch_and_in_chunks(rho, k):
+    # Log-uniform over 13 decades: no two targets lie within the stop rule
+    # of each other, so the running minimum leaves every threshold as solved.
+    rng = np.random.default_rng(26)
+    targets = np.exp(rng.uniform(math.log(1e-13), math.log(0.9), 300))
+    whole = numerics.invert_min_survivor(targets, rho, k).tolist()
+    for size in (7, 64, 133):
+        chunks = [
+            numerics.invert_min_survivor(targets[i : i + size], rho, k)
+            for i in range(0, targets.size, size)
+        ]
+        assert np.concatenate(chunks).tolist() == whole, size
+    for i in range(0, targets.size, 25):
+        assert numerics.invert_min_survivor(targets[i : i + 1], rho, k).tolist() == [whole[i]]
 
 
 CONSTRUCTIONS = (gen_bh, gen_by, gen_holm_stepdown, gen_hochberg_stepup, gen_simes)
