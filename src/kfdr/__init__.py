@@ -1,8 +1,11 @@
 """Stepwise multiple-testing procedures controlling k-FWER and k-FDR.
 
 Critical-value schedules defined through the k-th order joint null
-distribution of the p-values, a stepup/stepdown decision engine, joint null
-models with numerical inversion and a reproducible Monte Carlo harness.
+distribution F_k of the p-values, a stepup/stepdown decision engine, joint
+null models with numerical inversion and a reproducible Monte Carlo harness.
+``make_schedule(name, n, k, alpha, model)`` builds the schedule of every
+named procedure in ``kfdr.schedules.PROCEDURES``; ``rescaled_stepup``
+builds one from an arbitrary base sequence.
 """
 
 from .engine import DecisionOutcome, PValueSample, decide, k_fdp, sample_from
@@ -16,18 +19,7 @@ from .fk_models import (
     load_empirical_csv,
     save_empirical_csv,
 )
-from .schedules import (
-    CriticalValueSchedule,
-    bh_classic,
-    gen_bh,
-    gen_by,
-    gen_hochberg_stepup,
-    gen_holm_stepdown,
-    gen_simes,
-    lehmann_romano_stepdown,
-    make_schedule,
-    rescaled_stepup,
-)
+from .schedules import CriticalValueSchedule, make_schedule, rescaled_stepup
 from .simulation import (
     ProcedureEstimates,
     SimulationConfig,
@@ -49,7 +41,6 @@ __all__ = [
     "ProcedureEstimates",
     "SimulationConfig",
     "SimulationSummary",
-    "bh_classic",
     "counterexample_bound",
     "decide",
     "draw_sample",
@@ -58,14 +49,8 @@ __all__ = [
     "fit_empirical_fk",
     "fk_eval",
     "fk_invert",
-    "gen_bh",
-    "gen_by",
-    "gen_hochberg_stepup",
-    "gen_holm_stepdown",
-    "gen_simes",
     "independent_fk",
     "k_fdp",
-    "lehmann_romano_stepdown",
     "load_empirical_csv",
     "make_schedule",
     "rescaled_stepup",

@@ -92,7 +92,7 @@ def _schedule_comments(schedule: CriticalValueSchedule, args: argparse.Namespace
     lines = [
         f"# procedure={args.procedure}",
         f"# k={schedule.k}",
-        f"# alpha={schedule.alpha_level}",
+        f"# alpha={args.alpha}",
         f"# direction={schedule.direction}",
     ]
     if schedule.f_targets is not None:

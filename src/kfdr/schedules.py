@@ -1,8 +1,15 @@
 """Critical-value schedules for stepwise multiple-testing procedures.
 
-Every generalized procedure is defined through the k-th order joint null
-distribution F_k: the construction fixes a target value for F_k(alpha_i) at
-each index and the schedule materializes alpha_i by inverting the model.
+A procedure is a named rule that fixes a target value for the k-th order
+joint null distribution F_k at each index, or a marginal critical value, and
+a direction. ``PROCEDURES`` maps each name to its builder, a function of
+that name with the one signature ``(n, k, alpha, model)``, and
+``make_schedule(name, n, k, alpha, model)`` is the one way to build a named
+schedule. ``rescaled_stepup`` rescales an arbitrary base sequence, which has
+no name. A builder that goes through F_k checks its model and inverts its
+targets with one batched ``fk_invert`` call; bh and lehmann_romano are
+marginal and ignore the model.
+
 Every closed-form value, an F-target or a marginal critical value, is formed
 by one rule, ``_f_targets``: alpha * (num / den) with exact integers num and
 den, the ratio rounded once. Python's int/int division is correctly rounded,
@@ -15,10 +22,9 @@ made. In each block, binomials are built in int64 where one ``math.comb`` at
 the block's largest index shows they cannot overflow (``_combs``), and where
 num and den are below 2^53 they are divided as float64, which rounds the
 same; elsewhere the ratios are divided per row as Python ints. Every path
-gives the same correctly rounded value, so the blocks change no bit. Each
-schedule is inverted with one batched ``fk_invert`` call. Schedules hold the
-inverted alphas and their F-targets as read-only float64 arrays, so
-downstream checks can compare targets without re-inversion noise.
+gives the same correctly rounded value, so the blocks change no bit.
+Schedules hold the alphas and their F-targets as read-only float64 arrays,
+so downstream checks can compare targets without re-inversion noise.
 """
 
 from __future__ import annotations
@@ -57,7 +63,8 @@ def _frozen_array(values: Sequence[float], dtype: type = np.float64) -> np.ndarr
 
 @dataclass(frozen=True, eq=False)
 class CriticalValueSchedule:
-    """A nondecreasing sequence alpha_1 <= ... <= alpha_n plus identity.
+    """A nondecreasing sequence alpha_1 <= ... <= alpha_n, its order k and
+    the direction it is applied in.
 
     ``alphas`` and ``f_targets`` are read-only float64 arrays. A read-only
     float64 array that owns its data is kept as it is; any other sequence,
@@ -69,8 +76,6 @@ class CriticalValueSchedule:
 
     alphas: np.ndarray
     k: int
-    procedure: str
-    alpha_level: float
     direction: str
     f_targets: np.ndarray | None = None
     warning: str | None = None
@@ -177,6 +182,13 @@ def _f_targets(alpha: float, num: np.ndarray | int, den: np.ndarray | int) -> np
     does, and with num >= 1, as in every builder, a ratio is at least 2^-53;
     elsewhere Python's int/int divides per entry. A target of 0 raises the
     underflow ValueError either way.
+
+    The product rounds a second time, so a value can exceed the exact
+    rational alpha * num / den: alpha = 0.05, num / den = 1/5 gives
+    0.010000000000000002. Each rounding is within a factor 1 + 2^-53, so
+    every value that is a normal double is at most
+    (alpha * num / den) (1 + 2^-52 + 2^-106); rounding is monotone, so where
+    num <= den, as in every builder, every value is at most alpha.
     """
     num, den = np.broadcast_arrays(np.asarray(num), np.asarray(den))
     if (
@@ -195,27 +207,13 @@ def _f_targets(alpha: float, num: np.ndarray | int, den: np.ndarray | int) -> np
 
 
 def _invert_targets(
-    targets: np.ndarray,
-    model: FkModel,
-    k: int,
-    procedure: str,
-    alpha: float,
-    direction: str,
-    warning: str | None = None,
+    targets: np.ndarray, model: FkModel, k: int, direction: str, warning: str | None = None
 ) -> CriticalValueSchedule:
     # Frozen here, the arrays the builder made are kept by the schedule
     # without a copy.
     alphas = fk_invert(model, targets)
     alphas.flags.writeable = targets.flags.writeable = False
-    return CriticalValueSchedule(
-        alphas=alphas,
-        k=k,
-        procedure=procedure,
-        alpha_level=alpha,
-        direction=direction,
-        f_targets=targets,
-        warning=warning,
-    )
+    return CriticalValueSchedule(alphas, k, direction, f_targets=targets, warning=warning)
 
 
 def gen_bh(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
@@ -230,7 +228,7 @@ def gen_bh(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedul
     targets = _block_targets(
         n, k, lambda j: _f_targets(alpha, j, _combs(n + k - 1 - j, k - 1, scale=n))
     )
-    return _invert_targets(targets, model, k, "gen_bh", alpha, STEPUP)
+    return _invert_targets(targets, model, k, STEPUP)
 
 
 def gen_by(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
@@ -255,40 +253,39 @@ def gen_by(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedul
     harmonic = 1.0 + math.fsum(1.0 / np.arange(k + 1, n + 1))
     den = k * math.comb(n, k)
     targets = _block_targets(n, k, lambda j: _f_targets(alpha / harmonic, j, den))
-    return _invert_targets(targets, model, k, "gen_by", alpha, STEPUP)
+    return _invert_targets(targets, model, k, STEPUP)
 
 
 def _holm_targets(n: int, k: int, alpha: float) -> np.ndarray:
     return _block_targets(n, k, lambda j: _f_targets(alpha, 1, _combs(n + k - j, k)))
 
 
-def gen_holm_stepdown(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
+def gen_holm(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
     """Generalized Holm stepdown schedule: F-targets alpha/C(n+k-max(i,k), k).
 
     Controls the k-FWER under arbitrary dependence.
     """
     _validate_fk_inputs("gen_holm", n, k, alpha, model)
-    return _invert_targets(_holm_targets(n, k, alpha), model, k, "gen_holm", alpha, STEPDOWN)
+    return _invert_targets(_holm_targets(n, k, alpha), model, k, STEPDOWN)
 
 
-def gen_hochberg_stepup(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
+def gen_hochberg(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
     """Generalized Hochberg stepup schedule: same constants as generalized
     Holm, applied stepup. k-FWER control requires positive dependence (MTP2).
     """
     _validate_fk_inputs("gen_hochberg", n, k, alpha, model)
-    return _invert_targets(_holm_targets(n, k, alpha), model, k, "gen_hochberg", alpha, STEPUP)
+    return _invert_targets(_holm_targets(n, k, alpha), model, k, STEPUP)
 
 
-def lehmann_romano_stepdown(n: int, k: int, alpha: float) -> CriticalValueSchedule:
+def lehmann_romano(n: int, k: int, alpha: float, model: FkModel | None) -> CriticalValueSchedule:
     """Marginal k-FWER stepdown schedule alpha_i = alpha * (k/(n+k-max(i,k))),
-    whose last value is alpha; at k = 1 these are gen_holm's F-targets."""
+    whose last value is alpha; at k = 1 these are gen_holm's F-targets. The
+    schedule does not depend on F_k, so ``model`` is ignored. As every
+    ``_f_targets`` value, each alpha_i is at most alpha and, where it is a
+    normal double, at most (alpha k / (n+k-max(i,k))) (1 + 2^-52 + 2^-106)."""
     _validate_inputs(n, k, alpha)
     return CriticalValueSchedule(
-        alphas=_block_targets(n, k, lambda j: _f_targets(alpha, k, n + k - j)),
-        k=k,
-        procedure="lehmann_romano",
-        alpha_level=alpha,
-        direction=STEPDOWN,
+        _block_targets(n, k, lambda j: _f_targets(alpha, k, n + k - j)), k, STEPDOWN
     )
 
 
@@ -307,19 +304,19 @@ def gen_simes(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSche
     _validate_fk_inputs("gen_simes", n, k, alpha, model)
     den = math.comb(n, k)
     targets = _block_targets(n, k, lambda j: _f_targets(alpha, _combs(j, k), den))
-    return _invert_targets(targets, model, k, "gen_simes", alpha, STEPUP, warning=SIMES_WARNING)
+    return _invert_targets(targets, model, k, STEPUP, warning=SIMES_WARNING)
 
 
-def bh_classic(n: int, alpha: float) -> CriticalValueSchedule:
+def bh(n: int, k: int, alpha: float, model: FkModel | None) -> CriticalValueSchedule:
     """Original Benjamini-Hochberg stepup schedule alpha_i = alpha * (i/n),
-    gen_bh's F-targets at k = 1, whose last value is alpha."""
-    _validate_inputs(n, 1, alpha)
+    gen_bh's F-targets at k = 1, whose last value is alpha. The schedule has
+    k = 1 whatever k it is run beside, but that k must still be a valid
+    order for n hypotheses; ``model`` is ignored. As every ``_f_targets``
+    value, each alpha_i is at most alpha and, where it is a normal double,
+    at most (alpha i / n) (1 + 2^-52 + 2^-106)."""
+    _validate_inputs(n, k, alpha)
     return CriticalValueSchedule(
-        alphas=_block_targets(n, 1, lambda j: _f_targets(alpha, j, n)),
-        k=1,
-        procedure="bh",
-        alpha_level=alpha,
-        direction=STEPUP,
+        _block_targets(n, 1, lambda j: _f_targets(alpha, j, n)), 1, STEPUP
     )
 
 
@@ -430,27 +427,16 @@ def rescaled_stepup(
         raise ValueError(
             "an F-target underflows double precision: F_k(b_i) or its rescaling is too small"
         )
-    return _invert_targets(targets, model, k, "rescaled_stepup", alpha, STEPUP)
+    return _invert_targets(targets, model, k, STEPUP)
 
 
-# A procedure: ``builder(n, k, alpha, model)`` gives its schedule. A builder
-# that goes through F_k raises ValueError where ``model`` is None.
-Builder = Callable[[int, int, float, FkModel | None], CriticalValueSchedule]
+def rescaled_hochberg(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
+    """``rescaled_stepup`` on gen_hochberg's critical values as the base."""
+    _validate_fk_inputs("rescaled_hochberg", n, k, alpha, model)
+    return rescaled_stepup(n, k, alpha, gen_hochberg(n, k, alpha, model).alphas, model)
 
 
-def _bh(n: int, k: int, alpha: float, model: FkModel | None) -> CriticalValueSchedule:
-    # Classic BH has k = 1 whatever k a caller runs it next to, but the k it
-    # is given must still be a valid order for n hypotheses.
-    _validate_inputs(n, k, alpha)
-    return bh_classic(n, alpha)
-
-
-def _rescaled_hochberg(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
-    hochberg = gen_hochberg_stepup(n, k, alpha, model)
-    return rescaled_stepup(n, k, alpha, hochberg.alphas, model)
-
-
-def _rescaled_const(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
+def rescaled_const(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
     """``rescaled_stepup`` on a constant base, in closed form: every F-target
     is alpha / C(n, k), gen_holm's first bit for bit, inverted once. A target
     that is not a normal double raises, as in ``rescaled_stepup``."""
@@ -460,26 +446,20 @@ def _rescaled_const(n: int, k: int, alpha: float, model: FkModel) -> CriticalVal
         raise ValueError(_UNDERFLOW)
     targets, alphas = np.full(n, target), np.full(n, fk_invert(model, target))
     alphas.flags.writeable = targets.flags.writeable = False
-    return CriticalValueSchedule(
-        alphas=alphas,
-        k=k,
-        procedure="rescaled_const",
-        alpha_level=alpha,
-        direction=STEPUP,
-        f_targets=targets,
-    )
+    return CriticalValueSchedule(alphas, k, STEPUP, f_targets=targets)
 
+
+# A procedure: ``builder(n, k, alpha, model)`` gives its schedule, and its
+# key is the builder's name. A builder that goes through F_k raises
+# ValueError where ``model`` is None.
+Builder = Callable[[int, int, float, FkModel | None], CriticalValueSchedule]
 
 PROCEDURES: dict[str, Builder] = {
-    "bh": _bh,
-    "gen_bh": gen_bh,
-    "gen_by": gen_by,
-    "gen_holm": gen_holm_stepdown,
-    "gen_hochberg": gen_hochberg_stepup,
-    "gen_simes": gen_simes,
-    "lehmann_romano": lambda n, k, alpha, model: lehmann_romano_stepdown(n, k, alpha),
-    "rescaled_const": _rescaled_const,
-    "rescaled_hochberg": _rescaled_hochberg,
+    builder.__name__: builder
+    for builder in (
+        bh, gen_bh, gen_by, gen_holm, gen_hochberg, gen_simes, lehmann_romano,
+        rescaled_const, rescaled_hochberg,
+    )
 }
 
 
@@ -495,7 +475,8 @@ def make_schedule(
     name: str, n: int, k: int, alpha: float, model: FkModel | None = None
 ) -> CriticalValueSchedule:
     """The schedule of procedure ``name``: ``resolve(name)(n, k, alpha,
-    model)``. The name is looked up first, so an unknown one is named before
-    any input is checked; the builder then checks its own inputs, the model
-    included where it goes through F_k."""
+    model)``, the one way to build a named schedule. The name is looked up
+    first, so an unknown one is named before any input is checked; the
+    builder then checks its own inputs, the model included where it goes
+    through F_k. bh and lehmann_romano need no model."""
     return resolve(name)(n, k, alpha, model)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 import subprocess
@@ -844,3 +845,44 @@ def test_procedure_line_is_the_name_given(name, tmp_path, capsys):
         code, out, _ = run([*argv, "--procedure", name, "--k", 2], capsys)
         assert code == 0
         assert out.splitlines()[0] == f"# procedure={name}"
+
+
+# sha256 of the full stdout of every call below, per registry name: taken
+# where F_k is exact (the independent model, rho in {0, 1}) or an empirical
+# grid, so no quadrature digit moves them. --alpha 0.1 checks the # alpha=
+# line, and adjust runs a seeded 2000-row file.
+EXACT_CASE_SHA256 = {
+    "bh": "7b6fee8ae435edb82a843c85dcf8a34d01288c80e023e29a435509575aada71e",
+    "gen_bh": "6083e034903f27ae032301d0aea9c5beac1e6ea33d2f7c932a491ed5d48bb610",
+    "gen_by": "8ea39858f90d01bf0243651e943ebbfdb8db6026b815015c2a4dd9d0d4196fdf",
+    "gen_holm": "3cabc855a23986355d2548163979b2c0b9562e2f5efdb3c48d805f0444437d17",
+    "gen_hochberg": "1a102d5f9f48a73f1ef2b61e21753aecee16acfd506b69280601f81f1bc01f9e",
+    "gen_simes": "5c076bede34267d3830db4bb0c523fa54618f60edba091aeb041eab46b47719b",
+    "lehmann_romano": "5da4698319698c7a4d31cf3e1a3244c97230c1770c8a0962268bc8bd5df8eb75",
+    "rescaled_const": "d4d40d24bb874806744baaa286bdba35e6115e036c2566ec51ca66e76e8efcd0",
+    "rescaled_hochberg": "9044d51c8d86661a6e630921170b79cd07fa59473b7ae3e910e0ff35c28daadf",
+}
+
+
+def test_exact_case_outputs_are_pinned_byte_for_byte(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("grid.csv").write_text("x,fk\n0,0\n1e-6,1e-12\n1e-4,1e-8\n0.01,1e-4\n0.3,0.09\n1,1\n")
+    rng = np.random.default_rng(20070523)
+    p = rng.random(2000) * np.where(np.arange(2000) < 200, 1e-3, 1.0)
+    Path("p.csv").write_text("p\n" + "\n".join(map(repr, p.tolist())) + "\n")
+    models = ["independent", "equicorrelated:0", "equicorrelated:1", "empirical:grid.csv"]
+    digests = {}
+    for name in schedules.PROCEDURES:
+        calls = [
+            ["schedule", "--n", n, "--k", k, "--model", model]
+            for model in models
+            for n, k in ((5, 2), (33, 2), (200, 5))
+        ]
+        calls += [["schedule", "--n", 33, "--k", 2, "--alpha", 0.1], ["adjust", "p.csv", "--k", 2]]
+        digest = hashlib.sha256()
+        for argv in calls:
+            code, out, _ = run([*argv, "--procedure", name], capsys)
+            assert code == 0, (name, argv)
+            digest.update(out.encode())
+        digests[name] = digest.hexdigest()
+    assert digests == EXACT_CASE_SHA256

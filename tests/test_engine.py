@@ -24,8 +24,6 @@ def decision_cases(draw):
     schedule = CriticalValueSchedule(
         alphas=tuple(alphas),
         k=k,
-        procedure="grid",
-        alpha_level=alphas[-1],
         direction=draw(st.sampled_from((STEPUP, STEPDOWN))),
     )
     values = draw(st.lists(st.sampled_from(GRID), min_size=n, max_size=n))
@@ -52,8 +50,8 @@ class TestAgainstOracle:
         # one double above alpha_1, p_(1) stops stepdown.
         values = (0.3, 0.1, 0.3, 0.9, 0.1)
         alphas = (0.1, 0.2, 0.3, 0.4, 0.5)
-        up = CriticalValueSchedule(alphas, 1, "grid", 0.5, STEPUP)
-        down = CriticalValueSchedule(alphas, 1, "grid", 0.5, STEPDOWN)
+        up = CriticalValueSchedule(alphas, 1, STEPUP)
+        down = CriticalValueSchedule(alphas, 1, STEPDOWN)
         outcome = decide(sample_from(values), up)
         assert outcome.order.tolist() == [1, 4, 0, 2, 3]
         assert outcome.r == 4 and outcome.v is None and outcome.k_fdp is None
@@ -171,7 +169,7 @@ class TestPValueSample:
         assert not np.shares_memory(PValueSample(view).values, base)
 
     def test_length_mismatch(self):
-        schedule = CriticalValueSchedule((0.1, 0.2), 1, "grid", 0.2, STEPUP)
+        schedule = CriticalValueSchedule((0.1, 0.2), 1, STEPUP)
         with pytest.raises(ValueError, match="does not match"):
             decide(sample_from([0.5]), schedule)
 
@@ -180,10 +178,7 @@ def _orders(values):
     """decide's order and count next to those of a stable sort."""
     values = np.array(values, dtype=np.float64)
     n = values.size
-    schedule = CriticalValueSchedule(
-        alphas=np.linspace(0.25, 0.75, n), k=1, procedure="grid", alpha_level=0.75,
-        direction=STEPUP,
-    )
+    schedule = CriticalValueSchedule(alphas=np.linspace(0.25, 0.75, n), k=1, direction=STEPUP)
     outcome = decide(sample_from(values), schedule)
     stable = np.argsort(values, kind="stable")
     r = int(rejection_count(values[stable][None], schedule.alphas, STEPUP)[0])

@@ -26,8 +26,8 @@ from kfdr.fk_models import (
 from kfdr.schedules import (
     gen_bh,
     gen_by,
-    gen_hochberg_stepup,
-    gen_holm_stepdown,
+    gen_hochberg,
+    gen_holm,
     gen_simes,
     make_schedule,
     rescaled_stepup,
@@ -120,7 +120,7 @@ def test_interpolant_start_needs_about_one_kernel_evaluation_per_target(monkeypa
         return real(t, rho, k)
 
     monkeypatch.setattr(numerics, "_log_survivor", counting)
-    s = gen_holm_stepdown(2000, 2, 0.05, equicorrelated_fk(2, 0.5))
+    s = gen_holm(2000, 2, 0.05, equicorrelated_fk(2, 0.5))
     distinct = np.unique(s.f_targets).size
     assert distinct == 1999
     assert sum(thresholds) <= distinct + _panel_count(s.f_targets, 2) * numerics._CHEB_NODES
@@ -174,24 +174,24 @@ def test_a_target_inverts_alike_alone_in_its_batch_and_in_chunks(rho, k):
         assert numerics.invert_min_survivor(targets[i : i + 1], rho, k).tolist() == [whole[i]]
 
 
-CONSTRUCTIONS = (gen_bh, gen_by, gen_holm_stepdown, gen_hochberg_stepup, gen_simes)
+CONSTRUCTIONS = (gen_bh, gen_by, gen_holm, gen_hochberg, gen_simes)
 
 
 @pytest.mark.parametrize("rho, k", [(0.5, 2), (0.9, 5), (0.99, 3)])
 def test_schedules_invert_to_their_targets(rho, k):
     n, alpha = 40, 0.05
     model = equicorrelated_fk(k, rho)
-    schedules = [construct(n, k, alpha, model) for construct in CONSTRUCTIONS]
-    schedules.append(make_schedule("rescaled_hochberg", n, k, alpha, model))
-    for s in schedules:
+    names = [construct.__name__ for construct in CONSTRUCTIONS] + ["rescaled_hochberg"]
+    for name in names:
+        s = make_schedule(name, n, k, alpha, model)
         alphas, targets = np.array(s.alphas), np.array(s.f_targets)
-        assert np.all(np.diff(alphas) >= 0.0), s.procedure
-        assert len(set(s.alphas[:k])) == 1, s.procedure
+        assert np.all(np.diff(alphas) >= 0.0), name
+        assert len(set(s.alphas[:k])) == 1, name
         rows = np.unique(np.linspace(0, n - 1, 10).round().astype(int))
         ref = np.array([fk_quad(float(alphas[i]), k, rho) for i in rows])
-        assert np.max(np.abs(ref / targets[rows] - 1.0)) <= 1e-10, s.procedure
+        assert np.max(np.abs(ref / targets[rows] - 1.0)) <= 1e-10, name
         own = fk_eval(model, alphas) / targets - 1.0
-        assert np.max(np.abs(own)) <= 1e-12, s.procedure
+        assert np.max(np.abs(own)) <= 1e-12, name
 
 
 def test_one_inversion_per_schedule(monkeypatch):
@@ -203,7 +203,7 @@ def test_one_inversion_per_schedule(monkeypatch):
         return real(model, targets)
 
     monkeypatch.setattr(schedules, "fk_invert", counting)
-    gen_holm_stepdown(300, 2, 0.05, equicorrelated_fk(2, 0.5))
+    gen_holm(300, 2, 0.05, equicorrelated_fk(2, 0.5))
     assert calls == [300]
 
 
@@ -220,7 +220,7 @@ class TestIndependentPinned:
     def test_targets_from_integer_ratios(self):
         n, k, alpha = 30, 3, 0.05
         model = independent_fk(k)
-        assert gen_holm_stepdown(n, k, alpha, model).f_targets.tolist() == [
+        assert gen_holm(n, k, alpha, model).f_targets.tolist() == [
             alpha * (1 / math.comb(n + k - max(i, k), k)) for i in range(1, n + 1)
         ]
         assert gen_simes(n, k, alpha, model).f_targets.tolist() == [

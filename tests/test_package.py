@@ -2,11 +2,10 @@ import kfdr
 
 PUBLIC = [
     "CriticalValueSchedule", "DecisionOutcome", "FkModel", "PValueSample", "ProcedureEstimates",
-    "SimulationConfig", "SimulationSummary", "bh_classic", "counterexample_bound", "decide",
-    "draw_sample", "equicorrelated_fk", "figure_sweep", "fit_empirical_fk", "fk_eval",
-    "fk_invert", "gen_bh", "gen_by", "gen_hochberg_stepup", "gen_holm_stepdown", "gen_simes",
-    "independent_fk", "k_fdp", "lehmann_romano_stepdown", "load_empirical_csv", "make_schedule",
-    "rescaled_stepup", "run_experiment", "sample_from", "save_empirical_csv", "write_sweep_csv",
+    "SimulationConfig", "SimulationSummary", "counterexample_bound", "decide", "draw_sample",
+    "equicorrelated_fk", "figure_sweep", "fit_empirical_fk", "fk_eval", "fk_invert",
+    "independent_fk", "k_fdp", "load_empirical_csv", "make_schedule", "rescaled_stepup",
+    "run_experiment", "sample_from", "save_empirical_csv", "write_sweep_csv",
 ]
 
 

@@ -171,8 +171,7 @@ def test_a_column_it_cannot_print_fails_and_prints_nothing(columns):
 def test_an_unprintable_schedule_exits_two_with_no_output(monkeypatch, capsys):
     def nan_targets(n, k, alpha, model):
         return schedules.CriticalValueSchedule(
-            alphas=np.full(n, alpha), k=k, procedure="bh", alpha_level=alpha,
-            direction=schedules.STEPUP, f_targets=np.full(n, np.nan),
+            alphas=np.full(n, alpha), k=k, direction=schedules.STEPUP, f_targets=np.full(n, np.nan)
         )
 
     monkeypatch.setitem(schedules.PROCEDURES, "bh", nan_targets)

@@ -23,13 +23,13 @@ from kfdr.schedules import (
     STEPDOWN,
     STEPUP,
     CriticalValueSchedule,
-    bh_classic,
+    bh,
     gen_bh,
     gen_by,
-    gen_hochberg_stepup,
-    gen_holm_stepdown,
+    gen_hochberg,
+    gen_holm,
     gen_simes,
-    lehmann_romano_stepdown,
+    lehmann_romano,
     PROCEDURES,
     make_schedule,
     rescaled_stepup,
@@ -144,14 +144,14 @@ class TestGenBy:
 
 class TestHolmFamily:
     def test_holm_k1_classic_constants(self):
-        s = gen_holm_stepdown(4, 1, 0.05, IND1)
+        s = gen_holm(4, 1, 0.05, IND1)
         np.testing.assert_allclose(
             s.alphas, (0.0125, 0.05 / 3, 0.025, 0.05), atol=1e-15
         )
         assert s.direction == STEPDOWN
 
     def test_holm_k2_n5(self):
-        s = gen_holm_stepdown(5, 2, 0.05, IND2)
+        s = gen_holm(5, 2, 0.05, IND2)
         np.testing.assert_allclose(
             s.f_targets, (0.005, 0.005, 0.05 / 6, 0.05 / 3, 0.05), atol=1e-15
         )
@@ -169,69 +169,69 @@ class TestHolmFamily:
 
     def test_last_target_is_alpha(self):
         for n, k in ((5, 2), (8, 3), (6, 1)):
-            s = gen_holm_stepdown(n, k, 0.033, independent_fk(k))
+            s = gen_holm(n, k, 0.033, independent_fk(k))
             assert s.f_targets[-1] == pytest.approx(0.033, abs=1e-15)
 
     def test_hochberg_shares_constants_with_holm(self):
-        holm = gen_holm_stepdown(6, 2, 0.05, IND2)
-        hoch = gen_hochberg_stepup(6, 2, 0.05, IND2)
+        holm = gen_holm(6, 2, 0.05, IND2)
+        hoch = gen_hochberg(6, 2, 0.05, IND2)
         assert hoch.alphas.tolist() == holm.alphas.tolist()
         assert hoch.f_targets.tolist() == holm.f_targets.tolist()
         assert hoch.direction == STEPUP
 
     def test_hochberg_equals_gen_bh_at_n3_k2(self):
         # equality case of the dominance inequality: i(n+k-i) = nk for all i
-        hoch = gen_hochberg_stepup(3, 2, 0.05, IND2)
-        bh = gen_bh(3, 2, 0.05, IND2)
-        np.testing.assert_allclose(hoch.f_targets, bh.f_targets, atol=1e-18)
+        hoch = gen_hochberg(3, 2, 0.05, IND2)
+        gbh = gen_bh(3, 2, 0.05, IND2)
+        np.testing.assert_allclose(hoch.f_targets, gbh.f_targets, atol=1e-18)
 
     def test_strict_dominance_instance(self):
         # n=5, k=2, i=3: gen_bh target 0.2*alpha strictly beats alpha/6
-        bh = gen_bh(5, 2, 0.05, IND2)
-        hoch = gen_hochberg_stepup(5, 2, 0.05, IND2)
-        assert bh.f_targets[2] == pytest.approx(0.2 * 0.05, abs=1e-15)
+        gbh = gen_bh(5, 2, 0.05, IND2)
+        hoch = gen_hochberg(5, 2, 0.05, IND2)
+        assert gbh.f_targets[2] == pytest.approx(0.2 * 0.05, abs=1e-15)
         assert hoch.f_targets[2] == pytest.approx(0.05 / 6, abs=1e-15)
-        assert bh.f_targets[2] > hoch.f_targets[2]
+        assert gbh.f_targets[2] > hoch.f_targets[2]
 
 
 class TestLehmannRomano:
     def test_k1_classic_holm(self):
-        s = lehmann_romano_stepdown(4, 1, 0.05)
+        s = lehmann_romano(4, 1, 0.05, None)
         np.testing.assert_allclose(s.alphas, (0.0125, 0.05 / 3, 0.025, 0.05), atol=1e-15)
 
     def test_k2_n5(self):
-        s = lehmann_romano_stepdown(5, 2, 0.05)
+        s = lehmann_romano(5, 2, 0.05, None)
         np.testing.assert_allclose(
             s.alphas, (0.02, 0.02, 0.025, 0.1 / 3, 0.05), atol=1e-15
         )
 
     def test_last_value_is_alpha(self):
         for n, k in ((7, 2), (9, 4), (3, 1)):
-            assert lehmann_romano_stepdown(n, k, 0.11).alphas[-1] == 0.11
+            assert lehmann_romano(n, k, 0.11, None).alphas[-1] == 0.11
 
     def test_no_f_targets(self):
-        assert lehmann_romano_stepdown(5, 2, 0.05).f_targets is None
+        assert lehmann_romano(5, 2, 0.05, None).f_targets is None
 
     def test_equals_gen_holm_k1(self):
         for n, alpha in [(n, a) for n in (1, 2, 3, 7, 60, 1000) for a in ALPHA_GRID]:
-            ref = gen_holm_stepdown(n, 1, alpha, IND1)
-            got = lehmann_romano_stepdown(n, 1, alpha).alphas.tobytes()
+            ref = gen_holm(n, 1, alpha, IND1)
+            got = lehmann_romano(n, 1, alpha, None).alphas.tobytes()
             assert got == ref.alphas.tobytes() == ref.f_targets.tobytes(), (n, alpha)
 
     @pytest.mark.parametrize("n, k, alpha", MARGINAL_CASES)
     def test_equals_the_python_formula(self, n, k, alpha):
         if alpha < sys.float_info.min:
             with pytest.raises(ValueError, match="alpha must be a normal double, got 5e-321"):
-                lehmann_romano_stepdown(n, k, alpha)
+                lehmann_romano(n, k, alpha, None)
             return
         expected = [alpha * float(Fraction(k, n + k - max(i, k))) for i in range(1, n + 1)]
-        assert lehmann_romano_stepdown(n, k, alpha).alphas.tolist() == expected
+        assert lehmann_romano(n, k, alpha, None).alphas.tolist() == expected
 
 
 class TestGenSimes:
     def test_k1_reduces_to_bh_constants(self):
         s = gen_simes(6, 1, 0.05, IND1)
-        np.testing.assert_allclose(s.alphas, bh_classic(6, 0.05).alphas, atol=1e-15)
+        np.testing.assert_allclose(s.alphas, bh(6, 1, 0.05, None).alphas, atol=1e-15)
 
     def test_published_counterexample_critical(self):
         s = gen_simes(101, 2, 0.05, IND2)
@@ -244,31 +244,31 @@ class TestGenSimes:
     def test_carries_warning_flag(self):
         assert gen_simes(5, 2, 0.05, IND2).warning is not None
         assert gen_bh(5, 2, 0.05, IND2).warning is None
-        assert gen_hochberg_stepup(5, 2, 0.05, IND2).warning is None
+        assert gen_hochberg(5, 2, 0.05, IND2).warning is None
 
 
 class TestBhClassic:
     def test_basic(self):
-        s = bh_classic(4, 0.05)
+        s = bh(4, 1, 0.05, None)
         np.testing.assert_allclose(s.alphas, (0.0125, 0.025, 0.0375, 0.05), atol=1e-15)
         assert s.k == 1 and s.direction == STEPUP
 
     def test_single_hypothesis(self):
-        assert bh_classic(1, 0.05).alphas.tolist() == [0.05]
+        assert bh(1, 1, 0.05, None).alphas.tolist() == [0.05]
 
     @pytest.mark.parametrize("n, alpha", sorted({(n, a) for n, _, a in MARGINAL_CASES}))
     def test_equals_the_python_formula(self, n, alpha):
         if alpha < sys.float_info.min:
             with pytest.raises(ValueError, match="alpha must be a normal double, got 5e-321"):
-                bh_classic(n, alpha)
+                bh(n, 1, alpha, None)
             return
         expected = [alpha * float(Fraction(i, n)) for i in range(1, n + 1)]
-        assert bh_classic(n, alpha).alphas.tolist() == expected
+        assert bh(n, 1, alpha, None).alphas.tolist() == expected
 
     def test_equals_gen_bh_k1(self):
         for n, alpha in [(n, a) for n in (1, 2, 3, 7, 20, 60, 1000) for a in ALPHA_GRID]:
             ref = gen_bh(n, 1, alpha, IND1)
-            got = bh_classic(n, alpha).alphas.tobytes()
+            got = bh(n, 1, alpha, None).alphas.tobytes()
             assert got == ref.alphas.tobytes() == ref.f_targets.tobytes(), (n, alpha)
 
 
@@ -401,11 +401,11 @@ class TestScheduleInvariants:
     def test_nondecreasing_with_equal_head(self, n, k, alpha):
         k = min(k, n)
         model = independent_fk(k)
-        for builder in (gen_bh, gen_by, gen_holm_stepdown, gen_hochberg_stepup, gen_simes):
+        for builder in (gen_bh, gen_by, gen_holm, gen_hochberg, gen_simes):
             s = builder(n, k, alpha, model)
             assert all(b >= a for a, b in zip(s.alphas, s.alphas[1:]))
             assert len(set(s.alphas[:k])) == 1
-        s = lehmann_romano_stepdown(n, k, alpha)
+        s = lehmann_romano(n, k, alpha, None)
         assert all(b >= a for a, b in zip(s.alphas, s.alphas[1:]))
         assert len(set(s.alphas[:k])) == 1
 
@@ -421,7 +421,7 @@ class TestScheduleInvariants:
                 model = equi_models.setdefault((k, rho), equicorrelated_fk(k, rho))
             else:
                 model = independent_fk(k)
-            builder = [gen_bh, gen_by, gen_holm_stepdown, gen_hochberg_stepup, gen_simes][
+            builder = [gen_bh, gen_by, gen_holm, gen_hochberg, gen_simes][
                 int(rng.integers(0, 5))
             ]
             s = builder(n, k, alpha, model)
@@ -434,26 +434,26 @@ class TestScheduleInvariants:
         for n in range(1, 51):
             for k in range(1, min(n, 5) + 1):
                 model = independent_fk(k)
-                bh = gen_bh(n, k, alpha, model)
-                hoch = gen_hochberg_stepup(n, k, alpha, model)
+                gbh = gen_bh(n, k, alpha, model)
+                hoch = gen_hochberg(n, k, alpha, model)
                 for i in range(k, n + 1):
                     assert i * (n + k - i) >= n * k
-                    assert bh.f_targets[i - 1] >= hoch.f_targets[i - 1] - 1e-18
-                assert all(a >= b - 1e-15 for a, b in zip(bh.alphas, hoch.alphas))
+                    assert gbh.f_targets[i - 1] >= hoch.f_targets[i - 1] - 1e-18
+                assert all(a >= b - 1e-15 for a, b in zip(gbh.alphas, hoch.alphas))
                 if n - k >= 2:
                     assert any(
-                        bh.f_targets[i - 1] > hoch.f_targets[i - 1]
+                        gbh.f_targets[i - 1] > hoch.f_targets[i - 1]
                         for i in range(k + 1, n)
                     )
 
     def test_k1_reductions(self):
         for n in range(1, 21):
-            bh = bh_classic(n, 0.05)
+            classic = bh(n, 1, 0.05, None)
             np.testing.assert_allclose(
-                gen_bh(n, 1, 0.05, IND1).alphas, bh.alphas, atol=1e-12
+                gen_bh(n, 1, 0.05, IND1).alphas, classic.alphas, atol=1e-12
             )
             np.testing.assert_allclose(
-                gen_simes(n, 1, 0.05, IND1).alphas, bh.alphas, atol=1e-12
+                gen_simes(n, 1, 0.05, IND1).alphas, classic.alphas, atol=1e-12
             )
             h = sum(1.0 / r for r in range(1, n + 1))
             np.testing.assert_allclose(
@@ -462,8 +462,8 @@ class TestScheduleInvariants:
                 atol=1e-12,
             )
             holm = [0.05 / (n - i + 1) for i in range(1, n + 1)]
-            np.testing.assert_allclose(gen_holm_stepdown(n, 1, 0.05, IND1).alphas, holm, atol=1e-12)
-            np.testing.assert_allclose(lehmann_romano_stepdown(n, 1, 0.05).alphas, holm, atol=1e-12)
+            np.testing.assert_allclose(gen_holm(n, 1, 0.05, IND1).alphas, holm, atol=1e-12)
+            np.testing.assert_allclose(lehmann_romano(n, 1, 0.05, None).alphas, holm, atol=1e-12)
 
     def test_bh_comparison_per_index_condition(self):
         # with independent nulls and k = 2, the generalized critical value
@@ -472,7 +472,7 @@ class TestScheduleInvariants:
         alpha = 0.05
         for n in (5, 20, 79, 80, 101):
             gen = gen_bh(n, 2, alpha, IND2)
-            classic = bh_classic(n, alpha)
+            classic = bh(n, 1, alpha, None)
             for i in range(2, n + 1):
                 condition = n / (i * (n - i + 1)) >= alpha
                 if condition:
@@ -485,21 +485,15 @@ class TestScheduleInvariants:
 class TestScheduleValidation:
     def test_rejects_decreasing_alphas(self):
         with pytest.raises(ValueError):
-            CriticalValueSchedule(
-                alphas=(0.2, 0.1), k=1, procedure="x", alpha_level=0.05, direction=STEPUP
-            )
+            CriticalValueSchedule(alphas=(0.2, 0.1), k=1, direction=STEPUP)
 
     def test_rejects_unequal_head(self):
         with pytest.raises(ValueError):
-            CriticalValueSchedule(
-                alphas=(0.1, 0.2, 0.3), k=2, procedure="x", alpha_level=0.05, direction=STEPUP
-            )
+            CriticalValueSchedule(alphas=(0.1, 0.2, 0.3), k=2, direction=STEPUP)
 
     def test_rejects_bad_direction(self):
         with pytest.raises(ValueError):
-            CriticalValueSchedule(
-                alphas=(0.1,), k=1, procedure="x", alpha_level=0.05, direction="sideways"
-            )
+            CriticalValueSchedule(alphas=(0.1,), k=1, direction="sideways")
 
     @pytest.mark.parametrize(
         "alphas, k, f_targets, message",
@@ -516,15 +510,11 @@ class TestScheduleValidation:
     )
     def test_messages(self, alphas, k, f_targets, message):
         with pytest.raises(ValueError, match=message):
-            CriticalValueSchedule(
-                alphas=alphas, k=k, procedure="x", alpha_level=0.05, direction=STEPUP,
-                f_targets=f_targets,
-            )
+            CriticalValueSchedule(alphas=alphas, k=k, direction=STEPUP, f_targets=f_targets)
 
     def test_holds_read_only_float64_arrays(self):
         s = CriticalValueSchedule(
-            alphas=(0.1, 0.1, 0.2), k=2, procedure="x", alpha_level=0.05, direction=STEPUP,
-            f_targets=(0.01, 0.01, 0.04),
+            alphas=(0.1, 0.1, 0.2), k=2, direction=STEPUP, f_targets=(0.01, 0.01, 0.04)
         )
         for arr in (s.alphas, s.f_targets):
             assert isinstance(arr, np.ndarray) and arr.dtype == np.float64 and arr.ndim == 1
@@ -533,25 +523,25 @@ class TestScheduleValidation:
             s.alphas[0] = 0.0
         with pytest.raises(ValueError):
             s.f_targets[0] = 0.0
-        for built in (gen_bh(5, 2, 0.05, IND2), bh_classic(5, 0.05)):
+        for built in (gen_bh(5, 2, 0.05, IND2), bh(5, 1, 0.05, None)):
             assert built.alphas.dtype == np.float64 and not built.alphas.flags.writeable
 
     def test_copies_a_caller_array(self):
         alphas = np.array([0.1, 0.2])
-        s = CriticalValueSchedule(alphas, 1, "x", 0.05, STEPUP)
+        s = CriticalValueSchedule(alphas, 1, STEPUP)
         alphas[0] = 0.3
         assert s.alphas.tolist() == [0.1, 0.2] and alphas.flags.writeable
 
     def test_keeps_a_frozen_array_it_owns(self):
         alphas, f_targets = np.array([0.1, 0.2]), np.array([0.01, 0.04])
         alphas.flags.writeable = f_targets.flags.writeable = False
-        s = CriticalValueSchedule(alphas, 1, "x", 0.05, STEPUP, f_targets=f_targets)
+        s = CriticalValueSchedule(alphas, 1, STEPUP, f_targets=f_targets)
         assert s.alphas is alphas and s.f_targets is f_targets
         # A read-only view can change through its base, so it is copied.
         base = np.array([0.1, 0.2, 0.3])
         view = base[1:]
         view.flags.writeable = False
-        kept = CriticalValueSchedule(view, 1, "x", 0.05, STEPUP)
+        kept = CriticalValueSchedule(view, 1, STEPUP)
         assert not np.shares_memory(kept.alphas, base)
         assert not kept.alphas.flags.writeable and kept.alphas.flags.owndata
 
@@ -582,7 +572,7 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             gen_bh(5, 2, 1.5, IND2)
         with pytest.raises(ValueError):
-            bh_classic(5, 0.0)
+            bh(5, 1, 0.0, None)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -590,7 +580,7 @@ class TestScheduleValidation:
 
     @pytest.mark.parametrize(
         "build",
-        [gen_bh, gen_by, gen_holm_stepdown, gen_hochberg_stepup, gen_simes,
+        [gen_bh, gen_by, gen_holm, gen_hochberg, gen_simes,
          lambda n, k, alpha, model: rescaled_stepup(n, k, alpha, [0.5] * n, model)],
         ids=["gen_bh", "gen_by", "gen_holm", "gen_hochberg", "gen_simes", "rescaled_stepup"],
     )
@@ -612,7 +602,7 @@ class TestScheduleValidation:
 
     def test_rejects_underflowing_targets(self):
         # 1/C(2000, 1000) is below the smallest double
-        for construct in (gen_bh, gen_by, gen_holm_stepdown, gen_simes):
+        for construct in (gen_bh, gen_by, gen_holm, gen_simes):
             with pytest.raises(ValueError, match="underflows"):
                 construct(2000, 1000, 0.05, independent_fk(1000))
 
@@ -737,7 +727,7 @@ class TestVectorisedTargets:
     @pytest.mark.parametrize("block", [3, 65536])
     def test_blocks_keep_the_underflow_error(self, block, monkeypatch):
         monkeypatch.setattr(schedules, "_POWER_BLOCK", block)
-        for construct in (gen_bh, gen_by, gen_holm_stepdown, gen_simes):
+        for construct in (gen_bh, gen_by, gen_holm, gen_simes):
             with pytest.raises(ValueError, match="underflows"):
                 construct(2000, 1000, 0.05, independent_fk(1000))
 
@@ -764,18 +754,16 @@ class TestMakeSchedule:
     def test_registry_names(self):
         model = IND2
         for name in ("gen_bh", "gen_by", "gen_holm", "gen_hochberg", "gen_simes"):
-            s = make_schedule(name, n=6, k=2, alpha=0.05, model=model)
-            assert s.procedure.startswith(name.split("_")[0]) or s.procedure == name
-        assert make_schedule("bh", n=6, k=2, alpha=0.05).procedure == "bh"
-        assert make_schedule("lehmann_romano", n=6, k=2, alpha=0.05).procedure == "lehmann_romano"
+            make_schedule(name, n=6, k=2, alpha=0.05, model=model)
+        make_schedule("bh", n=6, k=2, alpha=0.05)
+        make_schedule("lehmann_romano", n=6, k=2, alpha=0.05)
 
     def test_rescaled_variants(self):
         model = IND2
-        hoch = make_schedule("rescaled_hochberg", n=6, k=2, alpha=0.05, model=model)
-        assert hoch.procedure == "rescaled_stepup"
+        make_schedule("rescaled_hochberg", n=6, k=2, alpha=0.05, model=model)
         const = make_schedule("rescaled_const", n=6, k=2, alpha=0.05, model=model)
         expected = rescaled_stepup(6, 2, 0.05, (0.5,) * 6, model)
-        assert const.procedure == "rescaled_const" and const.direction == STEPUP
+        assert const.direction == STEPUP
         np.testing.assert_allclose(const.f_targets, expected.f_targets, rtol=1e-15, atol=0)
         np.testing.assert_allclose(const.alphas, expected.alphas, rtol=1e-15, atol=0)
 
@@ -787,7 +775,7 @@ class TestMakeSchedule:
             assert s.n == 6
             if name in FK_NAMES:
                 assert s.f_targets is not None
-                with pytest.raises(ValueError, match="requires an FkModel"):
+                with pytest.raises(ValueError, match=f"procedure '{name}' requires an FkModel"):
                     make_schedule(name, n=6, k=2, alpha=0.05)
             else:
                 assert s.f_targets is None
@@ -797,7 +785,7 @@ class TestMakeSchedule:
 
     def test_resolve_returns_registry_entries(self):
         for name, entry in PROCEDURES.items():
-            assert resolve(name) is entry
+            assert resolve(name) is entry and entry.__name__ == name
 
     @pytest.mark.parametrize(
         "model",
@@ -808,8 +796,8 @@ class TestMakeSchedule:
         k = model.k
         for n in (k, 7, 40, 300, 2000):
             const = resolve("rescaled_const")(n, k, 0.05, model)
-            holm = gen_holm_stepdown(n, k, 0.05, model)
-            assert (const.procedure, const.direction) == ("rescaled_const", STEPUP)
+            holm = gen_holm(n, k, 0.05, model)
+            assert const.direction == STEPUP
             assert const.f_targets.tobytes() == np.full(n, holm.f_targets[0]).tobytes()
             assert (const.alphas == const.alphas[0]).all()
             if model.kind == EQUICORRELATED:
@@ -906,3 +894,50 @@ class TestAtMostAlpha:
         k = data.draw(st.integers(1, n), label="k")
         for name in self.NAMES:
             assert_at_most_alpha(name, n, k, alpha, independent_fk(k))
+
+
+# (1 + 2^-53)^2: the bound of a value rounded twice, the ratio and then the
+# product with alpha.
+TWO_ROUNDINGS = 1 + Fraction(1, 2**52) + Fraction(1, 2**106)
+
+
+def exact_ratios(name, n, k):
+    """num / den per row of the closed-form value ``_f_targets`` forms for
+    ``name``, as Fractions: alpha_i for bh and lehmann_romano, the F-target
+    for the rest."""
+    js = [max(i, k) for i in range(1, n + 1)]
+    if name == "bh":
+        return [Fraction(i, n) for i in range(1, n + 1)]
+    if name == "lehmann_romano":
+        return [Fraction(k, n + k - j) for j in js]
+    if name == "gen_bh":
+        return [Fraction(j, n * math.comb(n + k - 1 - j, k - 1)) for j in js]
+    if name == "gen_holm":
+        return [Fraction(1, math.comb(n + k - j, k)) for j in js]
+    if name == "gen_simes":
+        return [Fraction(math.comb(j, k), math.comb(n, k)) for j in js]
+    assert name == "rescaled_const"
+    return [Fraction(1, math.comb(n, k))] * n
+
+
+class TestRoundingBound:
+    NAMES = ("bh", "lehmann_romano", "gen_bh", "gen_holm", "gen_simes", "rescaled_const")
+
+    def test_a_value_can_exceed_the_exact_rational(self):
+        value = lehmann_romano(5, 1, 0.05, None).alphas[0]
+        assert value == 0.010000000000000002
+        exact = Fraction(0.05) / 5
+        assert exact < Fraction(value) <= exact * TWO_ROUNDINGS
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), alpha=st.floats(1e-200, 1.0, exclude_max=True))
+    def test_every_value_is_within_two_roundings_and_at_most_alpha(self, data, alpha):
+        # C(200, 100) < 1e60, so every value here is a normal double.
+        n = data.draw(st.integers(1, 200), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        for name in self.NAMES:
+            s = PROCEDURES[name](n, k, alpha, independent_fk(k))
+            values = s.alphas if s.f_targets is None else s.f_targets
+            for value, ratio in zip(values.tolist(), exact_ratios(name, n, k)):
+                assert value <= alpha, (name, n, k)
+                assert Fraction(value) <= Fraction(alpha) * ratio * TWO_ROUNDINGS, (name, n, k)

@@ -85,9 +85,7 @@ PANEL = ("gen_bh", "gen_holm", "bh", "gen_simes", "lehmann_romano")
 
 
 def hand_schedule(direction, alphas):
-    return CriticalValueSchedule(
-        alphas=alphas, k=3, procedure="hand", alpha_level=0.05, direction=direction
-    )
+    return CriticalValueSchedule(alphas=alphas, k=3, direction=direction)
 
 
 # Critical values of 0.0 and 1.0 in both directions: p-values of exactly 0
