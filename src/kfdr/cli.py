@@ -121,10 +121,12 @@ def _read_pvalues(path: str) -> np.ndarray:
     one otherwise; the workers inherit the pieces and get only indices.
     Each piece ends on a line break and no piece splits \\r\\n, so the
     pieces' rows are the file's rows, and only the first piece can hold the
-    header. No more than one piece's row strings are held at a time. On any
-    ValueError, dead worker or failed range check the row loop
-    (``_parse_rows``) runs over the pieces' rows instead, one piece at a
-    time, and words the error with its row number.
+    header. No more than one piece's row strings are held at a time. A
+    piece where ``float`` raises, on a blank or # row say, runs ``float``
+    again, in its worker, over its rows but the blank and # ones. On a
+    ValueError from that pass, a dead worker or a failed range check the
+    row loop (``_parse_rows``) runs over the pieces' rows instead, one piece
+    at a time, and words the error with its row number.
     """
     try:
         pieces = _read_pieces(path)
@@ -134,7 +136,13 @@ def _read_pvalues(path: str) -> np.ndarray:
     def parse(index: int) -> np.ndarray:
         lines = pieces[index].splitlines()
         start = 1 if index == 0 and lines and lines[0].strip().lower() == "p" else 0
-        return np.fromiter(map(float, islice(lines, start, None)), np.float64, len(lines) - start)
+        rows = map(float, islice(lines, start, None))
+        try:
+            return np.fromiter(rows, np.float64, len(lines) - start)
+        except ValueError:
+            rows = islice(lines, start, None)
+            kept = (line for line in rows if line.strip()[:1] not in ("", "#"))
+            return np.fromiter(map(float, kept), np.float64)
 
     try:
         values = np.concatenate(list(_split_map(parse, range(len(pieces)))))

@@ -5,7 +5,7 @@ stepdown procedure, as the schedule's direction says. The outcome holds the
 stable ascending sort ``order`` of the p-values and the rejection count
 ``r``: the rejected hypotheses are ``order[:r]``, and the hypothesis at rank
 i (``order[i]``) is compared with the critical value ``alphas[i]``. With
-ground truth it also holds the false-rejection count V and the k-FDP. Ties
+ground truth it also holds the false-rejection count V, for ``k_fdp``. Ties
 among equal p-values are broken by original index, so results are
 deterministic. Both directions use one rule: p_(i) <= alpha_i is a hit and
 p_(i) > alpha_i a miss. Stepup rejects up to its last hit and stepdown up to
@@ -67,13 +67,12 @@ class PValueSample:
 class DecisionOutcome:
     """Stable sort order and rejection count; ``order[:r]`` is rejected.
 
-    ``v`` and ``k_fdp`` are None when the sample carries no truth labels.
+    ``v`` is None when the sample carries no truth labels.
     """
 
     order: np.ndarray
     r: int
     v: int | None = None
-    k_fdp: float | None = None
 
 
 def k_fdp(r: int, v: int, k: int) -> float:
@@ -132,7 +131,7 @@ def decide(sample: PValueSample, schedule: CriticalValueSchedule) -> DecisionOut
     if sample.truth is None:
         return DecisionOutcome(order=order, r=r)
     v = int(np.count_nonzero(sample.truth[order[:r]]))
-    return DecisionOutcome(order=order, r=r, v=v, k_fdp=k_fdp(r, v, schedule.k))
+    return DecisionOutcome(order=order, r=r, v=v)
 
 
 def sample_from(values: Sequence[float], truth: Sequence[bool] | None = None) -> PValueSample:

@@ -1,22 +1,21 @@
 """Joint null distribution models for the maximum of k null p-values.
 
 A model represents F_k(x) = Pr{max of any k null p-values <= x}, assumed
-identical across k-subsets (exchangeability). Three kinds are supported:
+identical across k-subsets (exchangeability). Two kinds are supported:
 
-- ``independent_uniform``: F_k(x) = x^k exactly.
 - ``equicorrelated_normal_one_sided``: p-values are one-sided tails of
   equicorrelated standard normals (P = 1 - Phi(X)), so F_k(x) =
   S_k(-Phi^-1(x)), the orthant survivor probability of
-  ``numerics.equicorrelated_min_survivor``.
+  ``numerics.equicorrelated_min_survivor``. Independence is rho = 0, where
+  F_k(x) = x^k (``independent_fk``).
 - ``empirical``: a monotone piecewise-linear grid fitted from simulated
   null draws, for dependence structures with no closed form.
 
-F_k is exactly x^p where ``_exact_power`` finds p: k for the independent
-kind and for the equicorrelated one at rho = 0, 1 (the uniform marginal)
-for the equicorrelated one at k = 1 or rho = 1. There ``fk_eval`` and
-``fk_invert`` are x^p and x^(1/p) in Python float arithmetic. Only the
-equicorrelated kind with k >= 2 and 0 < rho < 1 reaches the quadrature
-kernel, whose accuracy ``numerics`` states, and its elementwise Newton inverse.
+F_k is exactly x^p where ``_exact_power`` finds p: k at rho = 0, and 1 (the
+uniform marginal) at k = 1 or rho = 1. There ``fk_eval`` and ``fk_invert``
+are x^p and x^(1/p) in Python float arithmetic. Only the equicorrelated
+kind with k >= 2 and 0 < rho < 1 reaches the quadrature kernel, whose
+accuracy ``numerics`` states, and its elementwise Newton inverse.
 ``fk_eval`` and ``fk_invert`` take a scalar or a whole array, so a schedule
 is evaluated or inverted in one call. Models are immutable; evaluation and
 inversion are pure functions.
@@ -39,11 +38,10 @@ from .numerics import (
     std_normal_sf_array,
 )
 
-INDEPENDENT_UNIFORM = "independent_uniform"
 EQUICORRELATED = "equicorrelated_normal_one_sided"
 EMPIRICAL = "empirical"
 
-_KINDS = (INDEPENDENT_UNIFORM, EQUICORRELATED, EMPIRICAL)
+_KINDS = (EQUICORRELATED, EMPIRICAL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +85,7 @@ class FkModel:
 
 
 def independent_fk(k: int) -> FkModel:
-    return FkModel(kind=INDEPENDENT_UNIFORM, k=k)
+    return FkModel(kind=EQUICORRELATED, k=k, rho=0.0)
 
 
 def equicorrelated_fk(k: int, rho: float) -> FkModel:
@@ -108,11 +106,11 @@ def _like_input(values: float | np.ndarray, out: np.ndarray) -> float | np.ndarr
 
 def _exact_power(model: FkModel) -> int | None:
     """p with F_k(x) = x^p exactly, or None where F_k has no closed form."""
-    if model.kind == INDEPENDENT_UNIFORM or (model.kind == EQUICORRELATED and model.rho == 0.0):
+    if model.kind == EMPIRICAL:
+        return None
+    if model.rho == 0.0:
         return model.k
-    if model.kind == EQUICORRELATED and (model.k == 1 or model.rho == 1.0):
-        return 1
-    return None
+    return 1 if model.k == 1 or model.rho == 1.0 else None
 
 
 def fk_eval(model: FkModel, x: float | np.ndarray) -> float | np.ndarray:

@@ -168,20 +168,22 @@ def _table(out):
     return [line.split(",") for line in lines[1:]]
 
 
-@pytest.mark.parametrize("k, rho", [(1, "0.3"), (1, "0.9"), (1, "0"), (2, "0"), (3, "0")])
+@pytest.mark.parametrize("k, rho", [(1, "0.3"), (1, "0.9"), (1, "0"), (2, "0"), (3, "0"), (5, "0")])
 @pytest.mark.parametrize("sub", ["schedule", "adjust"])
 def test_exact_equicorrelated_cases_print_the_independent_rows(sub, k, rho, tmp_path, capsys):
-    # F_1 is the uniform marginal at every rho, and F_k is x^k at rho = 0.
+    # F_1 is the uniform marginal at every rho, and F_k is x^k at rho = 0:
+    # only the '# model=' line tells the two calls apart.
     path = tmp_path / "p.csv"
-    path.write_text("p\n" + "\n".join(map(repr, np.geomspace(1e-6, 0.9, 40).tolist())) + "\n")
-    size = [path] if sub == "adjust" else ["--n", 40]
-    for name in schedules.PROCEDURES:
-        argv = [sub, *size, "--procedure", name, "--k", k]
-        code, independent, _ = run(argv, capsys)
-        assert code == 0
-        code, out, _ = run([*argv, "--model", f"equicorrelated:{rho}"], capsys)
-        assert code == 0
-        assert _data_rows(out) == _data_rows(independent), name
+    for n in (5, 33, 40, 200):
+        path.write_text("p\n" + "\n".join(map(repr, np.geomspace(1e-6, 0.9, n).tolist())) + "\n")
+        size = [path] if sub == "adjust" else ["--n", n]
+        for name in schedules.PROCEDURES:
+            outputs = []
+            for spec in ("independent", f"equicorrelated:{rho}"):
+                argv = [sub, *size, "--procedure", name, "--k", k, "--model", spec]
+                code, out, err = run(argv, capsys)
+                outputs.append((code, re.sub("^# model=.*$", "# model=", out, flags=re.M), err))
+            assert outputs[0] == outputs[1] and outputs[0][0] == 0, (name, n)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -480,9 +482,8 @@ def test_adjust_fast_path_and_row_loop_print_the_same_rows(flags, monkeypatch, t
     row_loop = cli._parse_rows
     monkeypatch.setattr(cli, "_parse_rows", lambda *a: loop_calls.append(a) or row_loop(*a))
     fast = run(["adjust", plain, *flags, "--alpha", 0.5], capsys)
-    assert loop_calls == []
     slow = run(["adjust", commented, *flags, "--alpha", 0.5], capsys)
-    assert len(loop_calls) == 1
+    assert loop_calls == []
     assert fast == slow and fast[0] == 0
     assert fast[1].count("true") > 0 and fast[1].count("false") > 0
 
@@ -815,6 +816,25 @@ def test_a_dead_parse_worker_falls_back_to_the_row_loop(name, monkeypatch, tmp_p
     )
     forks = _use_cpus(monkeypatch, 2)
     assert _parse_outcome(lambda: cli._read_pvalues(str(path))) == expected
+    assert forks == [1, 1]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", ["comment-late", "blank-late", "header-late"])
+def test_a_skipped_row_retries_only_its_own_piece(name, monkeypatch, tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(CHUNKED_INPUTS[name])
+    with open(path, newline="") as fh:
+        expected = _parse_outcome(lambda: cli._parse_rows(str(path), fh.read().splitlines()))
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
+    loop_calls = []
+    row_loop = cli._parse_rows
+    monkeypatch.setattr(cli, "_parse_rows", lambda *a: loop_calls.append(a) or row_loop(*a))
+    forks = _use_cpus(monkeypatch, 2)
+    assert _parse_outcome(lambda: cli._read_pvalues(str(path))) == expected
+    # A p row past the first piece is malformed, and only the row loop
+    # numbers it as a row of the file.
+    assert len(loop_calls) == (name == "header-late")
     assert forks == [1, 1]
     _assert_no_child_left()
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfdr.engine import PValueSample, decide, rejection_count, sample_from
+from kfdr.engine import PValueSample, decide, k_fdp, rejection_count, sample_from
 from kfdr.fk_models import equicorrelated_fk, independent_fk
 from kfdr.schedules import PROCEDURES, STEPDOWN, STEPUP, CriticalValueSchedule, make_schedule
 from oracle import brute_force_stepdown, brute_force_stepup
@@ -43,7 +43,8 @@ class TestAgainstOracle:
         assert outcome.r == len(expected)
         assert set(outcome.order[: outcome.r].tolist()) == expected
         assert outcome.v == v
-        assert outcome.k_fdp == (v / len(expected) if v >= schedule.k else 0.0)
+        expected_fdp = v / len(expected) if v >= schedule.k else 0.0
+        assert k_fdp(outcome.r, outcome.v, schedule.k) == expected_fdp
 
     def test_tie_at_critical_value(self):
         # p_(1) == alpha_1 and p_(3) == alpha_3 are hits in both directions;
@@ -54,7 +55,9 @@ class TestAgainstOracle:
         down = CriticalValueSchedule(alphas, 1, STEPDOWN)
         outcome = decide(sample_from(values), up)
         assert outcome.order.tolist() == [1, 4, 0, 2, 3]
-        assert outcome.r == 4 and outcome.v is None and outcome.k_fdp is None
+        assert outcome.r == 4 and outcome.v is None
+        labeled = decide(sample_from(values, (True, True, False, False, True)), up)
+        assert labeled.v == 3 and k_fdp(labeled.r, labeled.v, up.k) == 0.75
         assert decide(sample_from(values), down).r == 4
         above = (0.3, np.nextafter(0.1, 1.0), 0.3, 0.9, np.nextafter(0.1, 1.0))
         assert decide(sample_from(above), up).r == 4

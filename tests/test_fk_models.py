@@ -143,6 +143,13 @@ class TestExactForms:
             self.assert_power(equicorrelated_fk(k, 0.0), k)
             self.assert_power(independent_fk(k), k)
 
+    def test_independence_is_rho_zero(self):
+        for k in (1, 2, 5):
+            ind, zero = independent_fk(k), equicorrelated_fk(k, 0.0)
+            assert (ind.kind, ind.k, ind.rho) == (zero.kind, zero.k, zero.rho)
+        with pytest.raises(ValueError, match="unknown model kind"):
+            FkModel(kind="independent_uniform", k=2)
+
     def test_first_order_is_the_uniform_marginal(self):
         for rho in (0.3, 0.9):
             model = equicorrelated_fk(1, rho)

@@ -800,7 +800,7 @@ class TestMakeSchedule:
             assert const.direction == STEPUP
             assert const.f_targets.tobytes() == np.full(n, holm.f_targets[0]).tobytes()
             assert (const.alphas == const.alphas[0]).all()
-            if model.kind == EQUICORRELATED:
+            if model.kind == EQUICORRELATED and model.rho != 0.0:
                 # gen_holm inverts n targets in one batch and rescaled_const
                 # one, so only the inversion's 1e-12 stop rule binds them.
                 np.testing.assert_allclose(const.alphas[0], holm.alphas[0], rtol=1e-12, atol=0)
