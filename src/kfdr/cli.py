@@ -8,24 +8,42 @@ Exit codes: 0 success, 1 validation error (an ``adjust`` input with no
 p-value rows among them), 2 runtime/numerical failure. ``--model`` is read
 and validated for every procedure, bh and lehmann_romano included.
 
-``adjust`` stays in float64 arrays from input to output: the input is read
-in pieces of about ``_LINES_PER_WRITE`` lines, never as one whole-file
-string, the p-values are parsed in one ``float`` pass with one range check,
-and a row loop runs only on a file that pass rejects, to give the same
-result or word the error. Only the columns it prints outlive the decision.
-Both tables, of ``adjust`` and of ``schedule``, are written from their array
-columns by ``_write_table``: ``render.rows_text`` turns one
-``_LINES_PER_WRITE`` block at a time into CSV text in numpy, each float
-printed as its ``repr``, with no Python object per row or value.
+``adjust`` stays in float64 arrays from input to output and keeps few
+whole columns alive at once. Per phase, the n-element arrays this process
+holds, at 8 B/row for float64 and int64, 4 for int32 and 1 for bool:
+
+- parse (``_read_pvalues``), 16 B/row: the values of each byte range and
+  their concatenation. Never the file's text: each worker reads and decodes
+  its own range of about ``16 * _LINES_PER_WRITE`` bytes.
+- build (``_build_schedule``), 24 B/row: the values, the F-targets and
+  the alphas, with one ``numerics._POWER_BLOCK`` of temporaries. The
+  F-targets go before the sort.
+- decide (``engine.decide``), 24 B/row: the values, the alphas and the
+  int64 sort order, with one block of sorted values at a time.
+- scatter, 28 B/row: the values, the alphas and the order, at first int64
+  and int32 side by side, then int32 beside the critical column.
+- write (``_write_table``), 17 B/row: the values, the critical and the
+  rejected columns, with at most P + 1 rendered blocks of
+  ``_LINES_PER_WRITE`` rows (about 0.9 MB each).
+
+After the parse and after the scatter ``_release_freed_heap`` hands the C
+heap's free pages back, so neither the next phase nor the forked writers
+carry them. The p-values are parsed in one ``float`` pass with one range
+check, and a row loop runs only on a file that pass rejects, to give the
+same result or word the error. Both tables, of ``adjust`` and of
+``schedule``, are written from their array columns by ``_write_table``:
+``render.rows_text`` turns one ``_LINES_PER_WRITE`` block at a time into
+CSV text in numpy, each float printed as its ``repr``, with no Python
+object per row or value.
 
 The parse and the rendering of the rows each run on one core, so both go
-through ``_split_map``: with P >= 2 usable CPUs and at least two pieces of
-input or blocks of rows, a ``ProcessPoolExecutor`` of P forked workers runs
-them, at most P + 1 pieces or blocks ahead of the caller, and the results
-come back in input order. The pool and ``render`` are imported only when
-they are used, so a call that never needs them does not pay for the import.
-With one CPU, one piece, or no ``os.fork``, it is plain ``map``. Either way
-the output bytes and the error messages are the same.
+through ``_split_map``: with P >= 2 usable CPUs and at least two byte
+ranges of input or blocks of rows, a ``ProcessPoolExecutor`` of P forked
+workers runs them, at most P + 1 ranges or blocks ahead of the caller, and
+the results come back in input order. The pool and ``render`` are imported
+only when they are used, so a call that never needs them does not pay for
+the import. With one CPU, one range, or no ``os.fork``, it is plain
+``map``. Either way the output bytes and the error messages are the same.
 """
 
 from __future__ import annotations
@@ -35,10 +53,11 @@ import contextlib
 import dataclasses
 import gc
 import os
+import stat
 import sys
 from collections import deque
-from itertools import chain, islice
-from typing import IO, Any, Callable, Iterable, Iterator, Sequence
+from itertools import islice
+from typing import IO, Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,7 +73,8 @@ from .simulation import (
 
 # Output rows joined per write call: large tables are written in bounded
 # blocks instead of one print per row or one string for the whole table.
-_LINES_PER_WRITE = 65536
+# adjust's parse reads byte ranges of 16 times as many bytes.
+_LINES_PER_WRITE = 16384
 _PROCEDURES_HELP = ", ".join(PROCEDURES)
 
 
@@ -105,36 +125,42 @@ def _schedule_comments(schedule: CriticalValueSchedule, args: argparse.Namespace
 def _read_pvalues(path: str) -> np.ndarray:
     """The p-values of ``path`` as a read-only float64 array, one per row.
 
-    Rows are the ``splitlines`` of the file. A first row reading p (any
-    case, stripped) is a header; blank rows and rows starting with # are
-    skipped. The fast path runs the builtin ``float`` over every row but
-    such a header and checks [0, 1] once for the whole array. ``float``
-    raises on a row the loop skips, and strips no whitespace that
-    ``str.strip`` keeps, so where it succeeds it gives the loop's values.
+    Rows are the ``splitlines`` of the file's UTF-8 text, less one leading
+    byte-order mark. A first row reading p (any case, stripped) is a
+    header; blank rows and rows starting with # are skipped. The fast path
+    runs the builtin ``float`` over every row but such a header and checks
+    [0, 1] once for the whole array. ``float`` raises on a row the loop
+    skips, and strips no whitespace that ``str.strip`` keeps, so where it
+    succeeds it gives the loop's values.
 
-    The file is read in pieces of about ``_LINES_PER_WRITE`` lines
-    (``_read_pieces``), never as one string. Freeing a whole-file string
-    raises glibc's mmap threshold to its size, so every later array up to
-    that size would come from the heap, whose pages stay resident after the
-    array is freed and count again in each forked worker. ``_split_map``
-    parses the pieces, on every usable CPU when there are several and on
-    one otherwise; the workers inherit the pieces and get only indices.
-    Each piece ends on a line break and no piece splits \\r\\n, so the
-    pieces' rows are the file's rows, and only the first piece can hold the
-    header. No more than one piece's row strings are held at a time. A
-    piece where ``float`` raises, on a blank or # row say, runs ``float``
-    again, in its worker, over its rows but the blank and # ones. On a
-    ValueError from that pass, a dead worker or a failed range check the
-    row loop (``_parse_rows``) runs over the pieces' rows instead, one piece
-    at a time, and words the error with its row number.
+    This process never holds the file's text: it only finds the cuts of
+    ``_row_cuts``, byte ranges of at least ``16 * _LINES_PER_WRITE`` bytes
+    that each end on a line break, and ``_split_map`` parses the ranges, on
+    every usable CPU when there are several and on one otherwise. Each
+    parse reads and decodes its own range, so it holds one range's bytes,
+    text and row strings, and returns its values: the parent holds the
+    ranges' arrays and their concatenation, 16 B/row. A range where
+    ``float`` raises, on a blank or # row say, runs ``float`` again over
+    its rows but the blank and # ones. On a ValueError from that pass (a
+    byte that is not UTF-8 included), a dead worker or a failed range
+    check, and for a file that is not a regular one, such as a pipe, the
+    row loop (``_parse_rows``) streams the file's rows instead and words
+    the error with its row number.
     """
     try:
-        pieces = _read_pieces(path)
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, "rb") as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            # No cuts, and so no fast path, for a pipe: it cannot be read twice.
+            cuts = _row_cuts(fh, 16 * _LINES_PER_WRITE) if regular else []
+    except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
 
     def parse(index: int) -> np.ndarray:
-        lines = pieces[index].splitlines()
+        with open(path, "rb") as fh:
+            fh.seek(cuts[index])
+            data = fh.read(cuts[index + 1] - cuts[index])
+        lines = data.decode("utf-8-sig" if index == 0 else "utf-8").splitlines()
+        del data
         start = 1 if index == 0 and lines and lines[0].strip().lower() == "p" else 0
         rows = map(float, islice(lines, start, None))
         try:
@@ -144,30 +170,53 @@ def _read_pvalues(path: str) -> np.ndarray:
             kept = (line for line in rows if line.strip()[:1] not in ("", "#"))
             return np.fromiter(map(float, kept), np.float64)
 
-    try:
-        values = np.concatenate(list(_split_map(parse, range(len(pieces)))))
-    except (ValueError, RuntimeError):  # RuntimeError: a dead worker
-        values = None
+    values = None
+    if cuts:
+        try:
+            values = np.concatenate(list(_split_map(parse, range(len(cuts) - 1))))
+        except (ValueError, OSError, RuntimeError):  # RuntimeError: a dead worker
+            pass
     # NaN fails both comparisons, so it takes the row loop too.
     if values is None or not ((values >= 0.0) & (values <= 1.0)).all():
-        values = _parse_rows(path, chain.from_iterable(piece.splitlines() for piece in pieces))
+        rows = _file_rows(path)
+        try:
+            values = _parse_rows(path, rows)
+        except ValueError:
+            # A bad byte anywhere in the file is named before a bad row.
+            for _ in rows:
+                pass
+            raise
     values.flags.writeable = False
     return values
 
 
-def _read_pieces(path: str) -> list[str]:
-    """The text of ``path`` as consecutive pieces: the first
-    ``_LINES_PER_WRITE`` lines, then reads of that many characters, each
-    completed by ``readline``. The file is read untranslated, whose
-    ``readline`` ends a line at \\n, \\r or a whole \\r\\n, so every piece
-    but the last ends on a line break, and a read that stops inside \\r\\n
-    is completed by the \\n. At least one piece, empty for an empty file."""
-    with open(path, newline="") as fh:
-        pieces = ["".join(islice(iter(fh.readline, ""), _LINES_PER_WRITE))]
-        size = max(1, len(pieces[0]))
-        while piece := fh.read(size):
-            pieces.append(piece + fh.readline())
-    return pieces
+def _row_cuts(fh: BinaryIO, size: int) -> list[int]:
+    """The byte offsets 0 = c_0 < c_1 < ... < c_m = file size that cut the
+    file ``fh`` into ranges [c_i, c_i+1): each range but the last holds at
+    least ``size`` bytes and ends on the first line break from there on, a
+    \\n, a \\r or a whole \\r\\n, so no range splits a row or a \\r\\n
+    and the ranges' ``splitlines`` are the file's. UTF-8 puts these bytes
+    inside no other character. An empty file is one empty range."""
+    total = os.fstat(fh.fileno()).st_size
+    cuts = [0]
+    while total - cuts[-1] > size and (cut := _row_end(fh, cuts[-1] + size - 1)) < total:
+        cuts.append(cut)
+    cuts.append(total)
+    return cuts
+
+
+def _row_end(fh: BinaryIO, pos: int) -> int:
+    """The offset just past the first \\n, \\r or \\r\\n at or after ``pos``
+    in ``fh``, or the end of the file when there is none."""
+    fh.seek(pos)
+    while chunk := fh.read(4096):
+        breaks = [i for i in (chunk.find(b"\n"), chunk.find(b"\r")) if i >= 0]
+        if breaks:
+            end = pos + min(breaks) + 1
+            fh.seek(end - 1)
+            return end + (fh.read(2) == b"\r\n")
+        pos += len(chunk)
+    return pos
 
 
 def _parse_rows(path: str, lines: Iterable[str]) -> np.ndarray:
@@ -187,6 +236,18 @@ def _parse_rows(path: str, lines: Iterable[str]) -> np.ndarray:
             raise ValueError(f"{path}: p-value outside [0, 1] on row {lineno}: {p}")
         values.append(p)
     return np.array(values, dtype=np.float64)
+
+
+def _file_rows(path: str) -> Iterator[str]:
+    """The rows of ``path`` as ``_read_pvalues`` reads them, streamed: the
+    ``splitlines`` of each \\n, \\r or \\r\\n line of the UTF-8 text,
+    less one leading byte-order mark."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            for line in fh:
+                yield from line.splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path!r}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -305,20 +366,44 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
     sample = engine.sample_from(_read_pvalues(args.input))
     if not sample.n:
         raise ValueError(f"{args.input}: no p-values")
+    _release_freed_heap()
     schedule = _build_schedule(args, n=sample.n)
     head = [*_schedule_comments(schedule, args), "index,p,critical,rejected"]
     # Only the printed columns are kept: the F-targets go before the sort,
     # the schedule and the sort order before the writers fork.
     schedule = dataclasses.replace(schedule, f_targets=None)
     outcome = engine.decide(sample, schedule)
+    # An int32 copy of the order takes half the memory of the int64 one.
+    order = outcome.order.astype(np.int32) if sample.n < 2**31 else outcome.order
+    r = outcome.r
+    del outcome
     critical = np.empty(sample.n)
-    critical[outcome.order] = schedule.alphas
+    critical[order] = schedule.alphas
+    del schedule
     rejected = np.zeros(sample.n, dtype=bool)
-    rejected[outcome.order[: outcome.r]] = True
-    del schedule, outcome
+    rejected[order[:r]] = True
+    del order
+    _release_freed_heap()
     with _output(args.output) as out:
         _write_table(out, head, sample.values, critical, rejected)
     return 0
+
+
+def _release_freed_heap() -> None:
+    """Hand the C heap's free pages back to the system, where glibc's
+    ``malloc_trim`` is there to do it. glibc keeps freed heap resident: the
+    values that the pool's result thread unpickles come from an arena of
+    that thread's own, and once an 8 MB array has been freed, arrays of that
+    size come from the heap too. Unreleased, those pages count again in the
+    next phase's peak and in every worker forked after them."""
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    try:
+        ctypes.CDLL(None).malloc_trim(0)
+    except (OSError, AttributeError):  # no C library to load, or not glibc
+        pass
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:

@@ -15,9 +15,9 @@ rejected.
 The counting kernel, ``rejection_count``, takes an [m, n] block of sorted
 samples (one per row) and returns one count per row, so the Monte Carlo
 harness counts a whole block of iterations in one call and ``decide`` counts
-a one-row block. It only compares ascending values with bounds, so the
-harness passes sorted negated test statistics and critical values moved to
-that scale.
+one-row blocks of ``_SORTED_BLOCK`` sorted p-values. It only compares
+ascending values with bounds, so the harness passes sorted negated test
+statistics and critical values moved to that scale.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ from typing import Sequence
 import numpy as np
 
 from .schedules import STEPUP, CriticalValueSchedule, _frozen_array
+
+# Sorted p-values that ``decide`` gathers at a time: 512 KB of float64.
+_SORTED_BLOCK = 65536
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,21 +116,42 @@ def rejection_count(sorted_p: np.ndarray, alphas: np.ndarray, direction: str) ->
 
 
 def decide(sample: PValueSample, schedule: CriticalValueSchedule) -> DecisionOutcome:
-    """Apply ``schedule`` to ``sample`` in the schedule's own direction."""
+    """Apply ``schedule`` to ``sample`` in the schedule's own direction.
+
+    Besides the sample and the schedule, it holds the sort order (8 B/row)
+    and one ``_SORTED_BLOCK`` of sorted p-values at a time, never a whole
+    sorted copy: one pass over the blocks counts the rejections and looks
+    for ties. The count depends only on the sorted values, which any sort
+    gives alike, so it is kept when ties make the order stable.
+    """
     if schedule.n != sample.n:
         raise ValueError(
             f"schedule length {schedule.n} does not match sample length {sample.n}"
         )
+    values, alphas = sample.values, schedule.alphas
+    order = np.argsort(values)
+    r = 0 if schedule.direction == STEPUP else sample.n
+    tie = False
+    last = np.nan  # equal to nothing
+    for start in range(0, sample.n, _SORTED_BLOCK):
+        block = values[order[start : start + _SORTED_BLOCK]]
+        # Equal neighbours, -0.0 and 0.0 included, also across blocks.
+        tie = tie or block[0] == last or bool((block[1:] == block[:-1]).any())
+        last = block[-1]
+        c = int(rejection_count(block[None], alphas[start : start + block.size],
+                                schedule.direction)[0])
+        if schedule.direction == STEPUP:
+            # The last hit of the last block that has one.
+            r = start + c if c else r
+        elif c < block.size and r == sample.n:
+            # The first miss of the first block that has one.
+            r = start + c
     # Without ties every sort gives the stable order, so the stable sort,
-    # several times slower, runs only where two sorted values are equal
-    # (-0.0 and 0.0 included). The first order is freed before it runs.
-    order = np.argsort(sample.values)
-    sorted_p = sample.values[order]
-    if (sorted_p[1:] == sorted_p[:-1]).any():
-        del order, sorted_p
-        order = np.argsort(sample.values, kind="stable")
-        sorted_p = sample.values[order]
-    r = int(rejection_count(sorted_p[None], schedule.alphas, schedule.direction)[0])
+    # several times slower, runs only where two sorted values are equal.
+    # The first order is freed before it runs.
+    if tie:
+        del order
+        order = np.argsort(values, kind="stable")
     if sample.truth is None:
         return DecisionOutcome(order=order, r=r)
     v = int(np.count_nonzero(sample.truth[order[:r]]))

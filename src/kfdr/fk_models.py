@@ -197,9 +197,10 @@ def save_empirical_csv(model: FkModel, path: str) -> None:
 
 
 def load_empirical_csv(path: str, k: int) -> FkModel:
-    """Load an empirical model from the x,fk CSV format."""
+    """Load an empirical model from the x,fk CSV format: UTF-8 text, less
+    one leading byte-order mark."""
     grid: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["x", "fk"]:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kfdr import engine
 from kfdr.engine import PValueSample, decide, k_fdp, rejection_count, sample_from
 from kfdr.fk_models import equicorrelated_fk, independent_fk
 from kfdr.schedules import PROCEDURES, STEPDOWN, STEPUP, CriticalValueSchedule, make_schedule
@@ -214,3 +215,49 @@ class TestDecideOrder:
         values[1::9] = -0.0
         values[2::9] = 0.0
         assert _orders(values)[0] == _orders(values)[1]
+
+
+class TestSortedBlocks:
+    """``decide`` gathers the sorted p-values one ``_SORTED_BLOCK`` at a
+    time; a small block puts ties and the count's last hit or first miss
+    on both sides of a block's edge."""
+
+    @pytest.mark.parametrize(
+        "values, untied, block",
+        [
+            # The one tie sits at sorted ranks 4 and 5, across the first edge.
+            ((0.4, 0.1, 0.5, 0.4, 0.2, 0.3, 0.6), (0.4, 0.1, 0.5, 0.45, 0.2, 0.3, 0.6), 4),
+            # -0.0 equals 0.0, so they tie too, each in a block of its own.
+            ((0.5, 0.0, -0.0), (0.5, 0.0, 0.25), 1),
+        ],
+    )
+    def test_a_tie_across_blocks_takes_the_stable_sort(self, values, untied, block, monkeypatch):
+        monkeypatch.setattr(engine, "_SORTED_BLOCK", block)
+        stable = [np.argsort(np.array(v), kind="stable").tolist() for v in (values, untied)]
+        kinds = []
+        argsort = np.argsort
+        monkeypatch.setattr(
+            np, "argsort", lambda a, kind=None: kinds.append(kind) or argsort(a, kind=kind)
+        )
+        schedule = CriticalValueSchedule(np.linspace(0.25, 0.75, len(values)), 1, STEPUP)
+        assert decide(sample_from(values), schedule).order.tolist() == stable[0]
+        assert kinds == [None, "stable"]
+        kinds.clear()
+        assert decide(sample_from(untied), schedule).order.tolist() == stable[1]
+        assert kinds == [None]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 13])
+    @pytest.mark.parametrize("direction", [STEPUP, STEPDOWN])
+    def test_counts_equal_the_brute_force_around_the_block_size(self, n, direction, monkeypatch):
+        monkeypatch.setattr(engine, "_SORTED_BLOCK", 4)
+        brute = brute_force_stepup if direction == STEPUP else brute_force_stepdown
+        rng = np.random.default_rng(n)
+        for _ in range(300):
+            values = rng.choice(GRID, n).tolist()
+            alphas = np.sort(rng.choice(GRID, n))
+            truth = (rng.random(n) < 0.5).tolist()
+            outcome = decide(sample_from(values, truth), CriticalValueSchedule(alphas, 1, direction))
+            expected = brute(values, alphas)
+            assert outcome.r == len(expected)
+            assert set(outcome.order[: outcome.r].tolist()) == expected
+            assert outcome.v == sum(truth[i] for i in expected)
