@@ -1,8 +1,8 @@
 """Stepwise multiple-testing procedures controlling k-FWER and k-FDR.
 
-Critical-value schedules defined through the k-th order joint null
-distribution F_k of the p-values, a stepup/stepdown decision engine, joint
-null models with numerical inversion and a reproducible Monte Carlo harness.
+Critical-value schedules through the k-th order joint null distribution F_k
+of the p-values, a stepup/stepdown engine, F_k models (equicorrelated, or an
+empirical ``x,fk`` grid) with inversion and a reproducible Monte Carlo harness.
 ``make_schedule(name, n, k, alpha, model)`` builds the schedule of every
 named procedure in ``kfdr.schedules.PROCEDURES``; ``rescaled_stepup``
 builds one from an arbitrary base sequence.
@@ -12,7 +12,6 @@ from .engine import DecisionOutcome, PValueSample, decide, k_fdp, sample_from
 from .fk_models import (
     FkModel,
     equicorrelated_fk,
-    fit_empirical_fk,
     fk_eval,
     fk_invert,
     independent_fk,
@@ -46,7 +45,6 @@ __all__ = [
     "draw_sample",
     "equicorrelated_fk",
     "figure_sweep",
-    "fit_empirical_fk",
     "fk_eval",
     "fk_invert",
     "independent_fk",

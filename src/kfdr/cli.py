@@ -5,8 +5,10 @@ Subcommands: ``adjust`` (apply a procedure to a CSV of p-values),
 and ``counterexample`` (closed-form 2-FDR violation bound). All outputs are
 CSV with '#'-prefixed metadata comment lines and a mandatory header row.
 Exit codes: 0 success, 1 validation error (an ``adjust`` input with no
-p-value rows among them), 2 runtime/numerical failure. ``--model`` is read
-and validated for every procedure, bh and lehmann_romano included.
+p-value rows among them), 2 runtime/numerical failure, and 141 (128 +
+SIGPIPE), with nothing on stderr, when the reader of stdout closes early.
+``--model`` is read and validated for every procedure, bh and lehmann_romano
+included.
 
 ``adjust`` stays in float64 arrays from input to output and keeps few
 whole columns alive at once. Per phase, the n-element arrays this process
@@ -53,6 +55,7 @@ import contextlib
 import dataclasses
 import gc
 import os
+import re
 import stat
 import sys
 from collections import deque
@@ -76,6 +79,7 @@ from .simulation import (
 # adjust's parse reads byte ranges of 16 times as many bytes.
 _LINES_PER_WRITE = 16384
 _PROCEDURES_HELP = ", ".join(PROCEDURES)
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def _parse_model(spec: str, k: int) -> FkModel:
@@ -241,12 +245,17 @@ def _parse_rows(path: str, lines: Iterable[str]) -> np.ndarray:
 def _file_rows(path: str) -> Iterator[str]:
     """The rows of ``path`` as ``_read_pvalues`` reads them, streamed: the
     ``splitlines`` of each \\n, \\r or \\r\\n line of the UTF-8 text,
-    less one leading byte-order mark."""
+    less one leading byte-order mark. A byte that is not UTF-8 decodes to a
+    lone surrogate, which UTF-8 text never holds, and is named by its row."""
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            for line in fh:
-                yield from line.splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+            rows = (row for line in fh for row in line.splitlines())
+            for lineno, row in enumerate(rows, start=1):
+                if not row.isascii() and (bad := _UNDECODED.search(row)):
+                    raise ValueError(f"cannot read {path!r}: 'utf-8' codec can't decode byte "
+                                     f"{ord(bad.group()) - 0xDC00:#04x} on row {lineno}")
+                yield row
+    except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
 
 
@@ -531,7 +540,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 2 on bad flags; report as validation failure.
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # 128 + SIGPIPE and a quiet stderr, as for a writer that SIGPIPE ends;
+        # with fd 1 on /dev/null the interpreter's last flush succeeds.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -78,16 +78,18 @@ class DecisionOutcome:
     v: int | None = None
 
 
-def k_fdp(r: int, v: int, k: int) -> float:
+def k_fdp(r: int | np.ndarray, v: int | np.ndarray, k: int) -> float | np.ndarray:
     """False discovery proportion counted only when at least k rejections
-    are false: v/r if v >= k, else 0."""
+    are false: v/r if v >= k, else 0. Elementwise over arrays of counts; a
+    float for scalar r and v."""
     if k < 1:
         raise ValueError(f"order k must be >= 1, got {k!r}")
-    if not 0 <= v <= r:
+    r, v = np.asarray(r), np.asarray(v)
+    if not ((0 <= v) & (v <= r)).all():
         raise ValueError(f"need 0 <= v <= r, got v={v}, r={r}")
-    if v >= k:
-        return v / r
-    return 0.0
+    # Where v >= k >= 1, r >= 1 and the quotient is v / r.
+    out = np.where(v >= k, v / np.maximum(r, 1), 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def stepup_count(sorted_p: np.ndarray, alphas: np.ndarray) -> np.ndarray:

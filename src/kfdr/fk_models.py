@@ -8,8 +8,9 @@ identical across k-subsets (exchangeability). Two kinds are supported:
   S_k(-Phi^-1(x)), the orthant survivor probability of
   ``numerics.equicorrelated_min_survivor``. Independence is rho = 0, where
   F_k(x) = x^k (``independent_fk``).
-- ``empirical``: a monotone piecewise-linear grid fitted from simulated
-  null draws, for dependence structures with no closed form.
+- ``empirical``: a given monotone piecewise-linear grid of (x, F_k(x)), for
+  dependence with no closed form: an ``x,fk`` CSV that ``load_empirical_csv``
+  reads (``--model empirical:PATH``), or ``FkModel(kind=EMPIRICAL, grid=...)``.
 
 F_k is exactly x^p where ``_exact_power`` finds p: k at rho = 0, and 1 (the
 uniform marginal) at k = 1 or rho = 1. There ``fk_eval`` and ``fk_invert``
@@ -26,7 +27,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -150,39 +150,6 @@ def fk_invert(model: FkModel, target: float | np.ndarray) -> float | np.ndarray:
         t = invert_min_survivor(arr[inner], model.rho, model.k)
         out[inner] = std_normal_sf_array(t)
     return _like_input(target, out)
-
-
-def fit_empirical_fk(
-    null_sampler: Callable[[int], np.ndarray],
-    draws: int,
-    grid_size: int = 512,
-) -> FkModel:
-    """Estimate an empirical FkModel from simulated null p-value k-tuples.
-
-    ``null_sampler(m)`` must return an (m, k) array of exchangeable null
-    p-values; it owns its RNG state, so the fit is deterministic given the
-    sampler's seed, ``draws`` and ``grid_size``. The grid stores the sample
-    quantiles of the k-tuple maxima at ``grid_size`` equally spaced levels,
-    pinned at (0,0) and (1,1).
-    """
-    if draws < 1:
-        raise ValueError("draws must be positive")
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    sample = np.asarray(null_sampler(draws), dtype=np.float64)
-    if sample.ndim != 2 or sample.shape[0] != draws:
-        raise ValueError("sampler must return a (draws, k) array")
-    if sample.min() < 0.0 or sample.max() > 1.0:
-        raise ValueError("sampler produced p-values outside [0, 1]")
-    k = sample.shape[1]
-    maxima = sample.max(axis=1)
-    if maxima.max() == maxima.min():
-        raise ValueError("degenerate sampler: all k-tuple maxima are identical")
-    levels = np.arange(1, grid_size) / grid_size
-    xs = np.quantile(maxima, levels)
-    xs = np.maximum.accumulate(xs)
-    grid = np.column_stack((np.r_[0.0, xs, 1.0], np.r_[0.0, levels, 1.0]))
-    return FkModel(kind=EMPIRICAL, k=k, grid=grid)
 
 
 def save_empirical_csv(model: FkModel, path: str) -> None:

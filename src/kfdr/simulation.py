@@ -230,12 +230,11 @@ def _sweep(
     for config, r_c, v_c in zip(configs, r, v):
         results = []
         for name, r_j, v_j in zip(config.procedures, r_c, v_c):
-            r_safe = np.maximum(r_j, 1)
-            # k-FDP, k-FWER indicator, FDP and power per iteration.
+            # k-FDP, k-FWER indicator, FDP (the k-FDP at k = 1) and power per iteration.
             measures = (
-                np.where(v_j >= k, v_j / r_safe, 0.0),
+                engine.k_fdp(r_j, v_j, k),
                 (v_j >= k).astype(np.float64),
-                v_j / r_safe,
+                engine.k_fdp(r_j, v_j, 1),
                 (r_j - v_j) / config.n1 if config.n1 > 0 else np.zeros(iters),
             )
             estimates = [value for m in measures for value in _mean_se(m)]

@@ -923,6 +923,59 @@ def test_a_file_that_is_not_utf8_names_the_file(argv, message, tmp_path, capsys)
     assert err.startswith("error: " + message.format(str(path))) and "decode" in err
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "last, newline, byte",
+    [(b"\xff", b"\n", "0xff"), (b"0.5\xe2\x82", b"\n", "0xe2"), (b"\xff", b"\r", "0xff")],
+    ids=["lone-byte", "cut-character", "cr-only"],
+)
+def test_a_byte_that_is_not_utf8_is_named_with_its_row(
+    cpus, last, newline, byte, monkeypatch, tmp_path, capsys
+):
+    # The header, 300000 p-values and a bad last row, about 5.8 MB into the
+    # file: row 300002, wherever a range or a read of the text begins.
+    path = tmp_path / "bad.csv"
+    p = np.random.default_rng(7).random(300_000).tolist()
+    rows = [b"p", *(repr(x).encode() for x in p), last]
+    path.write_bytes(newline.join(rows) + newline)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    code, out, err = run(["adjust", path], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode "
+                   f"byte {byte} on row 300002\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["adjust", "INPUT"], ["schedule", "--procedure", "gen_bh", "--n", 300000, "--k", 2]],
+    ids=["adjust", "schedule"],
+)
+def test_a_reader_that_closes_early_ends_the_call_quietly(argv, tmp_path):
+    # As a shell reports `seq 1e6 | head -n 3`: 128 + SIGPIPE, with nothing
+    # on stderr, and no worker outlives the call. The child leads its own
+    # process group, so a forked worker left behind would still be in it.
+    path = tmp_path / "p.csv"
+    p = np.random.default_rng(5).random(300_000)
+    path.write_text("p\n" + "\n".join(map(repr, p.tolist())) + "\n")
+    argv = [str(a).replace("INPUT", str(path)) for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    child = subprocess.Popen(
+        [sys.executable, "-m", "kfdr.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        assert child.stdout.readline().startswith(b"# procedure=")
+        child.stdout.readline(), child.stdout.readline()
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (141, b"")
+    finally:
+        child.kill()
+        child.wait()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(child.pid, 0)
+
+
 @pytest.mark.parametrize("name", schedules.PROCEDURES)
 def test_procedure_line_is_the_name_given(name, tmp_path, capsys):
     path = tmp_path / "p.csv"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,30 @@ class TestAgainstOracle:
         above = (0.3, np.nextafter(0.1, 1.0), 0.3, 0.9, np.nextafter(0.1, 1.0))
         assert decide(sample_from(above), up).r == 4
         assert decide(sample_from(above), down).r == 0
+
+
+class TestKFdp:
+    def test_arrays_match_scalars(self):
+        rng = np.random.default_rng(31)
+        r = rng.integers(0, 50, size=2000, dtype=np.int32)
+        v = (rng.uniform(size=r.size) * (r + 1)).astype(np.int32)
+        for k in (1, 2, 5):
+            got = k_fdp(r, v, k)
+            assert got.dtype == np.float64
+            assert got.tolist() == [k_fdp(int(a), int(b), k) for a, b in zip(r, v)]
+            reference = [b / a if b >= k else 0.0 for a, b in zip(r.tolist(), v.tolist())]
+            assert got.tolist() == reference
+        assert type(k_fdp(4, 3, 2)) is float and k_fdp(0, 0, 1) == 0.0
+
+    @pytest.mark.parametrize(
+        "r, v, k, message",
+        [(3, 4, 1, "need 0 <= v <= r, got v=4, r=3"), (3, -1, 1, "got v=-1, r=3"),
+         (np.array([5, 2, 7]), np.array([1, 3, 7]), 2, "got v=[1 3 7], r=[5 2 7]"),
+         (5, 1, 0, "order k must be >= 1, got 0")],
+    )
+    def test_rejects_bad_counts(self, r, v, k, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            k_fdp(r, v, k)
 
 
 class TestOneRuleBothDirections:

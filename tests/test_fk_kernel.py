@@ -18,7 +18,6 @@ from kfdr.fk_models import (
     EMPIRICAL,
     FkModel,
     equicorrelated_fk,
-    fit_empirical_fk,
     fk_eval,
     fk_invert,
     independent_fk,
@@ -248,8 +247,8 @@ class TestIndependentPinned:
         ]
 
     def test_empirical_batched_equals_scalar(self):
-        rng = np.random.default_rng(9)
-        model = fit_empirical_fk(lambda m: rng.uniform(size=(m, 2)), draws=5000, grid_size=64)
+        levels = np.arange(65) / 64
+        model = FkModel(kind=EMPIRICAL, k=2, grid=np.column_stack((np.sqrt(levels), levels)))
         xs = np.linspace(0.0, 1.0, 101)
         assert fk_eval(model, xs).tolist() == [fk_eval(model, float(x)) for x in xs]
         assert fk_invert(model, xs).tolist() == [fk_invert(model, float(x)) for x in xs]

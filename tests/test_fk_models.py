@@ -11,13 +11,19 @@ from kfdr.fk_models import (
     EMPIRICAL,
     FkModel,
     equicorrelated_fk,
-    fit_empirical_fk,
     fk_eval,
     fk_invert,
     independent_fk,
     load_empirical_csv,
     save_empirical_csv,
 )
+
+
+def uniform_pair_grid(m):
+    """An empirical model at k = 2 on m + 1 equally spaced levels of F_2, at
+    the quantiles x = sqrt(F_2) of the maximum of two independent uniforms."""
+    levels = np.arange(m + 1) / m
+    return FkModel(kind=EMPIRICAL, k=2, grid=np.column_stack((np.sqrt(levels), levels)))
 
 
 class TestEval:
@@ -107,10 +113,7 @@ class TestInvert:
         rng = np.random.default_rng(31)
         independent = independent_fk(3)
         equi = equicorrelated_fk(2, 0.35)
-        rng_emp = np.random.default_rng(8)
-        empirical = fit_empirical_fk(
-            lambda m: rng_emp.uniform(size=(m, 2)), draws=200_000, grid_size=256
-        )
+        empirical = uniform_pair_grid(256)
         for model, n_targets in ((independent, 1000), (equi, 1000), (empirical, 1000)):
             targets = rng.uniform(0.0, 1.0, size=n_targets)
             np.testing.assert_allclose(
@@ -176,45 +179,8 @@ class TestExactForms:
 
 
 class TestEmpirical:
-    def test_fit_independent_uniforms(self):
-        rng = np.random.default_rng(555)
-        model = fit_empirical_fk(lambda m: rng.uniform(size=(m, 2)), draws=1_000_000)
-        tol = 4 * math.sqrt(0.01 * 0.99 / 1_000_000)
-        assert fk_eval(model, 0.1) == pytest.approx(0.01, abs=tol)
-
-    def test_fit_perfectly_dependent(self):
-        rng = np.random.default_rng(556)
-
-        def sampler(m):
-            u = rng.uniform(size=m)
-            return np.column_stack([u, u, u])
-
-        model = fit_empirical_fk(sampler, draws=200_000)
-        for x in (0.2, 0.5, 0.8):
-            assert fk_eval(model, x) == pytest.approx(x, abs=0.01)
-
-    def test_grid_monotone_for_any_sampler(self):
-        rng = np.random.default_rng(557)
-
-        def lumpy(m):
-            u = rng.beta(0.4, 3.0, size=(m, 2))
-            return np.clip(u, 0.0, 1.0)
-
-        model = fit_empirical_fk(lumpy, draws=50_000, grid_size=128)
-        assert (np.diff(model.grid, axis=0) >= 0.0).all()
-        assert model.grid[[0, -1]].tolist() == [[0.0, 0.0], [1.0, 1.0]]
-
-    def test_degenerate_sampler_flagged(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            fit_empirical_fk(lambda m: np.full((m, 2), 0.37), draws=1000)
-
-    def test_sampler_shape_validated(self):
-        with pytest.raises(ValueError):
-            fit_empirical_fk(lambda m: np.zeros(m), draws=100)
-
     def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(558)
-        model = fit_empirical_fk(lambda m: rng.uniform(size=(m, 2)), draws=10_000, grid_size=64)
+        model = uniform_pair_grid(64)
         path = tmp_path / "fk.csv"
         save_empirical_csv(model, str(path))
         header = path.read_text().splitlines()[0]

@@ -3,7 +3,7 @@ import kfdr
 PUBLIC = [
     "CriticalValueSchedule", "DecisionOutcome", "FkModel", "PValueSample", "ProcedureEstimates",
     "SimulationConfig", "SimulationSummary", "counterexample_bound", "decide", "draw_sample",
-    "equicorrelated_fk", "figure_sweep", "fit_empirical_fk", "fk_eval", "fk_invert",
+    "equicorrelated_fk", "figure_sweep", "fk_eval", "fk_invert",
     "independent_fk", "k_fdp", "load_empirical_csv", "make_schedule", "rescaled_stepup",
     "run_experiment", "sample_from", "save_empirical_csv", "write_sweep_csv",
 ]

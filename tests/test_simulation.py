@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from kfdr import simulation
-from kfdr.engine import decide, k_fdp
+from kfdr.engine import decide
 from kfdr.fk_models import independent_fk
 from kfdr.numerics import std_normal_sf_array, std_normal_sf_thresholds
 from kfdr.schedules import STEPDOWN, STEPUP, CriticalValueSchedule, gen_simes
@@ -66,7 +66,8 @@ def reference_experiment(cfg, schedules=None):
             outcome = decide(sample, schedule)
             r, v = outcome.r, outcome.v
             measures[j, :, it] = (
-                k_fdp(r, v, cfg.k),  # at the config's k, which bh's schedule does not carry
+                # The k-FDP at the config's k, which bh's schedule does not carry.
+                v / r if v >= cfg.k else 0.0,
                 1.0 if v >= cfg.k else 0.0,
                 v / r if r > 0 else 0.0,
                 (r - v) / cfg.n1 if cfg.n1 > 0 else 0.0,
