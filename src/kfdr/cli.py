@@ -21,22 +21,26 @@ holds, at 8 B/row for float64 and int64, 4 for int32 and 1 for bool:
   the alphas, with one ``numerics._POWER_BLOCK`` of temporaries. The
   F-targets go before the sort.
 - decide (``engine.decide``), 24 B/row: the values, the alphas and the
-  int64 sort order, with one block of sorted values at a time.
-- scatter, 28 B/row: the values, the alphas and the order, at first int64
-  and int32 side by side, then int32 beside the critical column.
-- write (``_write_table``), 17 B/row: the values, the critical and the
-  rejected columns, with at most P + 1 rendered blocks of
-  ``_LINES_PER_WRITE`` rows (about 0.9 MB each).
+  int64 sort order, with one block of sorted values at a time. This
+  phase sets the peak; none after it holds more.
+- ranks (``_ranks``), 24 B/row: the values, the alphas, the order,
+  narrowed to int32 in the lower half of its own buffer, and the int32
+  rank of each row.
+- write (``_write_table``), 20 B/row: the values, the alphas and the
+  ranks, with at most P + 1 rendered blocks of ``_LINES_PER_WRITE`` rows
+  (about 0.45 MB each). The writer of a block gathers its critical values,
+  ``alphas[rank]``, and its rejections, ``rank < r``, itself, so no
+  row-order column of either is ever built.
 
-After the parse and after the scatter ``_release_freed_heap`` hands the C
+After the parse and after the ranks ``_release_freed_heap`` hands the C
 heap's free pages back, so neither the next phase nor the forked writers
 carry them. The p-values are parsed in one ``float`` pass with one range
 check, and a row loop runs only on a file that pass rejects, to give the
 same result or word the error. Both tables, of ``adjust`` and of
-``schedule``, are written from their array columns by ``_write_table``:
-``render.rows_text`` turns one ``_LINES_PER_WRITE`` block at a time into
-CSV text in numpy, each float printed as its ``repr``, with no Python
-object per row or value.
+``schedule``, are written by ``_write_table``, from a function that gives
+the columns of a block of rows: ``render.rows_text`` turns one
+``_LINES_PER_WRITE`` block at a time into CSV text in numpy, each float
+printed as its ``repr``, with no Python object per row or value.
 
 The parse and the rendering of the rows each run on one core, so both go
 through ``_split_map``: with P >= 2 usable CPUs and at least two byte
@@ -55,7 +59,6 @@ import contextlib
 import dataclasses
 import gc
 import os
-import re
 import stat
 import sys
 from collections import deque
@@ -65,7 +68,8 @@ from typing import IO, Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import engine
-from .fk_models import FkModel, equicorrelated_fk, independent_fk, load_empirical_csv
+from .fk_models import FkModel, equicorrelated_fk, independent_fk, load_empirical_csv, utf8_rows
+from .numerics import in_unit_interval
 from .schedules import PROCEDURES, CriticalValueSchedule, make_schedule, resolve
 from .simulation import (
     SimulationConfig,
@@ -77,9 +81,11 @@ from .simulation import (
 # Output rows joined per write call: large tables are written in bounded
 # blocks instead of one print per row or one string for the whole table.
 # adjust's parse reads byte ranges of 16 times as many bytes.
-_LINES_PER_WRITE = 16384
+_LINES_PER_WRITE = 8192
+# Entries per block when adjust narrows its sort order and inverts it into
+# ranks (``_ranks``).
+_NARROW_BLOCK = 65536
 _PROCEDURES_HELP = ", ".join(PROCEDURES)
-_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def _parse_model(spec: str, k: int) -> FkModel:
@@ -95,7 +101,7 @@ def _parse_model(spec: str, k: int) -> FkModel:
         path = spec.split(":", 1)[1]
         try:
             return load_empirical_csv(path, k)
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, UnicodeError) as exc:
             raise ValueError(f"cannot read empirical model {path!r}: {exc}") from exc
     raise ValueError(
         f"--model must be independent, equicorrelated:RHO or empirical:PATH, got {spec!r}"
@@ -180,8 +186,8 @@ def _read_pvalues(path: str) -> np.ndarray:
             values = np.concatenate(list(_split_map(parse, range(len(cuts) - 1))))
         except (ValueError, OSError, RuntimeError):  # RuntimeError: a dead worker
             pass
-    # NaN fails both comparisons, so it takes the row loop too.
-    if values is None or not ((values >= 0.0) & (values <= 1.0)).all():
+    # NaN fails the range check, so it takes the row loop too.
+    if values is None or not in_unit_interval(values):
         rows = _file_rows(path)
         try:
             values = _parse_rows(path, rows)
@@ -245,17 +251,12 @@ def _parse_rows(path: str, lines: Iterable[str]) -> np.ndarray:
 def _file_rows(path: str) -> Iterator[str]:
     """The rows of ``path`` as ``_read_pvalues`` reads them, streamed: the
     ``splitlines`` of each \\n, \\r or \\r\\n line of the UTF-8 text,
-    less one leading byte-order mark. A byte that is not UTF-8 decodes to a
-    lone surrogate, which UTF-8 text never holds, and is named by its row."""
+    less one leading byte-order mark. A byte that is not UTF-8 is named by
+    its row (``utf8_rows``)."""
     try:
         with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
-            rows = (row for line in fh for row in line.splitlines())
-            for lineno, row in enumerate(rows, start=1):
-                if not row.isascii() and (bad := _UNDECODED.search(row)):
-                    raise ValueError(f"cannot read {path!r}: 'utf-8' codec can't decode byte "
-                                     f"{ord(bad.group()) - 0xDC00:#04x} on row {lineno}")
-                yield row
-    except OSError as exc:
+            yield from utf8_rows(row for line in fh for row in line.splitlines())
+    except (OSError, UnicodeError) as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
 
 
@@ -283,31 +284,42 @@ def _check_output_dir(path: str | None) -> None:
         raise ValueError(f"cannot write {path!r}: {directory!r} is not an existing directory")
 
 
-def _write_table(out: IO[str], head: Sequence[str], *columns: np.ndarray | None) -> None:
-    """Write the head lines, then one CSV row per entry of the columns,
-    indexed from 1: first any ``None`` columns (empty cells), then float64
-    columns in [0, 1], each value printed as its ``repr``, then at most one
-    bool column, printed as true or false. The columns are checked before
-    anything is written, and a column that fails, NaN included, raises
-    RuntimeError. ``_split_map`` renders the _LINES_PER_WRITE blocks with
-    ``render.rows_text``, and each is written in one call; only this
-    process writes."""
+# The cells of a table's rows start + 1 to stop, by column.
+_Columns = Callable[[int, int], Sequence[np.ndarray | None]]
+
+
+def _write_table(out: IO[str], head: Sequence[str], rows: int, columns: _Columns) -> None:
+    """Write the head lines, then the CSV rows 1 to ``rows``, whose cells
+    ``columns(start, stop)`` gives for the rows start + 1 to stop: first any
+    ``None`` columns (empty cells), then float64 columns in [0, 1], each
+    value printed as its ``repr``, then at most one bool column, printed as
+    true or false. Every block's columns are checked before anything is
+    written, and a block that fails, NaN included, raises RuntimeError.
+    ``_split_map`` renders the _LINES_PER_WRITE blocks with
+    ``render.rows_text``, each calling ``columns`` for itself, so a forked
+    writer gathers its own cells; each block is written in one call, and
+    only this process writes."""
     # Imported here: compiling the module and building its tables adds
     # milliseconds to a fresh kfdr, which a call that prints no table should
     # not pay. The writers fork after it, so they inherit its tables.
     from . import render
 
-    render.check_columns(columns)
-    out.write("".join(line + "\n" for line in head))
     size = _LINES_PER_WRITE
+    starts = range(0, rows, size)
+    for start in starts:
+        render.check_columns(columns(start, min(start + size, rows)))
+    out.write("".join(line + "\n" for line in head))
 
     def block(start: int) -> str:
-        return render.rows_text(start + 1, [c if c is None else c[start : start + size]
-                                            for c in columns])
+        return render.rows_text(start + 1, columns(start, min(start + size, rows)))
 
-    rows = next(c.size for c in columns if c is not None)
-    with contextlib.closing(_split_map(block, range(0, rows, size))) as blocks:
+    with contextlib.closing(_split_map(block, starts)) as blocks:
         out.writelines(blocks)
+
+
+def _slices(*columns: np.ndarray | None) -> _Columns:
+    """The ``columns`` of ``_write_table`` for whole arrays: their slices."""
+    return lambda start, stop: [c if c is None else c[start:stop] for c in columns]
 
 
 def _usable_cpus() -> int:
@@ -378,24 +390,46 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
     _release_freed_heap()
     schedule = _build_schedule(args, n=sample.n)
     head = [*_schedule_comments(schedule, args), "index,p,critical,rejected"]
-    # Only the printed columns are kept: the F-targets go before the sort,
-    # the schedule and the sort order before the writers fork.
+    # Only what the rows need is kept: the F-targets go before the sort, and
+    # the sort order, turned into ranks, before the writers fork.
     schedule = dataclasses.replace(schedule, f_targets=None)
     outcome = engine.decide(sample, schedule)
-    # An int32 copy of the order takes half the memory of the int64 one.
-    order = outcome.order.astype(np.int32) if sample.n < 2**31 else outcome.order
-    r = outcome.r
+    r, rank = outcome.r, _ranks(outcome.order)
     del outcome
-    critical = np.empty(sample.n)
-    critical[order] = schedule.alphas
-    del schedule
-    rejected = np.zeros(sample.n, dtype=bool)
-    rejected[order[:r]] = True
-    del order
     _release_freed_heap()
+
+    def columns(start: int, stop: int) -> tuple[np.ndarray, ...]:
+        # Row i's critical value is the alpha of its rank, and it is
+        # rejected when that rank is below r.
+        ranks = rank[start:stop]
+        return sample.values[start:stop], schedule.alphas[ranks], ranks < r
+
     with _output(args.output) as out:
-        _write_table(out, head, sample.values, critical, rejected)
+        _write_table(out, head, sample.n, columns)
     return 0
+
+
+def _ranks(order: np.ndarray) -> np.ndarray:
+    """The rank of each row, the inverse of the sort order ``order``: an
+    int64 array that owns its data, which is narrowed in place and is not
+    to be used afterwards. Where n < 2^31 it is copied, ``_NARROW_BLOCK``
+    entries at a time, into int32 in the lower half of its own buffer, and
+    ``resize`` hands back the upper half; the ranks are then int32 too, and
+    are filled in blocks of that size, so no temporary is larger."""
+    n = order.size
+    if n < 2**31:
+        narrow = order.view(np.int32)[:n]
+        for start in range(0, n, _NARROW_BLOCK):
+            # Entry i lands inside int64 entry i // 2, which is read by then.
+            narrow[start : start + _NARROW_BLOCK] = order[start : start + _NARROW_BLOCK]
+        del narrow
+        order.resize((n + 1) // 2, refcheck=False)
+        order = order.view(np.int32)[:n]
+    rank = np.empty(n, order.dtype)
+    for start in range(0, n, _NARROW_BLOCK):
+        stop = min(start + _NARROW_BLOCK, n)
+        rank[order[start:stop]] = np.arange(start, stop, dtype=order.dtype)
+    return rank
 
 
 def _release_freed_heap() -> None:
@@ -419,7 +453,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     schedule = _build_schedule(args, n=args.n)
     head = [*_schedule_comments(schedule, args), "index,f_target,alpha"]
     with _output(args.output) as out:
-        _write_table(out, head, schedule.f_targets, schedule.alphas)
+        _write_table(out, head, schedule.n, _slices(schedule.f_targets, schedule.alphas))
     return 0
 
 

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .numerics import in_unit_interval
 from .schedules import STEPUP, CriticalValueSchedule, _frozen_array
 
 # Sorted p-values that ``decide`` gathers at a time: 512 KB of float64.
@@ -51,8 +52,7 @@ class PValueSample:
         values = _frozen_array(self.values)
         if values.ndim != 1:
             raise ValueError("p-values must form a one-dimensional sequence")
-        # NaN fails both comparisons, so it is rejected here too.
-        if not np.all((values >= 0.0) & (values <= 1.0)):
+        if not in_unit_interval(values):
             raise ValueError("p-values must lie in [0, 1]")
         object.__setattr__(self, "values", values)
         if self.truth is not None:

@@ -26,12 +26,15 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .numerics import (
     equicorrelated_min_survivor,
+    in_unit_interval,
     invert_min_survivor,
     python_float_map,
     std_normal_quantile_array,
@@ -42,6 +45,7 @@ EQUICORRELATED = "equicorrelated_normal_one_sided"
 EMPIRICAL = "empirical"
 
 _KINDS = (EQUICORRELATED, EMPIRICAL)
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,8 +98,8 @@ def equicorrelated_fk(k: int, rho: float) -> FkModel:
 
 def _as_unit_array(values: float | np.ndarray, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    outside = ~((arr >= 0.0) & (arr <= 1.0))
-    if outside.any():
+    if not in_unit_interval(arr):
+        outside = ~((arr >= 0.0) & (arr <= 1.0))
         raise ValueError(f"{what} must lie in [0, 1], got {float(arr[outside][0])!r}")
     return arr
 
@@ -163,12 +167,25 @@ def save_empirical_csv(model: FkModel, path: str) -> None:
             writer.writerow([repr(x), repr(f)])
 
 
+def utf8_rows(rows: Iterable[str]) -> Iterator[str]:
+    """``rows``, decoded from UTF-8 with ``surrogateescape``, as they are,
+    but for the first that holds a byte that is not UTF-8: that byte
+    decodes to a lone surrogate, which UTF-8 text never holds, and
+    UnicodeError names it by its row, counted from 1."""
+    for number, row in enumerate(rows, start=1):
+        if not row.isascii() and (bad := _UNDECODED.search(row)):
+            raise UnicodeError(f"'utf-8' codec can't decode byte "
+                               f"{ord(bad.group()) - 0xDC00:#04x} on row {number}")
+        yield row
+
+
 def load_empirical_csv(path: str, k: int) -> FkModel:
     """Load an empirical model from the x,fk CSV format: UTF-8 text, less
-    one leading byte-order mark."""
+    one leading byte-order mark. A byte that is not UTF-8 raises
+    UnicodeError, which names its row."""
     grid: list[tuple[float, float]] = []
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(utf8_rows(fh))
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["x", "fk"]:
             raise ValueError(f"{path}: expected header 'x,fk'")

@@ -62,8 +62,17 @@ _REL_TOL_INVERT = 1e-12  # inversion stops once |S_k(t) / target - 1| is at most
 _CHEB_NODES = 20  # Chebyshev points per unit panel of the inversion's start
 _SQRT_EPS = 2.0**-26  # a Newton step this small leaves an error of order eps
 # Entries per block that ``python_float_map`` turns into Python floats at
-# once, and indices per block of the closed-form F-targets in ``schedules``.
-_POWER_BLOCK = 65536
+# once, and indices per block of the closed-form F-targets in ``schedules``:
+# 8192 floats are about 256 KB as Python objects, so at 1e6 rows the build
+# of adjust's schedule stays below the memory that its decide needs.
+_POWER_BLOCK = 8192
+
+
+def in_unit_interval(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` lies in [0, 1], -0.0 included, read
+    from its minimum and maximum, so no mask of its size is made. NaN
+    propagates to both and fails; an empty array passes."""
+    return arr.size == 0 or bool(arr.min() >= 0.0 and arr.max() <= 1.0)
 
 
 def python_float_map(fn: Callable[..., float], arr: np.ndarray, *args: float) -> np.ndarray:

@@ -28,6 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .numerics import in_unit_interval
+
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
@@ -185,8 +187,7 @@ def check_columns(columns: Sequence[np.ndarray | None]) -> None:
         raise RuntimeError("table columns must be None, then float64, then at most one bool")
     if len(shapes.pop()) != 1:
         raise RuntimeError("table columns must be one-dimensional")
-    # NaN fails both comparisons.
-    if not all(((c >= 0.0) & (c <= 1.0)).all() for c, kind in zip(columns, kinds) if kind == 1):
+    if not all(in_unit_interval(c) for c, kind in zip(columns, kinds) if kind == 1):
         raise RuntimeError("a float to print lies outside [0, 1]")
 
 

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fk_models import EMPIRICAL, FkModel, fk_eval, fk_invert
-from .numerics import _POWER_BLOCK
+from .numerics import _POWER_BLOCK, in_unit_interval
 
 STEPUP = "stepup"
 STEPDOWN = "stepdown"
@@ -92,8 +92,7 @@ class CriticalValueSchedule:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={n}")
         if self.direction not in (STEPUP, STEPDOWN):
             raise ValueError(f"direction must be stepup or stepdown, got {self.direction!r}")
-        # NaN fails both comparisons, so it is rejected here too.
-        if not ((alphas >= 0.0) & (alphas <= 1.0)).all():
+        if not in_unit_interval(alphas):
             raise ValueError("critical values must lie in [0, 1]")
         if (alphas[1:] < alphas[:-1]).any():
             raise ValueError("critical values must be nondecreasing")
@@ -325,8 +324,7 @@ def _check_base(n: int, base: Sequence[float]) -> np.ndarray:
     if base.shape != (n,):
         size = len(base) if base.ndim == 1 else base.shape
         raise ValueError(f"base sequence must have length {n}, got {size}")
-    # NaN fails both comparisons, so it is rejected here too.
-    if not ((base >= 0.0) & (base <= 1.0)).all():
+    if not in_unit_interval(base):
         raise ValueError("base sequence values must lie in [0, 1]")
     if (base[1:] < base[:-1]).any():
         raise ValueError("base sequence must be nondecreasing")

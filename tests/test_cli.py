@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kfdr import cli, schedules
+from kfdr import cli, engine, schedules
+from kfdr.fk_models import independent_fk
 from kfdr.simulation import counterexample_bound
 
 GOLDEN_SWEEP = Path(__file__).resolve().parents[1] / "bench/golden/sweep_seed20070523.csv"
@@ -107,9 +108,9 @@ def test_adjust_peak_memory_per_row(monkeypatch, tmp_path):
         finally:
             tracemalloc.stop()
         assert code == 0
-        # The build of values, F-targets and alphas sets the peak: 40.8 B/row
-        # (the parse of the whole text, 47.0 B/row, did before).
-        assert peak / rows <= 45, head
+        # The write of values, alphas and ranks with one rendered block sets
+        # the peak: 31.0 B/row.
+        assert peak / rows <= 34, head
 
 
 @pytest.mark.parametrize(
@@ -645,6 +646,45 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("block", [1, 3, 4, 65536])
+@pytest.mark.parametrize("procedure", ["gen_bh", "gen_holm"])
+def test_adjust_rows_are_the_scatter_of_the_sort_order(
+    procedure, block, cpus, monkeypatch, tmp_path, capsys
+):
+    # 41 rows (odd) of p-values with one decimal, -0.0 beside 0.0, so ties
+    # span the edges of 4-row sorted blocks and take the stable sort; 7-row
+    # writer blocks, forked or not, and every narrowing block size.
+    p = np.round(np.random.default_rng(block).random(41), 1)
+    p[[3, 17, 30]] = [-0.0, 0.0, -0.0]
+    path = tmp_path / "p.csv"
+    path.write_text("p\n" + "\n".join(map(repr, p.tolist())) + "\n")
+    monkeypatch.setattr(engine, "_SORTED_BLOCK", 4)
+    monkeypatch.setattr(cli, "_NARROW_BLOCK", block)
+    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 7)
+    forks = _use_cpus(monkeypatch, cpus)
+    code, out, err = run(["adjust", path, "--procedure", procedure, "--k", 2, "--alpha", 0.5],
+                         capsys)
+    assert (code, err) == (0, "")
+    assert len(forks) == (2 * cpus if cpus > 1 else 0)
+    # The row-order columns as a scatter through the sort order made them.
+    schedule = schedules.make_schedule(procedure, p.size, 2, 0.5, independent_fk(2))
+    outcome = engine.decide(engine.PValueSample(p), schedule)
+    assert 0 < outcome.r < p.size
+    critical = np.empty(p.size)
+    critical[outcome.order] = schedule.alphas
+    rejected = np.zeros(p.size, dtype=bool)
+    rejected[outcome.order[: outcome.r]] = True
+    rows = "".join(f"{i},{x!r},{c!r},{'true' if f else 'false'}\n" for i, (x, c, f)
+                   in enumerate(zip(p.tolist(), critical.tolist(), rejected.tolist()), start=1))
+    assert out.endswith("\nindex,p,critical,rejected\n" + rows)
+    # The ranks invert the order, in int32, narrowed in its own buffer.
+    order = np.argsort(p, kind="stable")
+    rank = cli._ranks(order)
+    assert rank.dtype == np.int32
+    assert (rank[np.argsort(p, kind="stable")] == np.arange(p.size)).all()
+
+
 @pytest.mark.parametrize("sub", ["adjust", "schedule"])
 def test_output_is_the_same_on_one_cpu_and_on_two(sub, monkeypatch, tmp_path, capsys):
     path = tmp_path / "p.csv"
@@ -821,7 +861,7 @@ def test_split_map_kills_children_when_the_writer_fails(monkeypatch):
     monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
     forks = _use_cpus(monkeypatch, 2)
     with pytest.raises(BrokenPipeError):
-        cli._write_table(BrokenPipeOut(), [], np.linspace(0.0, 1.0, 9))
+        cli._write_table(BrokenPipeOut(), [], 9, cli._slices(np.linspace(0.0, 1.0, 9)))
     assert forks == [1, 1]
     _assert_no_child_left()
 
@@ -943,6 +983,26 @@ def test_a_byte_that_is_not_utf8_is_named_with_its_row(
     assert (code, out) == (1, "")
     assert err == (f"error: cannot read {str(path)!r}: 'utf-8' codec can't decode "
                    f"byte {byte} on row 300002\n")
+
+
+@pytest.mark.parametrize(
+    "last, byte", [(b"\xff", "0xff"), (b"1.0,1.0\xe2\x82", "0xe2")],
+    ids=["lone-byte", "cut-character"],
+)
+def test_a_byte_that_is_not_utf8_in_an_empirical_model_is_named_with_its_row(
+    last, byte, tmp_path, capsys
+):
+    # The header, 200001 grid rows and a bad last row, row 200003, about
+    # 6 MB in: far past any one read of the text layer.
+    path = tmp_path / "grid.csv"
+    x = np.linspace(0.0, 1.0, 200_001).tolist()
+    rows = [b"x,fk", *(f"{v!r},{v * v!r}".encode() for v in x), last]
+    path.write_bytes(b"\n".join(rows) + b"\n")
+    argv = ["schedule", "--procedure", "gen_bh", "--n", 4, "--k", 2, "--model", f"empirical:{path}"]
+    assert run(argv, capsys) == (
+        1, "", f"error: cannot read empirical model {str(path)!r}: 'utf-8' codec can't decode "
+               f"byte {byte} on row 200003\n"
+    )
 
 
 @pytest.mark.parametrize(

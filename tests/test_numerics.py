@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfdr import numerics
+from kfdr import cli, numerics, render
+from kfdr.engine import PValueSample
 from kfdr.numerics import (
     equicorrelated_min_survivor,
     invert_min_survivor,
@@ -13,8 +14,14 @@ from kfdr.numerics import (
     std_normal_sf_array,
     std_normal_sf_thresholds,
 )
-from kfdr.fk_models import equicorrelated_fk, independent_fk
-from kfdr.schedules import PROCEDURES, make_schedule
+from kfdr.fk_models import equicorrelated_fk, fk_eval, independent_fk
+from kfdr.schedules import (
+    PROCEDURES,
+    STEPUP,
+    CriticalValueSchedule,
+    make_schedule,
+    rescaled_stepup,
+)
 
 # High-precision reference values (mpmath, 30 digits).
 PHI_1959964 = 0.9750000009035576
@@ -231,3 +238,50 @@ class TestInvertMonotone:
         assert t[0] == t[1] == t[2] and t[4] == t[5]
         assert np.all(np.diff(t) <= 0.0)
 
+
+
+# A last entry beside 0.5 and 0.25, and whether [0, 1] holds it; None for
+# the empty array, which every check but a schedule's (at least one critical
+# value) passes.
+UNIT_CASES = {
+    "nan": (math.nan, False),
+    "negative-zero": (-0.0, True),
+    "inf": (math.inf, False),
+    "one-plus-ulp": (math.nextafter(1.0, 2.0), False),
+    "below-zero": (-5e-324, False),
+    "one": (1.0, True),
+    "empty": (None, True),
+}
+
+
+@pytest.mark.parametrize("last, inside", UNIT_CASES.values(), ids=UNIT_CASES.keys())
+def test_every_range_check_reads_min_and_max(last, inside, tmp_path):
+    values = np.array([] if last is None else [0.25, 0.5, last])
+    assert numerics.in_unit_interval(values) is inside
+    assert numerics.in_unit_interval(np.array(0.5 if last is None else last)) is inside
+
+    def fails(error, fn, *args):
+        try:
+            fn(*args)
+        except error as exc:
+            return str(exc)
+        return None
+
+    assert (fails(ValueError, PValueSample, values) is None) == inside
+    assert (fails(RuntimeError, render.check_columns, [values]) is None) == inside
+    # The first entry outside [0, 1] is named, as before.
+    message = fails(ValueError, fk_eval, independent_fk(1), values)
+    assert message == (None if inside else f"argument must lie in [0, 1], got {last!r}")
+    if last is not None:
+        alphas = np.sort(np.array([0.25, 0.5, last]))
+        sorted_ok = fails(ValueError, CriticalValueSchedule, alphas, 1, STEPUP)
+        assert (sorted_ok is None) == inside
+        base = fails(ValueError, rescaled_stepup, 3, 1, 0.05, alphas, independent_fk(1))
+        assert (base is None) == inside
+    path = tmp_path / "p.csv"
+    path.write_text("p\n" + "".join(f"{x!r}\n" for x in values.tolist()))
+    message = fails(ValueError, cli._read_pvalues, str(path))
+    if inside:
+        assert message is None and cli._read_pvalues(str(path)).tobytes() == values.tobytes()
+    else:
+        assert message == f"{path}: p-value outside [0, 1] on row 4: {last!r}"

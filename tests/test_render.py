@@ -101,7 +101,7 @@ def test_exponent_tables_are_exact():
 
 def write_table(*columns):
     out = io.StringIO()
-    cli._write_table(out, ["# head", "index,a,b"], *columns)
+    cli._write_table(out, ["# head", "index,a,b"], columns[-1].size, cli._slices(*columns))
     return out.getvalue()
 
 
@@ -163,8 +163,9 @@ def test_index_width_changes_inside_one_matrix(first):
 )
 def test_a_column_it_cannot_print_fails_and_prints_nothing(columns):
     out = io.StringIO()
+    rows = max((c.size for c in columns if c is not None), default=1)
     with pytest.raises(RuntimeError):
-        cli._write_table(out, ["index,p"], *columns)
+        cli._write_table(out, ["index,p"], rows, cli._slices(*columns))
     assert out.getvalue() == ""
 
 

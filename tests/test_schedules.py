@@ -732,8 +732,8 @@ class TestVectorisedTargets:
 
     @pytest.mark.parametrize("name", ["gen_bh", "gen_holm"])
     def test_blocks_of_the_real_size(self, name):
-        assert schedules._POWER_BLOCK == 65536
-        for n in (65535, 65536, 65537):
+        assert schedules._POWER_BLOCK == 8192
+        for n in (8191, 8192, 8193, 65537):
             got = make_schedule(name, n, 2, 0.05, IND2).f_targets
             assert got.tolist() == loop_targets(name, n, 2, 0.05), n
 
