@@ -40,7 +40,9 @@ same result or word the error. Both tables, of ``adjust`` and of
 ``schedule``, are written by ``_write_table``, from a function that gives
 the columns of a block of rows: ``render.rows_text`` turns one
 ``_LINES_PER_WRITE`` block at a time into CSV text in numpy, each float
-printed as its ``repr``, with no Python object per row or value.
+printed as its ``repr``, with no Python object per row or value. The writer
+checks no cell: every printed float, a p-value, an alpha or an F-target, was
+range-checked once where its array was made.
 
 The parse and the rendering of the rows each run on one core, so both go
 through ``_split_map``: with P >= 2 usable CPUs and at least two byte
@@ -70,7 +72,7 @@ import numpy as np
 from . import engine
 from .fk_models import FkModel, equicorrelated_fk, independent_fk, load_empirical_csv, utf8_rows
 from .numerics import in_unit_interval
-from .schedules import PROCEDURES, CriticalValueSchedule, make_schedule, resolve
+from .schedules import PROCEDURES, WARNINGS, CriticalValueSchedule, make_schedule, resolve
 from .simulation import (
     SimulationConfig,
     counterexample_bound,
@@ -118,7 +120,8 @@ def _build_schedule(args: argparse.Namespace, n: int) -> CriticalValueSchedule:
 def _schedule_comments(schedule: CriticalValueSchedule, args: argparse.Namespace) -> list[str]:
     """The '#' lines above a table of ``schedule``. ``# model=`` is printed
     exactly when the schedule has F-targets, the mark of one built through
-    F_k: a marginal schedule such as bh's does not depend on the model."""
+    F_k: a marginal schedule such as bh's does not depend on the model.
+    ``# warning=`` is printed for a procedure in ``WARNINGS``."""
     lines = [
         f"# procedure={args.procedure}",
         f"# k={schedule.k}",
@@ -127,8 +130,8 @@ def _schedule_comments(schedule: CriticalValueSchedule, args: argparse.Namespace
     ]
     if schedule.f_targets is not None:
         lines.append(f"# model={args.model}")
-    if schedule.warning is not None:
-        lines.append(f"# warning={schedule.warning}")
+    if args.procedure in WARNINGS:
+        lines.append(f"# warning={WARNINGS[args.procedure]}")
     return lines
 
 
@@ -293,27 +296,25 @@ def _write_table(out: IO[str], head: Sequence[str], rows: int, columns: _Columns
     ``columns(start, stop)`` gives for the rows start + 1 to stop: first any
     ``None`` columns (empty cells), then float64 columns in [0, 1], each
     value printed as its ``repr``, then at most one bool column, printed as
-    true or false. Every block's columns are checked before anything is
-    written, and a block that fails, NaN included, raises RuntimeError.
-    ``_split_map`` renders the _LINES_PER_WRITE blocks with
-    ``render.rows_text``, each calling ``columns`` for itself, so a forked
-    writer gathers its own cells; each block is written in one call, and
-    only this process writes."""
+    true or false. The floats are not checked here: each comes from an
+    array range-checked where it was made, the p-values of a
+    ``PValueSample`` or the alphas and F-targets of a
+    ``CriticalValueSchedule``. ``_split_map`` renders the _LINES_PER_WRITE
+    blocks with ``render.rows_text``, each calling ``columns`` once for
+    itself, so a forked writer gathers its own cells; each block is written
+    in one call, and only this process writes."""
     # Imported here: compiling the module and building its tables adds
     # milliseconds to a fresh kfdr, which a call that prints no table should
     # not pay. The writers fork after it, so they inherit its tables.
     from . import render
 
     size = _LINES_PER_WRITE
-    starts = range(0, rows, size)
-    for start in starts:
-        render.check_columns(columns(start, min(start + size, rows)))
     out.write("".join(line + "\n" for line in head))
 
     def block(start: int) -> str:
         return render.rows_text(start + 1, columns(start, min(start + size, rows)))
 
-    with contextlib.closing(_split_map(block, starts)) as blocks:
+    with contextlib.closing(_split_map(block, range(0, rows, size))) as blocks:
         out.writelines(blocks)
 
 

@@ -3,8 +3,10 @@
 ``rows_text(first, columns)`` gives the rows ``{index},{cell},...\\n`` for
 the indices ``first, first + 1, ...``: a float64 cell printed as its
 ``repr``, a bool cell as ``true`` or ``false``, a ``None`` column as an
-empty cell. The bytes are those of the f-strings, for the columns that
-``check_columns`` accepts: floats in [0, 1], -0.0 included.
+empty cell. The bytes are those of the f-strings for floats in [0, 1],
+-0.0 included. Nothing here checks that: every float the CLI prints was
+range-checked where it was made, in ``PValueSample`` or
+``CriticalValueSchedule``.
 
 ``_shortest`` finds each float's digits. It is Giulietti's Schubfach ("The
 Schubfach way to render doubles", the algorithm of Java 19's
@@ -27,8 +29,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-from .numerics import in_unit_interval
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -176,24 +176,12 @@ _K_TABLE, _H_TABLE, *_G_TABLE = _exponent_tables()
 _QUADS, _PREFIXES, _SUFFIXES = _layout_tables()
 
 
-def check_columns(columns: Sequence[np.ndarray | None]) -> None:
-    """Raise RuntimeError unless ``columns`` are what ``rows_text`` prints:
-    one-dimensional arrays of one length, at least one, and the columns in
-    this order: any ``None``, float64 arrays with every entry in [0, 1],
-    at most one bool array."""
-    kinds = [0 if c is None else {"float64": 1, "bool": 2}.get(c.dtype.name, 3) for c in columns]
-    shapes = {c.shape for c in columns if c is not None}
-    if kinds != sorted(kinds) or kinds.count(2) > 1 or 3 in kinds or len(shapes) != 1:
-        raise RuntimeError("table columns must be None, then float64, then at most one bool")
-    if len(shapes.pop()) != 1:
-        raise RuntimeError("table columns must be one-dimensional")
-    if not all(in_unit_interval(c) for c, kind in zip(columns, kinds) if kind == 1):
-        raise RuntimeError("a float to print lies outside [0, 1]")
-
-
 def rows_text(first: int, columns: Sequence[np.ndarray | None]) -> str:
-    """The CSV rows of ``columns``, which pass ``check_columns``, indexed
-    from ``first``, laid out ``_ROWS_PER_MATRIX`` rows at a time."""
+    """The CSV rows of ``columns``, indexed from ``first``, laid out
+    ``_ROWS_PER_MATRIX`` rows at a time. ``columns`` are one-dimensional and
+    of one length: first any ``None``, then float64 arrays with every entry
+    in [0, 1], then at most one bool array. A float outside [0, 1], NaN
+    included, is not checked for and prints wrong bytes."""
     rows = next(c.size for c in columns if c is not None)
     step = _ROWS_PER_MATRIX
     return "".join(
@@ -222,9 +210,9 @@ def _matrix_text(first: int, columns: Sequence[np.ndarray | None]) -> str:
         quad = index // 10 ** (4 * (groups - 1 - group)) % 10000
         text[:, 4 * group : 4 * group + 4] = _QUADS[leading + quad, None].view(np.uint8)
         leading *= quad == 0
-    if floats:
-        fields = text[:, start:stop].reshape(rows, len(floats), _FIELD)
-        _float_fields(np.stack(floats, axis=1), fields)
+    fields = text[:, start:stop].reshape(rows, len(floats), _FIELD)
+    for column, values in enumerate(floats):
+        _float_fields(values, fields[:, column])
     if flags:
         booleans = np.frombuffer(b",false\0\0,true\0\0\0", np.uint64)
         text[:, stop : stop + 6] = booleans[flags[0].view(np.uint8), None].view(np.uint8)[:, :6]
@@ -232,9 +220,9 @@ def _matrix_text(first: int, columns: Sequence[np.ndarray | None]) -> str:
 
 
 def _float_fields(values: np.ndarray, text: np.ndarray) -> None:
-    """Write the ``repr`` of each entry of ``values``, shape [rows,
-    fields], into ``text``, shape [rows, fields, _FIELD], with NUL in every
-    column the number does not use."""
+    """Write the ``repr`` of each entry of ``values``, shape [rows], into
+    ``text``, shape [rows, _FIELD], with NUL in every column the number
+    does not use."""
     positive = values > 0.0
     d, e = _shortest(np.where(positive, values, 1.0))
     # Zero prints as 0.0: one digit 0, with the point just before it.

@@ -70,15 +70,14 @@ class CriticalValueSchedule:
     float64 array that owns its data is kept as it is; any other sequence,
     a writeable array included, is copied into one. ``f_targets`` holds the
     F_k(alpha_i) values the construction prescribed (None for marginal
-    constructions that bypass F_k). ``warning`` is set on schedules that are
-    known not to control the error rate they resemble.
+    constructions that bypass F_k). Both are checked to lie in [0, 1], so
+    every float of a schedule can be printed as it is.
     """
 
     alphas: np.ndarray
     k: int
     direction: str
     f_targets: np.ndarray | None = None
-    warning: str | None = None
 
     def __post_init__(self) -> None:
         alphas = _frozen_array(self.alphas)
@@ -103,6 +102,8 @@ class CriticalValueSchedule:
             object.__setattr__(self, "f_targets", f_targets)
             if f_targets.shape != alphas.shape:
                 raise ValueError("f_targets must match the schedule length")
+            if not in_unit_interval(f_targets):
+                raise ValueError("F-targets must lie in [0, 1]")
 
     @property
     def n(self) -> int:
@@ -206,13 +207,13 @@ def _f_targets(alpha: float, num: np.ndarray | int, den: np.ndarray | int) -> np
 
 
 def _invert_targets(
-    targets: np.ndarray, model: FkModel, k: int, direction: str, warning: str | None = None
+    targets: np.ndarray, model: FkModel, k: int, direction: str
 ) -> CriticalValueSchedule:
     # Frozen here, the arrays the builder made are kept by the schedule
     # without a copy.
     alphas = fk_invert(model, targets)
     alphas.flags.writeable = targets.flags.writeable = False
-    return CriticalValueSchedule(alphas, k, direction, f_targets=targets, warning=warning)
+    return CriticalValueSchedule(alphas, k, direction, f_targets=targets)
 
 
 def gen_bh(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
@@ -292,18 +293,21 @@ SIMES_WARNING = (
     "generalized Simes critical values control the k-FWER under the "
     "intersection null but do not control the k-FDR in general"
 )
+# By procedure name, the warning printed above its tables: for the procedures
+# known not to control the error rate they resemble.
+WARNINGS = {"gen_simes": SIMES_WARNING}
 
 
 def gen_simes(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedule:
     """Generalized Simes stepup schedule: F-targets C(max(i,k),k)/C(n,k)*alpha.
 
-    Provided for study only; the returned schedule carries a warning flag
-    because these constants can fail to control the k-FDR.
+    Provided for study only: these constants can fail to control the k-FDR,
+    which ``WARNINGS["gen_simes"]`` says.
     """
     _validate_fk_inputs("gen_simes", n, k, alpha, model)
     den = math.comb(n, k)
     targets = _block_targets(n, k, lambda j: _f_targets(alpha, _combs(j, k), den))
-    return _invert_targets(targets, model, k, STEPUP, warning=SIMES_WARNING)
+    return _invert_targets(targets, model, k, STEPUP)
 
 
 def bh(n: int, k: int, alpha: float, model: FkModel | None) -> CriticalValueSchedule:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfdr import cli, numerics, render
+from kfdr import cli, numerics
 from kfdr.engine import PValueSample
 from kfdr.numerics import (
     equicorrelated_min_survivor,
@@ -268,7 +268,6 @@ def test_every_range_check_reads_min_and_max(last, inside, tmp_path):
         return None
 
     assert (fails(ValueError, PValueSample, values) is None) == inside
-    assert (fails(RuntimeError, render.check_columns, [values]) is None) == inside
     # The first entry outside [0, 1] is named, as before.
     message = fails(ValueError, fk_eval, independent_fk(1), values)
     assert message == (None if inside else f"argument must lie in [0, 1], got {last!r}")
@@ -276,6 +275,8 @@ def test_every_range_check_reads_min_and_max(last, inside, tmp_path):
         alphas = np.sort(np.array([0.25, 0.5, last]))
         sorted_ok = fails(ValueError, CriticalValueSchedule, alphas, 1, STEPUP)
         assert (sorted_ok is None) == inside
+        targets = fails(ValueError, CriticalValueSchedule, (0.5,) * 3, 1, STEPUP, values)
+        assert targets == (None if inside else "F-targets must lie in [0, 1]")
         base = fails(ValueError, rescaled_stepup, 3, 1, 0.05, alphas, independent_fk(1))
         assert (base is None) == inside
     path = tmp_path / "p.csv"

@@ -19,8 +19,10 @@ from kfdr.fk_models import (
     independent_fk,
 )
 from kfdr.schedules import (
+    SIMES_WARNING,
     STEPDOWN,
     STEPUP,
+    WARNINGS,
     CriticalValueSchedule,
     bh,
     gen_bh,
@@ -241,9 +243,8 @@ class TestGenSimes:
         assert s.f_targets[-1] == pytest.approx(0.07, abs=1e-15)
 
     def test_carries_warning_flag(self):
-        assert gen_simes(5, 2, 0.05, IND2).warning is not None
-        assert gen_bh(5, 2, 0.05, IND2).warning is None
-        assert gen_hochberg(5, 2, 0.05, IND2).warning is None
+        assert WARNINGS == {"gen_simes": SIMES_WARNING}
+        assert "do not control the k-FDR" in WARNINGS["gen_simes"]
 
 
 class TestBhClassic:
@@ -505,6 +506,9 @@ class TestScheduleValidation:
             ((0.2, 0.1), 1, None, "nondecreasing"),
             ((0.1, 0.1, 0.2, 0.3), 3, None, "must coincide"),
             ((0.1, 0.2), 1, (0.01,), "match the schedule length"),
+            ((0.1, 0.2), 1, (0.01, math.nan), r"F-targets must lie in \[0, 1\]"),
+            ((0.1, 0.2), 1, (-0.01, 0.02), r"F-targets must lie in \[0, 1\]"),
+            ((0.1, 0.2), 1, (0.01, 1.5), r"F-targets must lie in \[0, 1\]"),
         ],
     )
     def test_messages(self, alphas, k, f_targets, message):
