@@ -11,26 +11,26 @@ SIGPIPE), with nothing on stderr, when the reader of stdout closes early.
 included.
 
 ``adjust`` stays in float64 arrays from input to output and keeps few
-whole columns alive at once. Per phase, the n-element arrays this process
+whole columns alive at once. Every pass over its n rows works one block of
+``numerics._ROW_BLOCK`` rows at a time, so besides those columns it holds
+only block-sized temporaries. Per phase, the n-element arrays this process
 holds, at 8 B/row for float64 and int64, 4 for int32 and 1 for bool:
 
 - parse (``_read_pvalues``), 16 B/row: the values of each byte range and
   their concatenation. Never the file's text: each worker reads and decodes
-  its own range of about ``16 * _LINES_PER_WRITE`` bytes.
+  its own range of about ``16 * _ROW_BLOCK`` bytes.
 - build (``_build_schedule``), 24 B/row: the values, the F-targets and
-  the alphas, with one ``numerics._POWER_BLOCK`` of temporaries. The
-  F-targets go before the sort.
+  the alphas. The F-targets go before the sort.
 - decide (``engine.decide``), 24 B/row: the values, the alphas and the
-  int64 sort order, with one block of sorted values at a time. This
-  phase sets the peak; none after it holds more.
+  int64 sort order. This phase sets the peak; none after it holds more.
 - ranks (``_ranks``), 24 B/row: the values, the alphas, the order,
   narrowed to int32 in the lower half of its own buffer, and the int32
   rank of each row.
 - write (``_write_table``), 20 B/row: the values, the alphas and the
-  ranks, with at most P + 1 rendered blocks of ``_LINES_PER_WRITE`` rows
-  (about 0.45 MB each). The writer of a block gathers its critical values,
-  ``alphas[rank]``, and its rejections, ``rank < r``, itself, so no
-  row-order column of either is ever built.
+  ranks, with at most P + 1 rendered blocks (about 0.45 MB of text each).
+  The writer of a block gathers its critical values, ``alphas[rank]``, and
+  its rejections, ``rank < r``, itself, so no row-order column of either is
+  ever built.
 
 After the parse and after the ranks ``_release_freed_heap`` hands the C
 heap's free pages back, so neither the next phase nor the forked writers
@@ -38,9 +38,9 @@ carry them. The p-values are parsed in one ``float`` pass with one range
 check, and a row loop runs only on a file that pass rejects, to give the
 same result or word the error. Both tables, of ``adjust`` and of
 ``schedule``, are written by ``_write_table``, from a function that gives
-the columns of a block of rows: ``render.rows_text`` turns one
-``_LINES_PER_WRITE`` block at a time into CSV text in numpy, each float
-printed as its ``repr``, with no Python object per row or value. The writer
+the columns of a block of rows: ``render.rows_text`` lays out one block at
+a time as one matrix of CSV text in numpy, each float printed as its
+``repr``, with no Python object per row or value. The writer
 checks no cell: every printed float, a p-value, an alpha or an F-target, was
 range-checked once where its array was made.
 
@@ -71,7 +71,7 @@ import numpy as np
 
 from . import engine
 from .fk_models import FkModel, equicorrelated_fk, independent_fk, load_empirical_csv, utf8_rows
-from .numerics import in_unit_interval
+from .numerics import _ROW_BLOCK, in_unit_interval
 from .schedules import PROCEDURES, WARNINGS, CriticalValueSchedule, make_schedule, resolve
 from .simulation import (
     SimulationConfig,
@@ -80,13 +80,6 @@ from .simulation import (
     write_sweep_csv,
 )
 
-# Output rows joined per write call: large tables are written in bounded
-# blocks instead of one print per row or one string for the whole table.
-# adjust's parse reads byte ranges of 16 times as many bytes.
-_LINES_PER_WRITE = 8192
-# Entries per block when adjust narrows its sort order and inverts it into
-# ranks (``_ranks``).
-_NARROW_BLOCK = 65536
 _PROCEDURES_HELP = ", ".join(PROCEDURES)
 
 
@@ -147,7 +140,7 @@ def _read_pvalues(path: str) -> np.ndarray:
     succeeds it gives the loop's values.
 
     This process never holds the file's text: it only finds the cuts of
-    ``_row_cuts``, byte ranges of at least ``16 * _LINES_PER_WRITE`` bytes
+    ``_row_cuts``, byte ranges of at least ``16 * _ROW_BLOCK`` bytes
     that each end on a line break, and ``_split_map`` parses the ranges, on
     every usable CPU when there are several and on one otherwise. Each
     parse reads and decodes its own range, so it holds one range's bytes,
@@ -164,7 +157,7 @@ def _read_pvalues(path: str) -> np.ndarray:
         with open(path, "rb") as fh:
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
             # No cuts, and so no fast path, for a pipe: it cannot be read twice.
-            cuts = _row_cuts(fh, 16 * _LINES_PER_WRITE) if regular else []
+            cuts = _row_cuts(fh, 16 * _ROW_BLOCK) if regular else []
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
 
@@ -299,22 +292,21 @@ def _write_table(out: IO[str], head: Sequence[str], rows: int, columns: _Columns
     true or false. The floats are not checked here: each comes from an
     array range-checked where it was made, the p-values of a
     ``PValueSample`` or the alphas and F-targets of a
-    ``CriticalValueSchedule``. ``_split_map`` renders the _LINES_PER_WRITE
-    blocks with ``render.rows_text``, each calling ``columns`` once for
-    itself, so a forked writer gathers its own cells; each block is written
-    in one call, and only this process writes."""
+    ``CriticalValueSchedule``. ``_split_map`` renders the blocks of
+    ``_ROW_BLOCK`` rows with ``render.rows_text``, each calling ``columns``
+    once for itself, so a forked writer gathers its own cells; each block is
+    written in one call, and only this process writes."""
     # Imported here: compiling the module and building its tables adds
     # milliseconds to a fresh kfdr, which a call that prints no table should
     # not pay. The writers fork after it, so they inherit its tables.
     from . import render
 
-    size = _LINES_PER_WRITE
     out.write("".join(line + "\n" for line in head))
 
     def block(start: int) -> str:
-        return render.rows_text(start + 1, columns(start, min(start + size, rows)))
+        return render.rows_text(start + 1, columns(start, min(start + _ROW_BLOCK, rows)))
 
-    with contextlib.closing(_split_map(block, range(0, rows, size))) as blocks:
+    with contextlib.closing(_split_map(block, range(0, rows, _ROW_BLOCK))) as blocks:
         out.writelines(blocks)
 
 
@@ -413,22 +405,22 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
 def _ranks(order: np.ndarray) -> np.ndarray:
     """The rank of each row, the inverse of the sort order ``order``: an
     int64 array that owns its data, which is narrowed in place and is not
-    to be used afterwards. Where n < 2^31 it is copied, ``_NARROW_BLOCK``
+    to be used afterwards. Where n < 2^31 it is copied, ``_ROW_BLOCK``
     entries at a time, into int32 in the lower half of its own buffer, and
     ``resize`` hands back the upper half; the ranks are then int32 too, and
     are filled in blocks of that size, so no temporary is larger."""
     n = order.size
     if n < 2**31:
         narrow = order.view(np.int32)[:n]
-        for start in range(0, n, _NARROW_BLOCK):
+        for start in range(0, n, _ROW_BLOCK):
             # Entry i lands inside int64 entry i // 2, which is read by then.
-            narrow[start : start + _NARROW_BLOCK] = order[start : start + _NARROW_BLOCK]
+            narrow[start : start + _ROW_BLOCK] = order[start : start + _ROW_BLOCK]
         del narrow
         order.resize((n + 1) // 2, refcheck=False)
         order = order.view(np.int32)[:n]
     rank = np.empty(n, order.dtype)
-    for start in range(0, n, _NARROW_BLOCK):
-        stop = min(start + _NARROW_BLOCK, n)
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, n)
         rank[order[start:stop]] = np.arange(start, stop, dtype=order.dtype)
     return rank
 

@@ -15,9 +15,10 @@ rejected.
 The counting kernel, ``rejection_count``, takes an [m, n] block of sorted
 samples (one per row) and returns one count per row, so the Monte Carlo
 harness counts a whole block of iterations in one call and ``decide`` counts
-one-row blocks of ``_SORTED_BLOCK`` sorted p-values. It only compares
-ascending values with bounds, so the harness passes sorted negated test
-statistics and critical values moved to that scale.
+one-row blocks of sorted p-values, ``_ROW_BLOCK`` rows each, as every pass
+over n rows goes. It only compares ascending values with bounds, so the
+harness passes sorted negated test statistics and critical values moved to
+that scale.
 """
 
 from __future__ import annotations
@@ -27,11 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import in_unit_interval
+from .numerics import _ROW_BLOCK, in_unit_interval
 from .schedules import STEPUP, CriticalValueSchedule, _frozen_array
-
-# Sorted p-values that ``decide`` gathers at a time: 512 KB of float64.
-_SORTED_BLOCK = 65536
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +119,7 @@ def decide(sample: PValueSample, schedule: CriticalValueSchedule) -> DecisionOut
     """Apply ``schedule`` to ``sample`` in the schedule's own direction.
 
     Besides the sample and the schedule, it holds the sort order (8 B/row)
-    and one ``_SORTED_BLOCK`` of sorted p-values at a time, never a whole
+    and one ``_ROW_BLOCK`` of sorted p-values at a time, never a whole
     sorted copy: one pass over the blocks counts the rejections and looks
     for ties. The count depends only on the sorted values, which any sort
     gives alike, so it is kept when ties make the order stable.
@@ -135,8 +133,8 @@ def decide(sample: PValueSample, schedule: CriticalValueSchedule) -> DecisionOut
     r = 0 if schedule.direction == STEPUP else sample.n
     tie = False
     last = np.nan  # equal to nothing
-    for start in range(0, sample.n, _SORTED_BLOCK):
-        block = values[order[start : start + _SORTED_BLOCK]]
+    for start in range(0, sample.n, _ROW_BLOCK):
+        block = values[order[start : start + _ROW_BLOCK]]
         # Equal neighbours, -0.0 and 0.0 included, also across blocks.
         tie = tie or block[0] == last or bool((block[1:] == block[:-1]).any())
         last = block[-1]

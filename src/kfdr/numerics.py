@@ -31,6 +31,8 @@ of split adaptive quadrature (measured below 1e-12) for rho in [1e-6,
 0.9999], k in {2, 5, 10} and x in [1e-13, 0.999]; 20 nodes within 1e-12 of
 40 for rho in [0.05, 0.99] and k <= 10, with S_k down to 1e-60. Thresholds
 go in blocks of 256, which bounds the temporaries at 256 x 20 doubles.
+Passes over n rows, here and in the modules above, go ``_ROW_BLOCK`` rows
+at a time: that is the package's one row block.
 Everything here is a pure function of its inputs, and elementwise: a
 threshold's S_k and a target's threshold have the same bits alone, in any
 batch and in any chunks of it, as the tests check, unless two targets lie
@@ -61,11 +63,11 @@ _NODES = 20  # Gauss-Legendre nodes per piece of the integral
 _REL_TOL_INVERT = 1e-12  # inversion stops once |S_k(t) / target - 1| is at most this
 _CHEB_NODES = 20  # Chebyshev points per unit panel of the inversion's start
 _SQRT_EPS = 2.0**-26  # a Newton step this small leaves an error of order eps
-# Entries per block that ``python_float_map`` turns into Python floats at
-# once, and indices per block of the closed-form F-targets in ``schedules``:
-# 8192 floats are about 256 KB as Python objects, so at 1e6 rows the build
-# of adjust's schedule stays below the memory that its decide needs.
-_POWER_BLOCK = 8192
+# Rows per block. Every pass over n rows, here and in the modules that
+# import this constant, works one block at a time, so its temporaries stay
+# block-sized. 8192 floats are about 256 KB as Python objects, so at 1e6
+# rows the build of adjust's schedule stays below the memory of its decide.
+_ROW_BLOCK = 8192
 
 
 def in_unit_interval(arr: np.ndarray) -> bool:
@@ -77,10 +79,10 @@ def in_unit_interval(arr: np.ndarray) -> bool:
 
 def python_float_map(fn: Callable[..., float], arr: np.ndarray, *args: float) -> np.ndarray:
     """``fn(x, *args)`` per entry x of ``arr`` in Python floats, whose ``pow``
-    and ``erfc`` round unlike numpy's, made one ``_POWER_BLOCK`` at a time.
+    and ``erfc`` round unlike numpy's, made one ``_ROW_BLOCK`` at a time.
     A 1-D result is not reshaped, so it owns its data."""
     flat = arr.ravel()
-    blocks = (flat[i : i + _POWER_BLOCK].tolist() for i in range(0, flat.size, _POWER_BLOCK))
+    blocks = (flat[i : i + _ROW_BLOCK].tolist() for i in range(0, flat.size, _ROW_BLOCK))
     consts = [repeat(a) for a in args]
     values = chain.from_iterable(map(fn, block, *consts) for block in blocks)
     out = np.fromiter(values, np.float64, arr.size)

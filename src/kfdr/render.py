@@ -17,11 +17,11 @@ shorter candidate is tried at every length. The 128-bit products are built
 from 32-bit limbs, and every operand is an explicit ``uint64`` or
 ``int64``, so numpy 1's and numpy 2's promotion rules give the same bits.
 
-Each row is then laid out in a fixed-width ``uint8`` matrix, with NUL in
-every column a row does not use: the index right-aligned, and per float a
-prefix (a comma, the sign, ``0.`` and leading zeros, or the first digit
-and a point), up to 16 more digits and an exponent suffix. The NULs are
-then dropped from the whole matrix in one ``bytes.translate``.
+The rows of a call are then laid out in one fixed-width ``uint8`` matrix,
+with NUL in every column a row does not use: the index right-aligned, and
+per float a prefix (a comma, the sign, ``0.`` and leading zeros, or the
+first digit and a point), up to 16 more digits and an exponent suffix. The
+NULs are then dropped from the whole matrix in one ``bytes.translate``.
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
 
-# Rows laid out in one matrix: enough to spread numpy's per-call cost, few
-# enough that the temporaries stay small.
-_ROWS_PER_MATRIX = 4096
 # A float field: the prefix (right-aligned: a comma, the sign, '0.' and
 # leading zeros, or the first digit and a point), 16 more digits
 # (left-aligned) and the suffix ('e-' and the exponent, right-aligned).
@@ -177,21 +174,12 @@ _QUADS, _PREFIXES, _SUFFIXES = _layout_tables()
 
 
 def rows_text(first: int, columns: Sequence[np.ndarray | None]) -> str:
-    """The CSV rows of ``columns``, indexed from ``first``, laid out
-    ``_ROWS_PER_MATRIX`` rows at a time. ``columns`` are one-dimensional and
-    of one length: first any ``None``, then float64 arrays with every entry
-    in [0, 1], then at most one bool array. A float outside [0, 1], NaN
-    included, is not checked for and prints wrong bytes."""
-    rows = next(c.size for c in columns if c is not None)
-    step = _ROWS_PER_MATRIX
-    return "".join(
-        _matrix_text(first + start, [c if c is None else c[start : start + step] for c in columns])
-        for start in range(0, rows, step)
-    )
-
-
-def _matrix_text(first: int, columns: Sequence[np.ndarray | None]) -> str:
-    """``rows_text`` of one matrix of rows."""
+    """The CSV rows of ``columns``, indexed from ``first``, laid out as one
+    matrix. ``columns`` are one-dimensional and of one length: first any
+    ``None``, then float64 arrays with every entry in [0, 1], then at most
+    one bool array. A float outside [0, 1], NaN included, is not checked
+    for and prints wrong bytes. The temporaries grow with the rows given,
+    so a caller passes one block of rows at a time."""
     empty = sum(c is None for c in columns)
     floats = [c for c in columns if c is not None and c.dtype == np.float64]
     flags = [c for c in columns if c is not None and c.dtype == np.bool_]

@@ -16,7 +16,7 @@ den, the ratio rounded once. Python's int/int division is correctly rounded,
 so equal rationals give equal values and integer inequalities between ratios
 carry over to the floats; a ratio <= 1 gives a value <= alpha, and a ratio
 of 1 gives alpha exactly. The values are computed as arrays, one
-``_POWER_BLOCK`` of indices at a time into one preallocated float64 array
+``_ROW_BLOCK`` of indices at a time into one preallocated float64 array
 (``_block_targets``), so no n-element integer or quotient temporaries are
 made. In each block, binomials are built in int64 where one ``math.comb`` at
 the block's largest index shows they cannot overflow (``_combs``), and where
@@ -32,12 +32,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .fk_models import EMPIRICAL, FkModel, fk_eval, fk_invert
-from .numerics import _POWER_BLOCK, in_unit_interval
+from .numerics import _ROW_BLOCK, in_unit_interval
 
 STEPUP = "stepup"
 STEPDOWN = "stepdown"
@@ -141,13 +142,13 @@ def _indices(stop: int, k: int, start: int = 0) -> np.ndarray:
 
 def _block_targets(n: int, k: int, targets: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """``targets(j)`` for j = max(i, k), i = 1..n, filled into one float64
-    array one ``_POWER_BLOCK`` of indices at a time, so every temporary is
+    array one ``_ROW_BLOCK`` of indices at a time, so every temporary is
     block-sized. Each block picks its own paths in ``_combs`` and
     ``_f_targets``, which give the same targets and underflow error. The
     array is returned read-only, so a schedule keeps it without a copy."""
     out = np.empty(n)
-    for start in range(0, n, _POWER_BLOCK):
-        stop = min(n, start + _POWER_BLOCK)
+    for start in range(0, n, _ROW_BLOCK):
+        stop = min(n, start + _ROW_BLOCK)
         out[start:stop] = targets(_indices(stop, k, start))
     out.flags.writeable = False
     return out
@@ -250,7 +251,10 @@ def gen_by(n: int, k: int, alpha: float, model: FkModel) -> CriticalValueSchedul
     i = n target n c <= alpha because k C(n,k) = n C(n-1,k-1) >= n and H >= 1.
     """
     _validate_fk_inputs("gen_by", n, k, alpha, model)
-    harmonic = 1.0 + math.fsum(1.0 / np.arange(k + 1, n + 1))
+    # fsum is exact, so the blocks give the bits of one n-element sum.
+    blocks = ((1.0 / np.arange(j, min(j + _ROW_BLOCK, n + 1))).tolist()
+              for j in range(k + 1, n + 1, _ROW_BLOCK))
+    harmonic = 1.0 + math.fsum(chain.from_iterable(blocks))
     den = k * math.comb(n, k)
     targets = _block_targets(n, k, lambda j: _f_targets(alpha / harmonic, j, den))
     return _invert_targets(targets, model, k, STEPUP)

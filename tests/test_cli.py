@@ -75,9 +75,9 @@ def test_adjust_writes_output_file(ties_csv, tmp_path, capsys):
     assert dest.read_text().splitlines()[-1] == "5,0.1,0.2,true"
 
 
-def test_adjust_output_may_name_its_input(monkeypatch, tmp_path, capsys):
+def test_adjust_output_may_name_its_input(row_block, tmp_path, capsys):
     # Several pieces: the input is read to its end before the output opens.
-    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
+    row_block(2)
     path = tmp_path / "p.csv"
     path.write_text("p\n0.3\n0.1\n0.02\n0.9\n1e-05\n0.3\n0.04\n")
     argv = ["adjust", path, "--procedure", "gen_bh", "--k", 2, "--alpha", 0.5]
@@ -108,8 +108,8 @@ def test_adjust_peak_memory_per_row(monkeypatch, tmp_path):
         finally:
             tracemalloc.stop()
         assert code == 0
-        # The write of values, alphas and ranks with one rendered block sets
-        # the peak: 28.9 B/row.
+        # The write of values, alphas and ranks with one rendered block, one
+        # matrix of 8192 rows, sets the peak: 31.4 B/row (29.6 by the row loop).
         assert peak / rows <= 32, head
 
 
@@ -525,13 +525,13 @@ def test_adjust_without_pvalues_exits_one(body, flags, tmp_path, capsys):
     ],
     ids=["adjust", "schedule-targets", "schedule-no-targets"],
 )
-def test_block_size_does_not_change_the_output(argv, monkeypatch, tmp_path, capsys):
+def test_block_size_does_not_change_the_output(argv, row_block, tmp_path, capsys):
     # Seven rows at three per block: two full blocks and a partial one.
     path = tmp_path / "p.csv"
     path.write_text("p\n0.3\n0.1\n0.02\n0.9\n1e-05\n0.3\n0.04\n")
     argv = [path if a == "INPUT" else a for a in argv]
     whole = run(argv, capsys)
-    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 3)
+    row_block(3)
     blocks = run(argv, capsys)
     assert blocks == whole and whole[0] == 0
     assert len(whole[1].splitlines()) == 7 + whole[1].count("#") + 1
@@ -647,26 +647,26 @@ def _assert_no_child_left():
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("block", [1, 3, 4, 65536])
+@pytest.mark.parametrize("block", [1, 3, 4, 7, 65536])
 @pytest.mark.parametrize("procedure", ["gen_bh", "gen_holm"])
 def test_adjust_rows_are_the_scatter_of_the_sort_order(
-    procedure, block, cpus, monkeypatch, tmp_path, capsys
+    procedure, block, cpus, row_block, monkeypatch, tmp_path, capsys
 ):
     # 41 rows (odd) of p-values with one decimal, -0.0 beside 0.0, so ties
-    # span the edges of 4-row sorted blocks and take the stable sort; 7-row
-    # writer blocks, forked or not, and every narrowing block size.
+    # span the edges of the sorted blocks and take the stable sort; blocks
+    # of every size, forked or not, and one block for the whole input.
     p = np.round(np.random.default_rng(block).random(41), 1)
     p[[3, 17, 30]] = [-0.0, 0.0, -0.0]
     path = tmp_path / "p.csv"
     path.write_text("p\n" + "\n".join(map(repr, p.tolist())) + "\n")
-    monkeypatch.setattr(engine, "_SORTED_BLOCK", 4)
-    monkeypatch.setattr(cli, "_NARROW_BLOCK", block)
-    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 7)
+    row_block(block)
     forks = _use_cpus(monkeypatch, cpus)
     code, out, err = run(["adjust", path, "--procedure", procedure, "--k", 2, "--alpha", 0.5],
                          capsys)
     assert (code, err) == (0, "")
-    assert len(forks) == (2 * cpus if cpus > 1 else 0)
+    # A pool for the parse's byte ranges and one for the rendered blocks,
+    # unless one block holds every row.
+    assert len(forks) == (2 * cpus if cpus > 1 and block < p.size else 0)
     # The row-order columns as a scatter through the sort order made them.
     schedule = schedules.make_schedule(procedure, p.size, 2, 0.5, independent_fk(2))
     outcome = engine.decide(engine.PValueSample(p), schedule)
@@ -688,7 +688,7 @@ def test_adjust_rows_are_the_scatter_of_the_sort_order(
 @pytest.mark.parametrize("sub", ["adjust", "schedule"])
 def test_output_is_the_same_on_one_cpu_and_on_two(sub, monkeypatch, tmp_path, capsys):
     path = tmp_path / "p.csv"
-    p = np.random.default_rng(5).random(3 * cli._LINES_PER_WRITE + 1)
+    p = np.random.default_rng(5).random(3 * cli._ROW_BLOCK + 1)
     path.write_text("p\n" + "\n".join(map(repr, p.tolist())) + "\n")
     argv = {
         "adjust": ["adjust", path, "--procedure", "gen_bh", "--k", 2, "--alpha", 0.5],
@@ -701,14 +701,14 @@ def test_output_is_the_same_on_one_cpu_and_on_two(sub, monkeypatch, tmp_path, ca
         assert len(forks) == {"adjust": 2, "schedule": 1}[sub] * (cpus if cpus > 1 else 0)
         _assert_no_child_left()
     assert outputs[0] == outputs[1] and outputs[0][0] == 0
-    assert outputs[0][1].count("\n") > 3 * cli._LINES_PER_WRITE
+    assert outputs[0][1].count("\n") > 3 * cli._ROW_BLOCK
 
 
 def _rows(*rows, sep="\n"):
     return (sep.join(rows) + sep).encode()
 
 
-# Fourteen rows of 5 or 6 bytes: at _LINES_PER_WRITE = 2 the reader cuts
+# Fourteen rows of 5 or 6 bytes: at a row block of 2 the reader cuts
 # them into ranges of at least 32 bytes, and each change sits past the first.
 _VALUES = [f"0.{i:02d}" for i in range(1, 14)]
 CHUNKED_INPUTS = {
@@ -756,11 +756,11 @@ def _assert_cuts(body, cuts, size):
     "body", [*PARSE_INPUTS.values(), *CHUNKED_INPUTS.values()],
     ids=[*PARSE_INPUTS.keys(), *CHUNKED_INPUTS.keys()],
 )
-def test_read_pvalues_in_forked_chunks_equals_the_row_loop(body, monkeypatch, tmp_path):
+def test_read_pvalues_in_forked_chunks_equals_the_row_loop(body, row_block, monkeypatch, tmp_path):
     path = tmp_path / "p.csv"
     path.write_bytes(body)
     expected = _parse_outcome(lambda: cli._parse_rows(str(path), _text(path).splitlines()))
-    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
+    row_block(2)
     # The ranges the reader cuts at that block size.
     with open(path, "rb") as fh:
         cuts = cli._row_cuts(fh, 32)
@@ -806,10 +806,10 @@ def test_a_pipe_is_read_by_the_row_loop(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", CHUNKED_ERRORS)
-def test_forked_parse_keeps_the_message_and_row(name, monkeypatch, tmp_path, capsys):
+def test_forked_parse_keeps_the_message_and_row(name, row_block, monkeypatch, tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_bytes(CHUNKED_INPUTS[name])
-    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
+    row_block(2)
     forks = _use_cpus(monkeypatch, 2)
     assert run(["adjust", path], capsys) == (1, "", f"error: {path}: {CHUNKED_ERRORS[name]}\n")
     assert forks == [1, 1]
@@ -849,7 +849,7 @@ def test_split_map_is_plain_map_without_fork_or_affinity(missing, monkeypatch):
     assert list(cli._split_map(_fails_on(None), range(4))) == [0, 1, 4, 9]
 
 
-def test_split_map_kills_children_when_the_writer_fails(monkeypatch):
+def test_split_map_kills_children_when_the_writer_fails(row_block, monkeypatch):
     class BrokenPipeOut:
         def write(self, text):
             pass
@@ -858,7 +858,7 @@ def test_split_map_kills_children_when_the_writer_fails(monkeypatch):
             next(iter(lines))
             raise BrokenPipeError("reader went away")
 
-    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
+    row_block(2)
     forks = _use_cpus(monkeypatch, 2)
     with pytest.raises(BrokenPipeError):
         cli._write_table(BrokenPipeOut(), [], 9, cli._slices(np.linspace(0.0, 1.0, 9)))
@@ -889,12 +889,12 @@ def test_closing_split_map_early_leaves_no_work_running(cpus, monkeypatch, tmp_p
 
 
 @pytest.mark.parametrize("name", ["crlf-header", "bad-row-in-child-share"])
-def test_a_dead_parse_worker_falls_back_to_the_row_loop(name, monkeypatch, tmp_path):
+def test_a_dead_parse_worker_falls_back_to_the_row_loop(name, row_block, monkeypatch, tmp_path):
     path = tmp_path / "p.csv"
     path.write_bytes(CHUNKED_INPUTS[name])
     with open(path, newline="") as fh:
         expected = _parse_outcome(lambda: cli._parse_rows(str(path), fh.read().splitlines()))
-    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
+    row_block(2)
     # Only the chunk parse calls islice; every worker that runs it dies.
     parent = os.getpid()
     monkeypatch.setattr(
@@ -907,12 +907,12 @@ def test_a_dead_parse_worker_falls_back_to_the_row_loop(name, monkeypatch, tmp_p
 
 
 @pytest.mark.parametrize("name", ["comment-late", "blank-late", "header-late"])
-def test_a_skipped_row_retries_only_its_own_piece(name, monkeypatch, tmp_path):
+def test_a_skipped_row_retries_only_its_own_piece(name, row_block, monkeypatch, tmp_path):
     path = tmp_path / "p.csv"
     path.write_bytes(CHUNKED_INPUTS[name])
     with open(path, newline="") as fh:
         expected = _parse_outcome(lambda: cli._parse_rows(str(path), fh.read().splitlines()))
-    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 2)
+    row_block(2)
     loop_calls = []
     row_loop = cli._parse_rows
     monkeypatch.setattr(cli, "_parse_rows", lambda *a: loop_calls.append(a) or row_loop(*a))

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfdr import engine
 from kfdr.engine import PValueSample, decide, k_fdp, rejection_count, sample_from
 from kfdr.fk_models import equicorrelated_fk, independent_fk
 from kfdr.schedules import PROCEDURES, STEPDOWN, STEPUP, CriticalValueSchedule, make_schedule
@@ -243,7 +242,7 @@ class TestDecideOrder:
 
 
 class TestSortedBlocks:
-    """``decide`` gathers the sorted p-values one ``_SORTED_BLOCK`` at a
+    """``decide`` gathers the sorted p-values one ``_ROW_BLOCK`` at a
     time; a small block puts ties and the count's last hit or first miss
     on both sides of a block's edge."""
 
@@ -256,8 +255,10 @@ class TestSortedBlocks:
             ((0.5, 0.0, -0.0), (0.5, 0.0, 0.25), 1),
         ],
     )
-    def test_a_tie_across_blocks_takes_the_stable_sort(self, values, untied, block, monkeypatch):
-        monkeypatch.setattr(engine, "_SORTED_BLOCK", block)
+    def test_a_tie_across_blocks_takes_the_stable_sort(
+        self, values, untied, block, row_block, monkeypatch
+    ):
+        row_block(block)
         stable = [np.argsort(np.array(v), kind="stable").tolist() for v in (values, untied)]
         kinds = []
         argsort = np.argsort
@@ -273,8 +274,8 @@ class TestSortedBlocks:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 13])
     @pytest.mark.parametrize("direction", [STEPUP, STEPDOWN])
-    def test_counts_equal_the_brute_force_around_the_block_size(self, n, direction, monkeypatch):
-        monkeypatch.setattr(engine, "_SORTED_BLOCK", 4)
+    def test_counts_equal_the_brute_force_around_the_block_size(self, n, direction, row_block):
+        row_block(4)
         brute = brute_force_stepup if direction == STEPUP else brute_force_stepdown
         rng = np.random.default_rng(n)
         for _ in range(300):

@@ -73,6 +73,29 @@ def test_eval_matches_quad(rho, k):
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("rho", (1e-6, 0.01, 0.1, 0.5, 0.9, 0.99, 0.9999))
+def test_eval_at_one_half_matches_the_orthant_probabilities(rho):
+    # At x = 1/2 (t = 0), F_2 and F_3 are the classical orthant
+    # probabilities of equicorrelated normals: no quadrature in the reference.
+    got = [fk_eval(equicorrelated_fk(k, rho), np.array([0.5]))[0] for k in (2, 3)]
+    ref = [0.25 + math.asin(rho) / (2 * math.pi), 0.125 + 3 * math.asin(rho) / (4 * math.pi)]
+    np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("rho", (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999))
+def test_eval_k2_matches_owens_t(rho):
+    # F_2(x) = Pr{X_1 >= h, X_2 >= h} = sf(h) - 2 T(h, sqrt((1 - rho)/(1 + rho)))
+    # with h = isf(x), in closed form through Owen's T. The subtraction loses
+    # about log10(x / F_2) digits, so only points with x <= 1000 F_2 are kept.
+    x = np.geomspace(1e-13, 0.999, 200)
+    h = -special.ndtri(x)
+    ref = special.ndtr(-h) - 2.0 * special.owens_t(h, math.sqrt((1.0 - rho) / (1.0 + rho)))
+    kept = x <= 1000.0 * ref
+    assert kept.sum() >= 40
+    got = fk_eval(equicorrelated_fk(2, rho), x[kept])
+    np.testing.assert_allclose(got, ref[kept], rtol=1e-10, atol=0)
+
+
 @pytest.mark.parametrize("rho", RHOS)
 @pytest.mark.parametrize("k", ORDERS)
 def test_invert_residual(rho, k):

@@ -106,11 +106,10 @@ def write_table(*columns):
 
 
 @pytest.fixture
-def small_blocks(monkeypatch):
-    # Blocks of five rows laid out five at a time: rows 6 to 10 share one
-    # matrix, so the index grows from one digit to two inside it.
-    monkeypatch.setattr(cli, "_LINES_PER_WRITE", 5)
-    monkeypatch.setattr(render, "_ROWS_PER_MATRIX", 5)
+def small_blocks(row_block):
+    # Blocks of five rows, each laid out as one matrix: rows 6 to 10 share
+    # one, so the index grows from one digit to two inside it.
+    row_block(5)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

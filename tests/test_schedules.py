@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kfdr import schedules
+from kfdr import numerics, schedules
 from kfdr.fk_models import (
     EMPIRICAL,
     FkModel,
@@ -690,9 +690,9 @@ class TestVectorisedTargets:
     # n = B - 1, B, B + 1 and 2B + 1 for a block of B = 3 indices: a last
     # block that is partial, full, a single index, and past two full ones.
     @pytest.mark.parametrize("name", CLOSED_FORM)
-    def test_blocks_equal_the_whole_array(self, name, monkeypatch):
+    def test_blocks_equal_the_whole_array(self, name, row_block):
         pairs = [(n, k) for n in (2, 3, 4, 7) for k in range(1, n + 1)]
-        monkeypatch.setattr(schedules, "_POWER_BLOCK", 3)
+        row_block(3)
         for n, k in pairs:
             got = make_schedule(name, n, k, 0.05, independent_fk(k)).f_targets
             assert got.tobytes() == np.array(loop_targets(name, n, k, 0.05)).tobytes(), (n, k)
@@ -711,14 +711,14 @@ class TestVectorisedTargets:
         ],
     )
     def test_blocks_on_different_paths_equal_the_whole_array(
-        self, name, n, k, block, mixed, monkeypatch
+        self, name, n, k, block, mixed, row_block, monkeypatch
     ):
         whole = make_schedule(name, n, k, 0.05, independent_fk(k)).f_targets
         rows, kinds, combs = spy_row_divisions(monkeypatch), set(), schedules._combs
         monkeypatch.setattr(
             schedules, "_combs", lambda *a, **kw: kinds.add((c := combs(*a, **kw)).dtype.kind) or c
         )
-        monkeypatch.setattr(schedules, "_POWER_BLOCK", block)
+        row_block(block)
         got = make_schedule(name, n, k, 0.05, independent_fk(k)).f_targets
         if mixed == "float":
             assert 0 < len(rows) < n
@@ -728,15 +728,15 @@ class TestVectorisedTargets:
         assert got.tolist() == loop_targets(name, n, k, 0.05)
 
     @pytest.mark.parametrize("block", [3, 65536])
-    def test_blocks_keep_the_underflow_error(self, block, monkeypatch):
-        monkeypatch.setattr(schedules, "_POWER_BLOCK", block)
+    def test_blocks_keep_the_underflow_error(self, block, row_block):
+        row_block(block)
         for construct in (gen_bh, gen_by, gen_holm, gen_simes):
             with pytest.raises(ValueError, match="underflows"):
                 construct(2000, 1000, 0.05, independent_fk(1000))
 
-    @pytest.mark.parametrize("name", ["gen_bh", "gen_holm"])
+    @pytest.mark.parametrize("name", ["gen_bh", "gen_by", "gen_holm"])
     def test_blocks_of_the_real_size(self, name):
-        assert schedules._POWER_BLOCK == 8192
+        assert numerics._ROW_BLOCK == 8192
         for n in (8191, 8192, 8193, 65537):
             got = make_schedule(name, n, 2, 0.05, IND2).f_targets
             assert got.tolist() == loop_targets(name, n, 2, 0.05), n
